@@ -9,17 +9,21 @@ functions produced by source synthesis and ``compile()``/``exec()``.
 Translation scheme
 ------------------
 
-* The decoded stream is split at *leaders*: the entry pc, every static
-  branch/jump target (the ``imm`` of B/BEQZ/BNEZ/JAL), every function
-  entry, and every fall-through successor of a control transfer (JR
-  return addresses).
-* Each leader becomes one Python function ``_b<pc>(r, m, o, c, y)``
+* Superblocks are translated on *first entry*, inside ``run``.  The
+  entry pc is translated when the run starts; every static exit target
+  a translation names (the ``imm`` of B/BEQZ/BNEZ/JAL, a fall-through)
+  gets its global ``_b<pc>`` bound to a stub, which on its first call
+  translates that one superblock, rebinds the name to the real
+  function and calls it.  Code control never reaches -- an uncalled
+  function, a fall-through its predecessor's superblock already runs
+  inline -- is never compiled.
+* Each entered pc becomes one Python function ``_b<pc>(r, m, o, c, y)``
   (registers, memory, output, exit counters, cycles) covering a
   **superblock**: translation continues straight through forward
-  unconditional jumps (free at run time), fall-throughs into other
-  leaders, and the fall-through arm of conditional branches (the taken
-  arm becomes an early-``return`` "if" body), up to an instruction cap,
-  a call/return, HALT, or any backward transfer.  The pc therefore
+  unconditional jumps (free at run time), fall-throughs, and the
+  fall-through arm of conditional branches (the taken arm becomes an
+  early-``return`` "if" body), up to an instruction cap, a call/return,
+  HALT, or any backward transfer.  The pc therefore
   increases strictly along a superblock, so a superblock is a loop-free
   forward region; loops re-enter their header block once per iteration.
 * Straight-line register ops are inlined with no dispatch: register
@@ -49,11 +53,12 @@ Translation scheme
   one (backward branches, calls).  HALT keeps the interpreter's quirk
   of never checking its own latency.
 * Exits return the *successor's block function* directly
-  (``return _b42, y``); the driver loop is just
+  (``return _b42, y``, a global looked up at each exit, so a stub is
+  reached at most once); the driver loop is just
   ``while fn is not None: fn, y = fn(r, m, o, c, y)``.  Dynamic targets
   (JR/JALR) go through a pc -> function table, translating unseen pcs
-  on demand, so even a sabotaged executable that jumps mid-block still
-  runs (or traps) exactly like the interpreter.
+  the same way, so even a sabotaged executable that jumps mid-block
+  still runs (or traps) exactly like the interpreter.
 
 Translations are cached on the executable next to ``_decoded``, keyed
 by tier plus everything baked into the generated source as literals
@@ -67,7 +72,12 @@ Tier-3: profile-guided trace translation
 :class:`Jit3Program` (tier ``"jit3"``; tier ``"auto"`` escalates to it
 when a :class:`~repro.pipeline.profile.BlockProfile` is attached to the
 executable) extends the superblock scheme with three trace
-optimisations, all driven by interpreter profile data:
+optimisations, all driven by interpreter profile data.  Unlike tier 2
+it translates eagerly, in the constructor: a superblock for every
+*leader* (the entry pc, every static branch/jump target, every function
+entry and every fall-through successor of a control transfer), so a
+whole translation can round-trip through the artifact store.
+
 
 * **Summary-driven call inlining** -- a JAL to a hot, small callee
   continues translating *into* the callee instead of exiting, with the
@@ -120,6 +130,7 @@ trap behaviour -- is enforced by the differential tests in
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -192,10 +203,13 @@ class JitProgram:
     """A block-translated executable, ready to run.
 
     One instance is specific to a ``(stack_words, max_cycles)`` pair;
-    :func:`run_jit` caches instances on the executable.  Instances are
-    reusable across runs but, like the generated functions they hold,
-    not thread-safe (use process-level parallelism, as the benchmark
-    suite harness does).
+    :func:`run_jit` caches instances on the executable.  The constructor
+    translates nothing: :meth:`run` translates each superblock the first
+    time control reaches it, and later runs reuse the translations.
+    Runs may overlap (the compile service runs one cached program for
+    concurrent identical requests): translation holds a per-instance
+    lock, and each new exit's counter slot is added to every run in
+    progress before the code that bumps it can execute.
     """
 
     def __init__(
@@ -212,7 +226,10 @@ class JitProgram:
         self.ncode = len(self.code)
         self.exits: List[_ExitPath] = []
         self.table: Dict[int, Callable] = {}
-        self._counts: List[int] = []
+        # translation state is shared by overlapping runs: _lock guards
+        # it, and _live holds each running run's exit counters by id
+        self._lock = threading.Lock()
+        self._live: Dict[int, List[int]] = {}
         self.ns: Dict[str, object] = {
             "MachineTrap": MachineTrap,
             "sdiv": sdiv,
@@ -221,38 +238,19 @@ class JitProgram:
             "_jump": self._jump,
             "_T": self.table,
         }
-        self._leaders = self._find_leaders()
-        self._queued: Set[int] = set(self._leaders)
-        self._queue: List[int] = sorted(self._leaders)
-        self._drain_queue()
 
     # -- translation --------------------------------------------------------
 
-    def _find_leaders(self) -> Set[int]:
-        leaders = {self.exe.entry_pc}
-        leaders.update(self.exe.func_entries.values())
-        transfers = (_B, _BEQZ, _BNEZ, _JAL, _JALR, _JR, _HALT)
-        for pc, ins in enumerate(self.code):
-            op = ins[0]
-            if op in (_B, _BEQZ, _BNEZ, _JAL) and 0 <= ins[4] < self.ncode:
-                leaders.add(ins[4])
-            if op in transfers and pc + 1 < self.ncode:
-                leaders.add(pc + 1)
-        return {pc for pc in leaders if 0 <= pc < self.ncode}
-
-    def _drain_queue(self) -> None:
-        """Translate every queued pc (plus any exit target the
-        translations reference) and install the result."""
-        sources = []
-        while self._queue:
-            sources.append(self._translate_superblock(self._queue.pop()))
-        if sources:
-            self._install("\n".join(sources))
-
     def _enqueue(self, pc: int) -> None:
-        if pc not in self._queued:
-            self._queued.add(pc)
-            self._queue.append(pc)
+        """Make the static exit target ``_b<pc>`` resolvable: the first
+        time a translation references it, bind the name to a stub that
+        translates the superblock on its first call (rebinding the name
+        to the real function) and then runs it."""
+        name = f"_b{pc}"
+        if name not in self.ns:
+            self.ns[name] = (
+                lambda r, m, o, c, y: self._jump(pc)(r, m, o, c, y)
+            )
 
     def _translate_superblock(self, start: int) -> str:
         """Synthesise the source of the superblock rooted at ``start``,
@@ -314,13 +312,10 @@ class JitProgram:
                     f" raise MachineTrap('cycle budget exceeded')"
                 )
             if bump:
-                eid = len(self.exits)
-                self.exits.append(_ExitPath(
+                eid = self._new_exit(_ExitPath(
                     ninstr, prefix, calls, branches,
                     dict(loads), dict(stores),
                 ))
-                if len(self._counts) < len(self.exits):
-                    self._counts.append(0)
                 lines.append(f"{ind}c[{eid}] += 1")
             lines.append(f"{ind}{ret}")
 
@@ -496,24 +491,34 @@ class JitProgram:
 
         return "\n".join(lines) + "\n"
 
-    def _install(self, source: str) -> None:
+    def _new_exit(self, path: _ExitPath) -> int:
+        """Register a superblock exit and return its counter id.  Runs
+        with ``_lock`` held (or before the instance is shared), so every
+        run in progress has the new slot before code can bump it."""
+        eid = len(self.exits)
+        self.exits.append(path)
+        for counts in self._live.values():
+            counts.append(0)
+        return eid
+
+    def _translate(self, pc: int) -> Callable:
+        """Translate and install the superblock at ``pc``; returns its
+        function, now also bound as ``_b<pc>`` and in the table."""
+        source = self._translate_superblock(pc)
         exec(compile(source, f"<jit:{id(self.exe):#x}>", "exec"), self.ns)
-        for name, value in list(self.ns.items()):
-            if name.startswith("_b") and name[2:].isdigit():
-                self.table[int(name[2:])] = value
+        fn = self.table[pc] = self.ns[f"_b{pc}"]
+        return fn
 
     def _jump(self, pc: int) -> Callable:
-        """Resolve a dynamic jump target, translating on demand."""
+        """Resolve a jump target (the entry, a stub's own pc, or a
+        dynamic JR/JALR target), translating it on first use."""
         fn = self.table.get(pc)
         if fn is None:
             if pc < 0 or pc >= self.ncode:
                 raise MachineTrap(f"pc {pc} outside code")
-            # a JR/JALR into an untranslated pc (possible only with a
-            # hand-built or corrupted image): translate a superblock
-            # starting right there
-            self._enqueue(pc)
-            self._drain_queue()
-            fn = self.table[pc]
+            with self._lock:
+                # an overlapping run may have translated it meanwhile
+                fn = self.table.get(pc) or self._translate(pc)
         return fn
 
     # -- execution ----------------------------------------------------------
@@ -526,14 +531,19 @@ class JitProgram:
         regs: List[int] = [0] * NUM_REGISTERS
         regs[SP.index] = self.mem_size
         out: List[int] = []
-        # _counts is extended by on-demand translation mid-run, which is
-        # why it lives on self (runs are not concurrent; see class doc)
-        counts = self._counts = [0] * len(self.exits)
+        # on-demand translation mid-run extends counts (see _new_exit)
+        with self._lock:
+            counts = [0] * len(self.exits)
+            self._live[id(counts)] = counts
         cycles = 0
 
-        fn = self._jump(exe.entry_pc)
-        while fn is not None:
-            fn, cycles = fn(regs, mem, out, counts, cycles)
+        try:
+            fn = self._jump(exe.entry_pc)
+            while fn is not None:
+                fn, cycles = fn(regs, mem, out, counts, cycles)
+        finally:
+            with self._lock:
+                del self._live[id(counts)]
 
         stats = RunStats()
         stats.cycles = cycles
@@ -696,36 +706,75 @@ class Jit3Program(JitProgram):
             "elided_syncs": 0,
             "bailouts": {},
         }
-        self._store = store
-        self._artifact_pending = store is not None
         self._store_key = None
         self._sources: List[str] = []
         super().__init__(exe, stack_words, max_cycles)
+        # unlike tier 2, tier 3 translates eagerly: every leader up
+        # front, so a whole translation round-trips through the store
+        leaders = self._find_leaders()
+        self._queued: Set[int] = set(leaders)
+        self._queue: List[int] = sorted(leaders)
+        if store is None:
+            self._drain_queue()
+            return
+        self._store_key = (
+            exe.fingerprint(),
+            self.profile_digest,
+            self.mem_size,
+            self.max_cycles,
+            self.opts.key(),
+        )
+        art = store.get(NS_JIT3, self._store_key)
+        if art is not None and self._restore_artifact(art):
+            self._queue.clear()
+            return
+        self._drain_queue()
+        store.put(NS_JIT3, self._store_key, self._artifact())
 
-    # -- persistent translation artifacts -----------------------------------
+    # -- eager translation ---------------------------------------------------
+
+    def _find_leaders(self) -> Set[int]:
+        leaders = {self.exe.entry_pc}
+        leaders.update(self.exe.func_entries.values())
+        transfers = (_B, _BEQZ, _BNEZ, _JAL, _JALR, _JR, _HALT)
+        for pc, ins in enumerate(self.code):
+            op = ins[0]
+            if op in (_B, _BEQZ, _BNEZ, _JAL) and 0 <= ins[4] < self.ncode:
+                leaders.add(ins[4])
+            if op in transfers and pc + 1 < self.ncode:
+                leaders.add(pc + 1)
+        return {pc for pc in leaders if 0 <= pc < self.ncode}
+
+    def _enqueue(self, pc: int) -> None:
+        if pc not in self._queued:
+            self._queued.add(pc)
+            self._queue.append(pc)
 
     def _drain_queue(self) -> None:
-        if self._artifact_pending:
-            self._artifact_pending = False
-            self._store_key = (
-                self.exe.fingerprint(),
-                self.profile_digest,
-                self.mem_size,
-                self.max_cycles,
-                self.opts.key(),
-            )
-            art = self._store.get(NS_JIT3, self._store_key)
-            if art is not None and self._restore_artifact(art):
-                self._queue.clear()
-                return
-            super()._drain_queue()
-            self._store.put(NS_JIT3, self._store_key, self._artifact())
-            return
-        super()._drain_queue()
+        """Translate every queued pc (plus any exit target the
+        translations reference) and install the result."""
+        sources = []
+        while self._queue:
+            sources.append(self._translate_superblock(self._queue.pop()))
+        if sources:
+            self._install("\n".join(sources))
 
     def _install(self, source: str) -> None:
         self._sources.append(source)
-        super()._install(source)
+        exec(compile(source, f"<jit:{id(self.exe):#x}>", "exec"), self.ns)
+        for name, value in list(self.ns.items()):
+            if name.startswith("_b") and name[2:].isdigit():
+                self.table[int(name[2:])] = value
+
+    def _translate(self, pc: int) -> Callable:
+        # a JR/JALR into an untranslated pc (possible only with a
+        # hand-built or corrupted image): translate a trace starting
+        # right there, plus any exit target it references
+        self._enqueue(pc)
+        self._drain_queue()
+        return self.table[pc]
+
+    # -- persistent translation artifacts -----------------------------------
 
     def _artifact(self) -> Dict:
         stats = dict(self.jit3_stats)
@@ -761,7 +810,6 @@ class Jit3Program(JitProgram):
         except Exception:
             return False
         self.exits = exits
-        self._counts = [0] * len(exits)
         self._queued = queued
         self.jit3_stats = stats
         return True
@@ -886,13 +934,10 @@ class Jit3Program(JitProgram):
             if budget:
                 lines.append(f"{ind}\x00XB {'y - 1' if halting else 'y'}")
             if bump:
-                eid = len(self.exits)
-                self.exits.append(_ExitPath(
+                eid = self._new_exit(_ExitPath(
                     ninstr, prefix, calls, branches,
                     dict(loads), dict(stores),
                 ))
-                if len(self._counts) < len(self.exits):
-                    self._counts.append(0)
                 lines.append(f"{ind}c[{eid}] += 1")
             lines.append(f"{ind}{ret}")
 
@@ -921,12 +966,9 @@ class Jit3Program(JitProgram):
             faults.check(faults.SITE_JIT3, "link")
             lines.append(f"{ind}y += {prefix}")
             lines.append(f"{ind}\x00XB y")
-            eid = len(self.exits)
-            self.exits.append(_ExitPath(
+            eid = self._new_exit(_ExitPath(
                 ninstr, prefix, calls, branches, dict(loads), dict(stores),
             ))
-            if len(self._counts) < len(self.exits):
-                self._counts.append(0)
             lines.append(f"{ind}c[{eid}] += 1")
             lines.append(f"{ind}continue")
             st["linked_loops"] += 1

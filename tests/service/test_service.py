@@ -1,12 +1,14 @@
 """CompileService: single-flight dedup, batching, per-request stats."""
 
 import asyncio
+import sys
 
 import pytest
 
 from repro.frontend.errors import OptionsError
 from repro.pipeline.options import O2, O3_SW
 from repro.service import CompileService
+from repro.sim import run_program
 from repro.tools.warmstart import executable_digest
 
 SRC = """
@@ -152,3 +154,42 @@ def test_sequential_requests_restart_the_drain_loop():
     assert a.program.run().output == [12]
     assert b.program.run().output == [14]
     assert svc.stats.batches == 2
+
+
+STAGED = """
+func a(x) { return x + 1; }
+func b(x) { return x * 2; }
+func main() {
+    var i; var s = 0;
+    for (i = 0; i < 300; i = i + 1) {
+        if (i > 100) { s = s + a(i); }
+        if (i > 200) { s = s + b(i); }
+    }
+    print s;
+}
+"""
+
+
+@pytest.mark.parametrize("tier", ["jit", "auto"])
+def test_concurrent_runs_of_one_program(tier):
+    # single-flight hands all six requests the same program, so their
+    # runs overlap on one cached tier-2 translation, which each run
+    # extends as it first reaches a superblock
+    async def scenario():
+        svc = CompileService(O2)
+        runs = await asyncio.gather(
+            *(svc.run(STAGED, sim_tier=tier) for _ in range(6))
+        )
+        program = (await svc.compile(STAGED)).program
+        return runs, program
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs, program = go(scenario())
+    finally:
+        sys.setswitchinterval(old_interval)
+    expected = run_program(program.executable)
+    for stats in runs:
+        assert stats == expected
+        assert stats.sim_fallback is None

@@ -1,6 +1,9 @@
 """Block-translating tier tests: tier identity, traps, the sim_tier
 knob, translation caching, and word-width shift semantics."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.ir.arith import MachineTrap
@@ -261,3 +264,104 @@ def test_writes_to_zero_register_are_discarded():
 def test_interpreter_oracle_still_importable_directly():
     exe = compile_program(FIB, O2).executable
     assert run_program(exe) == run_jit(exe)
+
+
+# -- translation on first entry ---------------------------------------------
+
+LAZY = """
+var g = 0;
+func unused(x) { return x * 3 + g; }
+func main() {
+    var i; var s = 0;
+    for (i = 0; i < 10; i = i + 1) { if (i > 4) { s = s + i; } }
+    print s;
+}
+"""
+
+
+def _static_targets(exe):
+    """Every pc some static branch, jump or call names as its target."""
+    return {
+        ins.imm for ins in exe.instrs
+        if ins.op in (Opcode.B, Opcode.BEQZ, Opcode.BNEZ, Opcode.JAL)
+    }
+
+
+def test_only_entered_superblocks_are_translated():
+    exe = compile_program(LAZY, O2).executable
+    prog = JitProgram(exe)
+    assert not prog.table           # nothing is translated before run
+    assert prog.run() == run_program(exe)
+    # a function that is never called is never translated
+    assert exe.func_entries["unused"] not in prog.table
+    # nor is a fall-through after a conditional branch that nothing
+    # else targets: the superblock ending in the branch runs it inline
+    targets = _static_targets(exe)
+    inline_only = [
+        pc for pc in range(1, len(exe.instrs))
+        if exe.instrs[pc - 1].op in (Opcode.BEQZ, Opcode.BNEZ)
+        and pc not in targets and pc not in exe.func_at_pc
+    ]
+    assert inline_only
+    assert not set(inline_only) & set(prog.table)
+
+
+def test_second_run_reuses_the_cached_translation():
+    exe = compile_program(LAZY, O2).executable
+    first = run_jit(exe)
+    prog = next(iter(exe._jit_cache.values()))
+    translated = dict(prog.table)
+    second = run_jit(exe)
+    assert next(iter(exe._jit_cache.values())) is prog
+    assert prog.table == translated  # nothing new was translated
+    assert first == second == run_program(exe)
+
+
+STAGED = """
+func a(x) { return x + 1; }
+func b(x) { return x * 2; }
+func c(x) { if (x & 1) { return x - 3; } return x + 5; }
+func main() {
+    var i; var s = 0;
+    for (i = 0; i < 300; i = i + 1) {
+        if (i > 100) { s = s + a(i); }
+        if (i > 200) { s = s + b(i); }
+        s = s + c(i);
+    }
+    print s;
+}
+"""
+
+
+def test_overlapping_runs_share_one_translation():
+    # the compile service runs one cached program for concurrent
+    # identical requests, so one run can translate while another is
+    # mid-flight (this program reaches new code at i = 101 and 201)
+    exe = compile_program(STAGED, O2).executable
+    expected = run_program(exe)
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            prog = JitProgram(exe)
+            start = threading.Barrier(4)
+            results, errors = [], []
+
+            def worker():
+                start.wait()
+                try:
+                    results.append(prog.run())
+                except Exception as exc:  # surfaced by the asserts below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert errors == []
+            assert results == [expected] * 4
+            assert prog.run() == expected
+            assert not prog._live      # every run unregistered its counters
+    finally:
+        sys.setswitchinterval(old_interval)

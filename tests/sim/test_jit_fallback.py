@@ -10,6 +10,7 @@ from repro.ir.arith import MachineTrap
 from repro.pipeline.driver import compile_program
 from repro.pipeline.options import O3_SW
 from repro.sim import run_program, simulate
+from repro.sim.jit import JitProgram
 
 SRC = """
 func f(n) {
@@ -80,3 +81,53 @@ def test_fault_free_auto_tier_records_no_fallback():
     stats = simulate(fresh_exe(), sim_tier="auto")
     assert stats.sim_fallback is None
     assert stats == run_program(fresh_exe())
+
+
+# -- translation failing mid-run ----------------------------------------------
+
+# ``late``'s superblock is first entered after ``main`` has printed, so
+# under on-first-entry translation it fails with output already produced
+LATE = """
+func late(n) { return n * 7; }
+func main() { print 1; print late(6); }
+"""
+
+
+def fail_late_translation(monkeypatch, exc):
+    """Make tier 2 raise ``exc`` when it translates ``late``'s entry."""
+    exe = compile_program(LATE, O3_SW).executable
+    late = exe.func_entries["late"]
+    original = JitProgram._translate_superblock
+
+    def translate(self, start):
+        if start == late:
+            # main's superblock (which prints first) already ran
+            assert exe.entry_pc in self.table
+            raise exc
+        return original(self, start)
+
+    monkeypatch.setattr(JitProgram, "_translate_superblock", translate)
+    return exe
+
+
+def test_mid_run_translation_failure_falls_back_cleanly(monkeypatch):
+    exe = fail_late_translation(monkeypatch, RuntimeError("late"))
+    stats = simulate(exe, sim_tier="auto")
+    assert stats.sim_fallback is not None
+    assert "RuntimeError('late')" in stats.sim_fallback
+    ref = run_program(compile_program(LATE, O3_SW).executable)
+    assert stats == ref
+    # the tier-2 run's partial output never reaches the result
+    assert stats.output == ref.output == [1, 42]
+
+
+def test_mid_run_translation_failure_propagates_on_explicit_jit(monkeypatch):
+    exe = fail_late_translation(monkeypatch, RuntimeError("late"))
+    with pytest.raises(RuntimeError, match="late"):
+        simulate(exe, sim_tier="jit")
+
+
+def test_mid_run_machine_trap_is_not_swallowed(monkeypatch):
+    exe = fail_late_translation(monkeypatch, MachineTrap("late trap"))
+    with pytest.raises(MachineTrap, match="late trap"):
+        simulate(exe, sim_tier="auto")

@@ -95,10 +95,10 @@ def programs(draw):
     return "\n".join(parts)
 
 
-def outcome(exe, tier):
+def outcome(exe, tier, **kwargs):
     """(stats, None) on success, (None, message) on a trap."""
     try:
-        return exe.run(sim_tier=tier), None
+        return exe.run(sim_tier=tier, **kwargs), None
     except MachineTrap as trap:
         return None, str(trap)
 
@@ -111,3 +111,19 @@ def test_tiers_identical_on_random_programs(src):
         interp = outcome(exe, "interp")
         jit = outcome(exe, "jit")
         assert interp == jit
+
+
+@settings(max_examples=20, deadline=None)
+@given(programs())
+def test_tier2_budget_traps_identical_on_random_programs(src):
+    # tier 2 translates a superblock on first entry, so a budget trap
+    # can fire between translations; a rerun reuses the partial cache
+    for options in PAPER_CONFIGS.values():
+        exe = compile_cached(src, options).executable
+        full, trap = outcome(exe, "interp")
+        if trap is not None:
+            continue
+        for budget in (full.cycles - 1, full.cycles // 2, 7):
+            interp = outcome(exe, "interp", max_cycles=budget)
+            assert outcome(exe, "jit", max_cycles=budget) == interp
+            assert outcome(exe, "jit", max_cycles=budget) == interp
