@@ -12,8 +12,9 @@ manufactures exactly that crash, deterministically:
    ``publish:<ns>`` with the namespace drawn from the seed) and starts
    compiling the benchmark suite into a shared store;
 2. the parent polls the store for the victim's in-flight ``*.tmp`` file
-   and, the moment it appears -- the victim is stalled mid-``put`` --
-   delivers a real ``SIGKILL``;
+   and, once one has stayed put for :data:`STALL_SECONDS` -- the victim
+   is stalled mid-``put``, not passing through an ordinary put of
+   another namespace -- delivers a real ``SIGKILL``;
 3. recovery must then show the store *self-heals*:
 
    * the reopened store **verifies clean**: no torn blob exists, only
@@ -41,7 +42,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro import faults
 from repro.pipeline.options import PAPER_CONFIGS
@@ -51,6 +52,11 @@ from repro.tools.warmstart import _spawn_child, compile_suite
 #: namespaces the seed may aim the mid-publish hang at (both are written
 #: during every suite compile)
 KILL_NAMESPACES = (NS_PLAN, NS_CODEGEN)
+
+#: how long a temp file must persist before the parent takes it for the
+#: stalled publish: an ordinary put renames its temp within
+#: milliseconds, the armed one hangs for minutes
+STALL_SECONDS = 0.5
 
 
 def _child_env() -> dict:
@@ -117,13 +123,22 @@ def run_crashrecovery(
     try:
         victim = _spawn_victim(store, configs, names, ns)
         stalled_tmp: Optional[Path] = None
+        first_seen: Dict[Path, float] = {}
         deadline = time.monotonic() + kill_timeout
         while time.monotonic() < deadline:
             if victim.poll() is not None:
                 break
-            temps = sorted(Path(store).glob("*/*.tmp"))
-            if temps:
-                stalled_tmp = temps[0]
+            now = time.monotonic()
+            first_seen = {
+                tmp: first_seen.get(tmp, now)
+                for tmp in Path(store).glob("*/*.tmp")
+            }
+            stalled = sorted(
+                tmp for tmp, t in first_seen.items()
+                if now - t >= STALL_SECONDS
+            )
+            if stalled:
+                stalled_tmp = stalled[0]
                 break
             time.sleep(0.01)
 
