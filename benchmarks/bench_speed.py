@@ -6,11 +6,11 @@ For every benchmark-suite program this measures
 * ``compile_s`` -- wall-clock seconds for the full pipeline (parse,
   lower, allocate at O3_SW, codegen, link),
 * ``sim`` -- simulated machine cycles retired per wall-clock second on
-  *all three* simulator tiers (the reference interpreter, the
-  block-translating JIT, and the profile-guided tier-3 trace JIT),
+  *all three* simulator tiers (the reference interpreter, and the
+  trace JIT without (``jit``) and with (``jit3``) a block profile),
   with every tier's RunStats asserted bit-identical on every program,
-* ``sim_jit_first_s`` -- the first tier-2 run of a freshly compiled
-  executable, superblock translation included (``sim_jit_s`` times
+* ``sim_jit_first_s`` -- the first ``jit`` run of a freshly compiled
+  executable, trace translation included (``sim_jit_s`` times
   warm re-runs of the cached translation),
 * ``parallel_suite`` -- wall-clock for a baseline-vs-C suite sweep, run
   serially on the interpreter and fanned out over a process pool on the
@@ -151,7 +151,7 @@ def bench_one(name: str, source: str, repeats: int) -> dict:
         program = compile_program(source, O3_SW)
         dt = time.perf_counter() - t0
         best_compile = dt if best_compile is None else min(best_compile, dt)
-        # the first tier-2 run translates each superblock it enters
+        # the first jit run translates each trace it enters
         t0 = time.perf_counter()
         jit_stats = program.run(sim_tier="jit")
         dt = time.perf_counter() - t0

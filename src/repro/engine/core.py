@@ -324,9 +324,6 @@ class Engine:
 
         with self.stats.timer(record, "link"):
             exe = link_executable([obj], entry=options.entry)
-        if self.store is not None:
-            # tier-3 JIT translations of this image round-trip here
-            exe._artifact_store = self.store
         record.functions = len(program.functions)
         self._finish_record(record, report)
         return CompiledProgram(
@@ -473,8 +470,6 @@ class Engine:
                     )
                 with self.stats.timer(record, "link"):
                     exe = link_executable([obj], entry=options.entry)
-                if self.store is not None:
-                    exe._artifact_store = self.store
                 record.functions = len(program.functions)
                 self.stats.records.append(record)
                 self._finish_record(record, None)

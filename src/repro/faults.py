@@ -65,7 +65,6 @@ __all__ = [
     "SITE_CODEGEN",
     "SITE_COLORING",
     "SITE_JIT",
-    "SITE_JIT3",
     "SITE_PLAN",
     "SITE_SERVICE_DEADLINE",
     "SITE_SERVICE_QUEUE",
@@ -87,8 +86,7 @@ SITE_CACHE_CODEGEN = "cache-codegen"  # engine/core: codegen cache entries
 SITE_COLORING = "coloring"           # regalloc/coloring: allocate_function
 SITE_SHRINKWRAP = "shrinkwrap"       # shrinkwrap/placement: shrink_wrap
 SITE_WORKER = "worker"               # engine/scheduler: planner pool task
-SITE_JIT = "jit"                     # sim/jit: superblock translation
-SITE_JIT3 = "jit3"                   # sim/jit: tier-3 trace translation
+SITE_JIT = "jit"                     # sim/jit: trace translation
 #                                      (keys: "translate"/"inline"/"link")
 SITE_SUITE_WORKER = "suite-worker"   # benchsuite/harness: suite pool cell
 SITE_STORE_READ = "store-read"       # store: entry payload read (corrupt)
@@ -110,7 +108,6 @@ ALL_SITES: Tuple[str, ...] = (
     SITE_SHRINKWRAP,
     SITE_WORKER,
     SITE_JIT,
-    SITE_JIT3,
     SITE_SUITE_WORKER,
     SITE_STORE_READ,
     SITE_STORE_WRITE,

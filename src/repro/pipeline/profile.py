@@ -15,10 +15,10 @@ The counts are carried in a :class:`BlockProfile` -- a plain-``dict``
 subclass (so it drops into ``block_weights`` unchanged) that also
 records the constant call arguments the interpreter observed (the tier-3
 JIT's specialization data source) and exposes a stable content digest,
-which keys tier-3 translation artifacts in the persistent store and lets
-tests reference a profile deterministically.  Profiling a program also
-*attaches* the profile to its executable, which is what escalates
-``sim_tier="auto"`` runs of that executable to the tier-3 JIT.
+which keys tier-3 translations and lets tests reference a profile
+deterministically.  Profiling a program also *attaches* the profile to
+its executable, which is what feeds ``sim_tier="auto"`` runs of that
+executable's translator with it.
 
 Usage::
 
@@ -113,8 +113,8 @@ def attach_profile(
     target: Union[CompiledProgram, Executable], profile: BlockProfile
 ) -> None:
     """Attach ``profile`` to an executable: ``sim_tier="auto"`` runs of
-    it then escalate to the tier-3 trace JIT (with the tier-2/interp
-    fallback ladder underneath)."""
+    it then feed it to the trace translator (tier 3), with the
+    interpreter as the fallback."""
     exe = getattr(target, "executable", target)
     exe._block_profile = profile  # type: ignore[attr-defined]
 

@@ -1,20 +1,20 @@
 """Virtual-machine simulators and pixie-style statistics.
 
-Three execution tiers, selected by the ``sim_tier`` knob on
-:func:`simulate` (and on every ``RunStats``-producing entry point above
-it): the tier-1 reference interpreter (:func:`run_program`), the
-tier-2 block-translating pixie-JIT (:func:`run_jit`), and the tier-3
-profile-guided trace JIT (:func:`run_jit3`) with cross-procedure
-inlining, loop linking and constant-argument specialization.  All
-tiers produce bit-identical :class:`RunStats`; the interpreter
-additionally supports contract checking and block-count profiling, to
-which ``auto`` falls back.  ``auto`` escalates to tier 3 when a
-block profile is attached to the executable, walking the
-jit3 -> jit -> interp ladder on translation failure.
+Two engines, selected by the ``sim_tier`` knob on :func:`simulate`
+(and on every ``RunStats``-producing entry point above it): the
+reference interpreter (:func:`run_program`) and the pixie-style trace
+translator with loop linking, which runs without a profile as tier
+``"jit"`` (:func:`run_jit`) and fed a block profile as tier ``"jit3"``
+(:func:`run_jit3`), adding cross-procedure inlining and
+constant-argument specialization.  All tiers produce bit-identical
+:class:`RunStats`; the interpreter additionally supports contract
+checking and block-count profiling, to which ``auto`` falls back.
+``auto`` runs the translator (with the executable's block profile when
+one is attached) and falls back to the interpreter on a translation
+failure.
 """
 
 from repro.sim.jit import (
-    Jit3Options,
     Jit3Program,
     JitProgram,
     run_jit,
@@ -34,7 +34,6 @@ __all__ = [
     "ContractViolation",
     "DEFAULT_MAX_CYCLES",
     "DEFAULT_STACK_WORDS",
-    "Jit3Options",
     "Jit3Program",
     "JitProgram",
     "run_program",

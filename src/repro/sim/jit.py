@@ -1,84 +1,89 @@
-"""Tier-2 block-translating simulator -- the reproduction's pixie-JIT.
+"""Trace-translating simulator -- the reproduction's pixie-JIT.
 
 The tier-1 interpreter in :mod:`repro.sim.simulator` pays a dispatch
 tuple-unpack and an if/elif walk for every instruction.  This module
 removes that per-instruction cost the way pixie itself did: by
-*translating* the program once into native code -- here, Python
-functions produced by source synthesis and ``compile()``/``exec()``.
+*translating* the program into native code -- here, Python functions
+produced by source synthesis and ``compile()``/``exec()``.  One
+translator serves both translated tiers: ``"jit"`` runs it without a
+profile, ``"jit3"`` feeds it a block profile.
 
 Translation scheme
 ------------------
 
-* Superblocks are translated on *first entry*, inside ``run``.  The
-  entry pc is translated when the run starts; every static exit target
-  a translation names (the ``imm`` of B/BEQZ/BNEZ/JAL, a fall-through)
+* Traces are translated on *first entry*, inside ``run``.  The entry
+  pc is translated when the run starts; every static exit target a
+  translation names (the ``imm`` of B/BEQZ/BNEZ/JAL, a fall-through)
   gets its global ``_b<pc>`` bound to a stub, which on its first call
-  translates that one superblock, rebinds the name to the real
-  function and calls it.  Code control never reaches -- an uncalled
-  function, a fall-through its predecessor's superblock already runs
-  inline -- is never compiled.
+  translates that one trace, rebinds the name to the real function and
+  calls it.  Code control never reaches -- an uncalled function, a
+  fall-through its predecessor's trace already runs inline -- is never
+  compiled.
 * Each entered pc becomes one Python function ``_b<pc>(r, m, o, c, y)``
   (registers, memory, output, exit counters, cycles) covering a
-  **superblock**: translation continues straight through forward
-  unconditional jumps (free at run time), fall-throughs, and the
-  fall-through arm of conditional branches (the taken arm becomes an
-  early-``return`` "if" body), up to an instruction cap, a call/return,
-  HALT, or any backward transfer.  The pc therefore
-  increases strictly along a superblock, so a superblock is a loop-free
-  forward region; loops re-enter their header block once per iteration.
+  **trace**: translation continues straight through forward
+  unconditional jumps, fall-throughs and one arm of every conditional
+  branch (the other arm becomes an early-``return`` side exit), up to
+  an instruction cap, a call it does not inline, a return, HALT, or a
+  backward transfer it cannot link.
 * Straight-line register ops are inlined with no dispatch: register
-  reads/writes are cached in Python locals for the whole superblock and
+  reads/writes are cached in Python locals for the whole trace and
   written back only at exits, reads of $zero fold to the literal ``0``,
   and writes to $zero are discarded (their trapping operand evaluation
   is kept).
-* Per-instruction counters disappear.  Every superblock *exit* gets an
-  id and a record of the instructions on the unique entry-to-exit path,
-  so instructions, calls, branches and loads/stores by
+* Per-instruction counters disappear.  Every trace *exit* gets an id
+  and a record of the instructions on the unique entry-to-exit path, so
+  instructions, calls, branches and loads/stores by
   :class:`~repro.target.isa.MemKind` are constants per exit: each
   execution bumps one counter (``c[exit] += 1``) and the totals are
   reconstructed after HALT.  Cycles are threaded through as a running
   local (``y``) because the budget check needs them.
-* The cycle-budget check is hoisted to exit granularity: once at every
-  superblock exit, plus a guard before any instruction that can itself
-  trap (using the path-constant cycle prefix, so a budget overrun
-  preempts exactly the traps it used to preempt).  Checking at *every*
-  exit is a superset of the interpreter's backward-branch/call/return
-  checks, and the extra checks are unobservable: once over budget, the
-  interpreter's next check raises the identical trap before any other
-  trap can differ (trapping instructions are pre-guarded), and state is
-  discarded on a trap anyway.  The one place the interpreter can trap
-  *differently* while over budget -- running off the end of the code --
-  is replicated exactly: exits to an invalid pc raise ``pc outside
-  code`` with a preceding budget check only where the interpreter had
-  one (backward branches, calls).  HALT keeps the interpreter's quirk
-  of never checking its own latency.
-* Exits return the *successor's block function* directly
-  (``return _b42, y``, a global looked up at each exit, so a stub is
-  reached at most once); the driver loop is just
-  ``while fn is not None: fn, y = fn(r, m, o, c, y)``.  Dynamic targets
-  (JR/JALR) go through a pc -> function table, translating unseen pcs
-  the same way, so even a sabotaged executable that jumps mid-block
-  still runs (or traps) exactly like the interpreter.
+* **Budget-check hoisting.**  The interpreter checks the cycle budget
+  at backward branches, calls and returns, plus before every
+  instruction that can itself trap.  Those checks can only fire when
+  the remaining budget is below the trace's own worst-case accrual, so
+  each trace runs one entry test (repeated at every loop top) and, when
+  it trips, deopts to a twin ``_g<name>`` that keeps every check: a
+  budget check at every exit, plus a guard before each trapping
+  instruction using the path-constant cycle prefix.  Checking at
+  *every* exit is a superset of the interpreter's checks, and the
+  extra checks are unobservable: once over budget, the interpreter's
+  next check raises the identical trap before any other trap can
+  differ, and state is discarded on a trap anyway.  The one place the
+  interpreter can trap *differently* while over budget -- running off
+  the end of the code -- is replicated exactly: exits to an invalid pc
+  raise ``pc outside code`` with a preceding budget check only where
+  the interpreter had one (backward branches, calls).  HALT keeps the
+  interpreter's quirk of never checking its own latency.  The twin is
+  synthesised with its trace, so the two share exit ids, but it stays
+  source text behind a stub until its first call: a run within budget
+  never compiles it.
+* Exits return the *successor's function* directly (``return _b42,
+  y``, a global looked up at each exit, so a stub is reached at most
+  once); the driver loop is just ``while fn is not None: fn, y =
+  fn(r, m, o, c, y)``.  Dynamic targets (JR/JALR) go through a pc ->
+  function table, translating unseen pcs the same way, so even a
+  sabotaged executable that jumps mid-block still runs (or traps)
+  exactly like the interpreter.
 
-Translations are cached on the executable next to ``_decoded``, keyed
-by tier plus everything baked into the generated source as literals
-(``stack_words`` and ``max_cycles`` give the memory bound and budget;
-the tier-3 key adds its options and profile digest), so tier-2 and
-tier-3 translations of one executable never collide.
+Runs of one translation may overlap (the compile service runs one
+cached program for concurrent identical requests): translation and
+twin compilation hold a per-instance lock, and each new exit's counter
+slot is added to every run in progress before code can bump it.
 
-Tier-3: profile-guided trace translation
-----------------------------------------
+Profile-guided trace shaping
+----------------------------
 
-:class:`Jit3Program` (tier ``"jit3"``; tier ``"auto"`` escalates to it
-when a :class:`~repro.pipeline.profile.BlockProfile` is attached to the
-executable) extends the superblock scheme with three trace
-optimisations, all driven by interpreter profile data.  Unlike tier 2
-it translates eagerly, in the constructor: a superblock for every
-*leader* (the entry pc, every static branch/jump target, every function
-entry and every fall-through successor of a control transfer), so a
-whole translation can round-trip through the artifact store.
+:class:`Jit3Program` (tier ``"jit3"``; tier ``"auto"`` picks it when a
+:class:`~repro.pipeline.profile.BlockProfile` is attached to the
+executable) is the same translator fed interpreter profile data.
+Without a profile every call is cold, so inlining and specialization
+bail out; loop linking and budget hoisting need no profile and always
+apply.
 
-
+* **Hot-direction following** -- at a conditional branch the trace
+  follows the taken direction when the profile says it carries most of
+  the flow through the trace head, and exits on the fall-through.
 * **Summary-driven call inlining** -- a JAL to a hot, small callee
   continues translating *into* the callee instead of exiting, with the
   return address tracked as a translation-time constant.  The paper's
@@ -92,33 +97,38 @@ whole translation can round-trip through the artifact store.
   arm is a full dynamic exit, so inlining is sound for *any* callee
   behaviour (the summary is profitability, not correctness).  Indirect
   calls (JALR) always bail out to a dynamic exit.
-* **Trace linking of loops** -- every tier-3 block body is emitted
-  inside ``while True:`` with all accessed registers hoisted into
-  Python locals once, up front; a backward edge targeting the block's
-  own start becomes bump-counter / budget-check / ``continue``, so loop
-  iterations never leave the translated function (no write-back,
-  re-dispatch and reload per iteration).  Every exit writes back the
-  block's full written set, which keeps the per-exit path-constant
-  statistics exact in the presence of re-entry.
+* **Trace linking of loops** -- every block some backward branch
+  targets is emitted inside ``while True:`` with all accessed
+  registers hoisted into Python locals once, up front; a backward edge
+  targeting the block's own start becomes bump-counter / budget-check
+  / ``continue``, so loop iterations never leave the translated
+  function (no write-back, re-dispatch and reload per iteration).
+  Every exit writes back the block's full written set, which keeps the
+  per-exit path-constant statistics exact in the presence of re-entry.
 * **Constant-argument specialization** -- when the profile proves an
   argument register held one constant at every observed call of a hot
   function, the function-entry block is translated under that
   assumption behind a cheap entry guard; the guard's miss arm
-  dispatches to an unspecialized twin translation.  Inside the
-  specialized body (and inside inlined callees fed constant arguments)
-  constant registers fold into literals and conditional branches on
-  them fold away.
+  dispatches to an unspecialized twin ``_f<pc>``, which, like the
+  budget twin, is compiled on its first call.  Inside the specialized
+  body (and inside inlined callees fed constant arguments) constant
+  registers fold into literals and conditional branches on them fold
+  away.
 
 Budget-identity note: linked transfers (inlined JAL, linked JR, loop
 back-edge before the taken check) may skip interpreter budget-check
-points, which is unobservable for the same reason the tier-2 hoisting
-is -- every counted exit budget-checks, every trapping instruction is
-pre-guarded with its path-constant cycle prefix, and loop back-edges
-keep a per-iteration check.  Decisions and bailout counts surface in
-``RunStats.jit3``; whole-translation artifacts round-trip through the
-persistent artifact store keyed by (executable fingerprint, profile
-digest, sim parameters); any tier-3 translation failure falls back to
-tier-2 and ultimately the interpreter (the resilience ladder).
+points, which is unobservable for the same reason the hoisting is --
+every counted exit budget-checks in the twin, every trapping
+instruction is pre-guarded with its path-constant cycle prefix, and
+loop back-edges keep a per-iteration check.  Decisions and bailout
+counts surface in ``RunStats.jit3``; they cover the traces translated
+so far.
+
+Translations are cached on the executable next to ``_decoded``, keyed
+by tier plus everything baked into the generated source as literals
+(``stack_words`` and ``max_cycles`` give the memory bound and budget;
+tier 3 adds its profile digest).  Under tier ``"auto"`` any
+translation failure falls back to the interpreter.
 
 The interpreter remains the retained reference oracle: contract checking
 and ``block_counts`` profiling are interpreter features, and
@@ -127,11 +137,9 @@ Identity between the tiers -- bit-identical :class:`RunStats` including
 trap behaviour -- is enforced by the differential tests in
 ``tests/sim/`` and by ``benchmarks/bench_speed.py``.
 """
-
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro import faults
@@ -149,7 +157,6 @@ from repro.sim.simulator import (
     _KINDS, _LAT,
 )
 from repro.sim.stats import RunStats
-from repro.store.store import NS_JIT3
 from repro.target.isa import srl
 from repro.target.registers import (
     ALLOCATABLE_MASK,
@@ -161,7 +168,6 @@ from repro.target.registers import (
 
 __all__ = [
     "JitProgram",
-    "Jit3Options",
     "Jit3Program",
     "run_jit",
     "run_jit3",
@@ -177,403 +183,17 @@ _INFIX = {
 #: comparison ops translated to conditional expressions
 _COMPARE = {_SLT: "<", _SLE: "<=", _SEQ: "==", _SNE: "!="}
 
-#: superblock growth cap, in translated instructions.  Big enough that a
-#: typical loop body or call-to-call region is one superblock, small
-#: enough to bound tail duplication from inlining across leaders.
-INLINE_CAP = 96
+#: trace growth cap, in translated instructions
+TRACE_CAP = 512
 
-
-class _ExitPath:
-    """Stat constants for one superblock exit: the dynamic counts of the
-    unique entry-to-exit path, multiplied by the exit counter after a
-    run."""
-
-    __slots__ = ("ninstr", "cycles", "calls", "branches", "loads", "stores")
-
-    def __init__(self, ninstr, cycles, calls, branches, loads, stores):
-        self.ninstr = ninstr
-        self.cycles = cycles
-        self.calls = calls
-        self.branches = branches
-        self.loads = loads    # kind number -> count
-        self.stores = stores
-
-
-class JitProgram:
-    """A block-translated executable, ready to run.
-
-    One instance is specific to a ``(stack_words, max_cycles)`` pair;
-    :func:`run_jit` caches instances on the executable.  The constructor
-    translates nothing: :meth:`run` translates each superblock the first
-    time control reaches it, and later runs reuse the translations.
-    Runs may overlap (the compile service runs one cached program for
-    concurrent identical requests): translation holds a per-instance
-    lock, and each new exit's counter slot is added to every run in
-    progress before the code that bumps it can execute.
-    """
-
-    def __init__(
-        self,
-        exe: Executable,
-        stack_words: int = DEFAULT_STACK_WORDS,
-        max_cycles: int = DEFAULT_MAX_CYCLES,
-    ):
-        faults.check(faults.SITE_JIT, getattr(exe, "entry", None))
-        self.exe = exe
-        self.mem_size = exe.data_size + stack_words
-        self.max_cycles = max_cycles
-        self.code = decoded_stream(exe)
-        self.ncode = len(self.code)
-        self.exits: List[_ExitPath] = []
-        self.table: Dict[int, Callable] = {}
-        # translation state is shared by overlapping runs: _lock guards
-        # it, and _live holds each running run's exit counters by id
-        self._lock = threading.Lock()
-        self._live: Dict[int, List[int]] = {}
-        self.ns: Dict[str, object] = {
-            "MachineTrap": MachineTrap,
-            "sdiv": sdiv,
-            "srem": srem,
-            "srl": srl,
-            "_jump": self._jump,
-            "_T": self.table,
-        }
-
-    # -- translation --------------------------------------------------------
-
-    def _enqueue(self, pc: int) -> None:
-        """Make the static exit target ``_b<pc>`` resolvable: the first
-        time a translation references it, bind the name to a stub that
-        translates the superblock on its first call (rebinding the name
-        to the real function) and then runs it."""
-        name = f"_b{pc}"
-        if name not in self.ns:
-            self.ns[name] = (
-                lambda r, m, o, c, y: self._jump(pc)(r, m, o, c, y)
-            )
-
-    def _translate_superblock(self, start: int) -> str:
-        """Synthesise the source of the superblock rooted at ``start``,
-        registering an :class:`_ExitPath` per exit; returns the ``def``
-        source text."""
-        code = self.code
-        ncode = self.ncode
-        max_cycles = self.max_cycles
-        lines = [f"def _b{start}(r, m, o, c, y):"]
-        known: Set[int] = set()    # registers cached in a local
-        written: List[int] = []    # registers needing write-back, in order
-        # running path stats from the superblock entry
-        ninstr = 0
-        prefix = 0                 # cycles accrued so far on the path
-        calls = 0
-        branches = 0
-        loads: Dict[int, int] = {}
-        stores: Dict[int, int] = {}
-
-        def read(i: int) -> str:
-            if i == 0:
-                return "0"  # $zero: nothing ever writes it (see DUMP_INDEX)
-            if i not in known:
-                lines.append(f"    r{i} = r[{i}]")
-                known.add(i)
-            return f"r{i}"
-
-        def write(i: int) -> Optional[str]:
-            if i == 0 or i == DUMP_INDEX:
-                return None
-            if i not in known:
-                known.add(i)
-            if i not in written:
-                written.append(i)
-            return f"r{i}"
-
-        def budget_guard() -> None:
-            # before a trapping instruction: the interpreter's budget trap
-            # at any *earlier* instruction must still preempt this one
-            if prefix > 0:
-                lines.append(
-                    f"    if y + {prefix} > {max_cycles}:"
-                    f" raise MachineTrap('cycle budget exceeded')"
-                )
-
-        def emit_exit(
-            ind: str, ret: str,
-            budget: bool = True, halting: bool = False, bump: bool = True,
-        ) -> None:
-            """Write-backs, cycle accrual, budget check, exit counter and
-            the transfer itself, at indentation ``ind``."""
-            for i in written:
-                lines.append(f"{ind}r[{i}] = r{i}")
-            lines.append(f"{ind}y += {prefix}")
-            if budget:
-                lhs = "y - 1" if halting else "y"  # HALT's cost: unchecked
-                lines.append(
-                    f"{ind}if {lhs} > {max_cycles}:"
-                    f" raise MachineTrap('cycle budget exceeded')"
-                )
-            if bump:
-                eid = self._new_exit(_ExitPath(
-                    ninstr, prefix, calls, branches,
-                    dict(loads), dict(stores),
-                ))
-                lines.append(f"{ind}c[{eid}] += 1")
-            lines.append(f"{ind}{ret}")
-
-        def exit_to(ind: str, target: int, checked: bool = True) -> None:
-            """Exit transferring to static pc ``target``.  ``checked``
-            says whether the interpreter ran a budget check on this
-            transfer (backward branch / call); it decides whether an
-            *invalid* target budget-checks before trapping, matching the
-            interpreter's check-then-fetch order."""
-            if 0 <= target < ncode:
-                self._enqueue(target)
-                emit_exit(ind, f"return _b{target}, y")
-            else:
-                emit_exit(
-                    ind,
-                    f"raise MachineTrap('pc {target} outside code')",
-                    budget=checked, bump=False,
-                )
-
-        def addr_expr(base: int, imm: int) -> None:
-            off = f" + {imm}" if imm > 0 else (f" - {-imm}" if imm < 0 else "")
-            lines.append(f"    a = {read(base)}{off}")
-
-        pc = start
-        while True:
-            op, rd, rs, rt, imm, kind = code[pc]
-            ninstr += 1
-            lat = _LAT[op]
-
-            if op == _LW:
-                budget_guard()
-                addr_expr(rs, imm)
-                lines.append(
-                    f"    if a < 1 or a >= {self.mem_size}:"
-                    f" raise MachineTrap('bad load address %d at pc={pc}' % a)"
-                )
-                w = write(rd)
-                if w is not None:
-                    lines.append(f"    {w} = m[a]")
-                loads[kind] = loads.get(kind, 0) + 1
-            elif op == _SW:
-                budget_guard()
-                addr_expr(rt, imm)
-                lines.append(
-                    f"    if a < 1 or a >= {self.mem_size}:"
-                    f" raise MachineTrap('bad store address %d at pc={pc}' % a)"
-                )
-                lines.append(f"    m[a] = {read(rs)}")
-                stores[kind] = stores.get(kind, 0) + 1
-            elif op in _INFIX:
-                a, b = read(rs), read(rt)
-                w = write(rd)
-                if w is not None:
-                    lines.append(f"    {w} = {a} {_INFIX[op]} {b}")
-            elif op == _ADDI:
-                a = read(rs)
-                w = write(rd)
-                if w is not None:
-                    rhs = a if imm == 0 else (
-                        f"{a} + {imm}" if imm > 0 else f"{a} - {-imm}"
-                    )
-                    lines.append(f"    {w} = {rhs}")
-            elif op == _LI or op == _LA:
-                w = write(rd)
-                if w is not None:
-                    lines.append(f"    {w} = {imm}")
-            elif op == _MOVE:
-                a = read(rs)
-                w = write(rd)
-                if w is not None and w != a:
-                    lines.append(f"    {w} = {a}")
-            elif op in _COMPARE:
-                a, b = read(rs), read(rt)
-                w = write(rd)
-                if w is not None:
-                    lines.append(
-                        f"    {w} = 1 if {a} {_COMPARE[op]} {b} else 0"
-                    )
-            elif op == _DIV or op == _REM:
-                budget_guard()
-                fname = "sdiv" if op == _DIV else "srem"
-                a, b = read(rs), read(rt)
-                w = write(rd)
-                call = f"{fname}({a}, {b})"
-                lines.append(
-                    f"    {w} = {call}" if w is not None else f"    {call}"
-                )
-            elif op == _SLL or op == _SRL or op == _SRA:
-                budget_guard()
-                s = read(rt)
-                lines.append(
-                    f"    if {s} < 0 or {s} > 63:"
-                    f" raise MachineTrap('shift amount %d out of range' % {s})"
-                )
-                a = read(rs)
-                w = write(rd)
-                if w is not None:
-                    if op == _SLL:
-                        lines.append(f"    {w} = {a} << {s}")
-                    elif op == _SRA:
-                        lines.append(f"    {w} = {a} >> {s}")
-                    else:
-                        lines.append(f"    {w} = srl({a}, {s})")
-            elif op == _NEG:
-                a = read(rs)
-                w = write(rd)
-                if w is not None:
-                    lines.append(f"    {w} = -{a}" if a != "0"
-                                 else f"    {w} = 0")
-            elif op == _NOT:
-                a = read(rs)
-                w = write(rd)
-                if w is not None:
-                    lines.append(f"    {w} = 1 if {a} == 0 else 0")
-            elif op == _PRINT:
-                lines.append(f"    o.append({read(rs)})")
-            elif op == _BEQZ or op == _BNEZ:
-                branches += 1
-                prefix += lat
-                cond = read(rs)
-                test = "==" if op == _BEQZ else "!="
-                lines.append(f"    if {cond} {test} 0:")
-                exit_to("        ", imm, checked=imm <= pc)
-                # the taken arm returned; fall through inline (below)
-                pc += 1
-                if pc < ncode and ninstr < INLINE_CAP:
-                    continue
-                exit_to("    ", pc, checked=False)
-                break
-            elif op == _B:
-                prefix += lat
-                if pc < imm < ncode and ninstr < INLINE_CAP:
-                    # a forward jump inlines for free; backward jumps
-                    # exit so every loop iteration meets a budget check,
-                    # like the interpreter's backward-branch check
-                    pc = imm
-                    continue
-                exit_to("    ", imm, checked=imm <= pc)
-                break
-            elif op == _JAL:
-                calls += 1
-                prefix += lat
-                w = write(RA.index)
-                lines.append(f"    {w} = {pc + 1}")
-                exit_to("    ", imm, checked=True)
-                break
-            elif op == _JALR:
-                calls += 1
-                prefix += lat
-                lines.append(f"    t = {read(rs)}")
-                w = write(RA.index)
-                lines.append(f"    {w} = {pc + 1}")
-                emit_exit("    ", "return _T.get(t) or _jump(t), y")
-                break
-            elif op == _JR:
-                prefix += lat
-                lines.append(f"    t = {read(rs)}")
-                emit_exit("    ", "return _T.get(t) or _jump(t), y")
-                break
-            elif op == _HALT:
-                prefix += lat
-                emit_exit("    ", "return None, y", halting=True)
-                break
-            else:  # pragma: no cover - exhaustive over the opcode set
-                raise MachineTrap(f"unknown opcode number {op}")
-
-            # straight-line instruction: accrue and move on
-            prefix += lat
-            pc += 1
-            if pc >= ncode or ninstr >= INLINE_CAP:
-                exit_to("    ", pc, checked=False)
-                break
-
-        return "\n".join(lines) + "\n"
-
-    def _new_exit(self, path: _ExitPath) -> int:
-        """Register a superblock exit and return its counter id.  Runs
-        with ``_lock`` held (or before the instance is shared), so every
-        run in progress has the new slot before code can bump it."""
-        eid = len(self.exits)
-        self.exits.append(path)
-        for counts in self._live.values():
-            counts.append(0)
-        return eid
-
-    def _translate(self, pc: int) -> Callable:
-        """Translate and install the superblock at ``pc``; returns its
-        function, now also bound as ``_b<pc>`` and in the table."""
-        source = self._translate_superblock(pc)
-        exec(compile(source, f"<jit:{id(self.exe):#x}>", "exec"), self.ns)
-        fn = self.table[pc] = self.ns[f"_b{pc}"]
-        return fn
-
-    def _jump(self, pc: int) -> Callable:
-        """Resolve a jump target (the entry, a stub's own pc, or a
-        dynamic JR/JALR target), translating it on first use."""
-        fn = self.table.get(pc)
-        if fn is None:
-            if pc < 0 or pc >= self.ncode:
-                raise MachineTrap(f"pc {pc} outside code")
-            with self._lock:
-                # an overlapping run may have translated it meanwhile
-                fn = self.table.get(pc) or self._translate(pc)
-        return fn
-
-    # -- execution ----------------------------------------------------------
-
-    def run(self) -> RunStats:
-        exe = self.exe
-        mem: List[int] = [0] * self.mem_size
-        for a, v in exe.data_init.items():
-            mem[a] = v
-        regs: List[int] = [0] * NUM_REGISTERS
-        regs[SP.index] = self.mem_size
-        out: List[int] = []
-        # on-demand translation mid-run extends counts (see _new_exit)
-        with self._lock:
-            counts = [0] * len(self.exits)
-            self._live[id(counts)] = counts
-        cycles = 0
-
-        try:
-            fn = self._jump(exe.entry_pc)
-            while fn is not None:
-                fn, cycles = fn(regs, mem, out, counts, cycles)
-        finally:
-            with self._lock:
-                del self._live[id(counts)]
-
-        stats = RunStats()
-        stats.cycles = cycles
-        stats.output = out
-        nkinds = len(_KINDS)
-        load_counts = [0] * nkinds
-        store_counts = [0] * nkinds
-        exits = self.exits
-        for eid, n in enumerate(counts):
-            if not n:
-                continue
-            path = exits[eid]
-            stats.instructions += n * path.ninstr
-            stats.calls += n * path.calls
-            stats.branches += n * path.branches
-            for kind, cnt in path.loads.items():
-                load_counts[kind] += n * cnt
-            for kind, cnt in path.stores.items():
-                store_counts[kind] += n * cnt
-        for i, k in enumerate(_KINDS):
-            if load_counts[i]:
-                stats.loads[k] = load_counts[i]
-            if store_counts[i]:
-                stats.stores[k] = store_counts[i]
-        return stats
-
-
-# ---------------------------------------------------------------------------
-# Tier 3: profile-guided trace translation
-# ---------------------------------------------------------------------------
+#: inlining and specialization gates: the most inline frames open at
+#: once, the largest callee (static length) worth inlining, the cap on
+#: trace locals plus a callee's destroyable registers, and the profiled
+#: entry count below which a function is cold
+INLINE_DEPTH = 3
+INLINE_SIZE_CAP = 120
+MAX_TRACE_REGS = 24
+HOT_CALLS = 8
 
 #: argument-register indices, in parameter order (specialization slots)
 _PARAM_IDX: Tuple[int, ...] = tuple(r.index for r in PARAM_REGS)
@@ -594,85 +214,31 @@ _FOLD = {
 }
 
 
-@dataclass(frozen=True)
-class Jit3Options:
-    """Tier-3 translation knobs (all baked into the generated source,
-    so they are part of the translation cache key)."""
+class _ExitPath:
+    """Stat constants for one trace exit: the dynamic counts of the
+    unique entry-to-exit path, multiplied by the exit counter after a
+    run."""
 
-    inline: bool = True          # inline hot small callees at JAL
-    link_loops: bool = True      # back-edges to the block start -> continue
-    specialize: bool = True      # entry guards on profiled-constant args
-    inline_depth: int = 3        # max simultaneously open inline frames
-    inline_size_cap: int = 120   # max callee static length to inline
-    trace_cap: int = 512         # max translated instructions per trace
-    max_trace_regs: int = 24     # cap on trace locals + callee footprint
-    hot_calls: int = 8           # min profiled entry count to inline/spec
+    __slots__ = ("ninstr", "cycles", "calls", "branches", "loads", "stores")
 
-    def key(self) -> Tuple:
-        return (
-            self.inline, self.link_loops, self.specialize,
-            self.inline_depth, self.inline_size_cap, self.trace_cap,
-            self.max_trace_regs, self.hot_calls,
-        )
+    def __init__(self, ninstr, cycles, calls, branches, loads, stores):
+        self.ninstr = ninstr
+        self.cycles = cycles
+        self.calls = calls
+        self.branches = branches
+        self.loads = loads    # kind number -> count
+        self.stores = stores
 
 
-def _profile_digest(profile) -> str:
-    """Stable digest of whatever was passed as a profile (``None``, a
-    :class:`~repro.pipeline.profile.BlockProfile`, or a plain dict)."""
-    if profile is None:
-        return "none"
-    digest = getattr(profile, "digest", None)
-    if callable(digest):
-        return digest()
-    import hashlib
+class JitProgram:
+    """A trace-translated executable, ready to run.
 
-    items = sorted(
-        (fn, tuple(sorted(blocks.items())))
-        for fn, blocks in profile.items()
-    )
-    return hashlib.sha256(repr(items).encode("utf-8")).hexdigest()
-
-
-def _hot_by_pc(exe: Executable, profile) -> Dict[int, int]:
-    """Block execution counts keyed by pc (via the executable's labels)."""
-    hot: Dict[int, int] = {}
-    if not profile:
-        return hot
-    for fn, blocks in profile.items():
-        if not isinstance(blocks, dict):
-            continue
-        for block, count in blocks.items():
-            pc = exe.labels.get(f"{fn}.{block}")
-            if pc is not None and count:
-                hot[pc] = max(hot.get(pc, 0), count)
-        entry = exe.func_entries.get(fn)
-        if entry is not None:
-            count = blocks.get("entry", 0)
-            if count:
-                hot[entry] = max(hot.get(entry, 0), count)
-    return hot
-
-
-def _arg_consts_by_pc(exe: Executable, profile) -> Dict[int, Tuple]:
-    """Observed-constant call arguments keyed by function entry pc."""
-    call_args = getattr(profile, "call_args", None)
-    if not call_args:
-        return {}
-    out: Dict[int, Tuple] = {}
-    for fn, args in call_args.items():
-        entry = exe.func_entries.get(fn)
-        if entry is not None:
-            out[entry] = tuple(args)
-    return out
-
-
-class Jit3Program(JitProgram):
-    """A profile-guided trace-translated executable (tier 3).
-
-    Drives the same driver loop and stat reconstruction as
-    :class:`JitProgram`; only the translation differs (see the module
-    docstring).  ``jit3_stats`` records the translation decisions and
-    is surfaced on :attr:`RunStats.jit3` after every run.
+    One instance is specific to a ``(stack_words, max_cycles)`` pair;
+    :func:`run_jit` caches instances on the executable.  The constructor
+    translates nothing: :meth:`run` translates each trace the first
+    time control reaches it, and later runs reuse the translations.
+    Without a profile (see :class:`Jit3Program`) every call is cold.
+    ``jit3_stats`` records the translation decisions taken so far.
     """
 
     def __init__(
@@ -680,20 +246,33 @@ class Jit3Program(JitProgram):
         exe: Executable,
         stack_words: int = DEFAULT_STACK_WORDS,
         max_cycles: int = DEFAULT_MAX_CYCLES,
-        profile=None,
-        opts: Optional[Jit3Options] = None,
-        store=None,
     ):
-        faults.check(faults.SITE_JIT3, "translate")
-        self.opts = opts or Jit3Options()
-        self.profile_digest = _profile_digest(profile)
-        self._hot = _hot_by_pc(exe, profile)
-        self._arg_consts = _arg_consts_by_pc(exe, profile)
+        faults.check(faults.SITE_JIT, "translate")
+        self.exe = exe
+        self.mem_size = exe.data_size + stack_words
+        self.max_cycles = max_cycles
+        self.code = decoded_stream(exe)
+        self.ncode = len(self.code)
+        self.exits: List[_ExitPath] = []
+        self.table: Dict[int, Callable] = {}
+        # translation state is shared by overlapping runs: _lock guards
+        # it, and _live holds each running run's exit counters by id
+        self._lock = threading.Lock()
+        self._live: Dict[int, List[int]] = {}
+        # profile data: block counts and constant arguments by pc
+        self._hot: Dict[int, int] = {}
+        self._arg_consts: Dict[int, Tuple] = {}
         entries = sorted(exe.func_entries.values())
         self._extent = {
-            p: (entries[i + 1] if i + 1 < len(entries) else len(exe.instrs))
-            - p
+            p: (entries[i + 1] if i + 1 < len(entries) else self.ncode) - p
             for i, p in enumerate(entries)
+        }
+        # the pcs some backward branch targets: the only traces that
+        # can link a loop, hence the only ones worth loop mode
+        self._backedge_targets = {
+            ins[4]
+            for pc, ins in enumerate(self.code)
+            if ins[0] in (_B, _BEQZ, _BNEZ) and 0 <= ins[4] <= pc
         }
         self.jit3_stats: Dict[str, object] = {
             "traces": 0,
@@ -706,147 +285,63 @@ class Jit3Program(JitProgram):
             "elided_syncs": 0,
             "bailouts": {},
         }
-        self._store_key = None
-        self._sources: List[str] = []
-        super().__init__(exe, stack_words, max_cycles)
-        # unlike tier 2, tier 3 translates eagerly: every leader up
-        # front, so a whole translation round-trips through the store
-        leaders = self._find_leaders()
-        self._queued: Set[int] = set(leaders)
-        self._queue: List[int] = sorted(leaders)
-        if store is None:
-            self._drain_queue()
-            return
-        self._store_key = (
-            exe.fingerprint(),
-            self.profile_digest,
-            self.mem_size,
-            self.max_cycles,
-            self.opts.key(),
-        )
-        art = store.get(NS_JIT3, self._store_key)
-        if art is not None and self._restore_artifact(art):
-            self._queue.clear()
-            return
-        self._drain_queue()
-        store.put(NS_JIT3, self._store_key, self._artifact())
-
-    # -- eager translation ---------------------------------------------------
-
-    def _find_leaders(self) -> Set[int]:
-        leaders = {self.exe.entry_pc}
-        leaders.update(self.exe.func_entries.values())
-        transfers = (_B, _BEQZ, _BNEZ, _JAL, _JALR, _JR, _HALT)
-        for pc, ins in enumerate(self.code):
-            op = ins[0]
-            if op in (_B, _BEQZ, _BNEZ, _JAL) and 0 <= ins[4] < self.ncode:
-                leaders.add(ins[4])
-            if op in transfers and pc + 1 < self.ncode:
-                leaders.add(pc + 1)
-        return {pc for pc in leaders if 0 <= pc < self.ncode}
-
-    def _enqueue(self, pc: int) -> None:
-        if pc not in self._queued:
-            self._queued.add(pc)
-            self._queue.append(pc)
-
-    def _drain_queue(self) -> None:
-        """Translate every queued pc (plus any exit target the
-        translations reference) and install the result."""
-        sources = []
-        while self._queue:
-            sources.append(self._translate_superblock(self._queue.pop()))
-        if sources:
-            self._install("\n".join(sources))
-
-    def _install(self, source: str) -> None:
-        self._sources.append(source)
-        exec(compile(source, f"<jit:{id(self.exe):#x}>", "exec"), self.ns)
-        for name, value in list(self.ns.items()):
-            if name.startswith("_b") and name[2:].isdigit():
-                self.table[int(name[2:])] = value
-
-    def _translate(self, pc: int) -> Callable:
-        # a JR/JALR into an untranslated pc (possible only with a
-        # hand-built or corrupted image): translate a trace starting
-        # right there, plus any exit target it references
-        self._enqueue(pc)
-        self._drain_queue()
-        return self.table[pc]
-
-    # -- persistent translation artifacts -----------------------------------
-
-    def _artifact(self) -> Dict:
-        stats = dict(self.jit3_stats)
-        stats["bailouts"] = dict(self.jit3_stats["bailouts"])
-        return {
-            "source": "\n".join(self._sources),
-            "exits": [
-                (
-                    p.ninstr, p.cycles, p.calls, p.branches,
-                    tuple(sorted(p.loads.items())),
-                    tuple(sorted(p.stores.items())),
-                )
-                for p in self.exits
-            ],
-            "queued": sorted(self._queued),
-            "stats": stats,
+        self.ns: Dict[str, object] = {
+            "MachineTrap": MachineTrap,
+            "sdiv": sdiv,
+            "srem": srem,
+            "srl": srl,
+            "_jump": self._jump,
+            "_T": self.table,
         }
 
-    def _restore_artifact(self, art) -> bool:
-        """Reinstate a stored translation; ``False`` (retranslate) on
-        any shape mismatch -- byte-level corruption is already handled
-        by the store's checksums."""
-        try:
-            source = art["source"]
-            exits = [
-                _ExitPath(n, cy, ca, br, dict(ld), dict(st))
-                for n, cy, ca, br, ld, st in art["exits"]
-            ]
-            queued = set(art["queued"])
-            stats = dict(art["stats"])
-            stats["bailouts"] = dict(stats["bailouts"])
-            self._install(source)
-        except Exception:
-            return False
-        self.exits = exits
-        self._queued = queued
-        self.jit3_stats = stats
-        return True
+    # -- translation --------------------------------------------------------
 
-    # -- translation ---------------------------------------------------------
+    def _enqueue(self, pc: int) -> None:
+        """Make the static exit target ``_b<pc>`` resolvable: the first
+        time a translation references it, bind the name to a stub that
+        translates the trace on its first call (rebinding the name
+        to the real function) and then runs it."""
+        name = f"_b{pc}"
+        if name not in self.ns:
+            self.ns[name] = (
+                lambda r, m, o, c, y: self._jump(pc)(r, m, o, c, y)
+            )
 
-    def _backedge_targets(self) -> Set[int]:
-        """The pcs some backward branch targets -- the only pcs whose
-        traces can ever link a loop, hence the only ones worth the
-        loop-mode preload/write-back overhead."""
-        targets = getattr(self, "_backedge_target_set", None)
-        if targets is None:
-            targets = {
-                ins[4]
-                for pc, ins in enumerate(self.code)
-                if ins[0] in (_B, _BEQZ, _BNEZ) and 0 <= ins[4] <= pc
-            }
-            self._backedge_target_set = targets
-        return targets
+    def _defer(self, name: str, source: str) -> None:
+        """Bind ``name`` to a stub that, on its first call, compiles
+        ``source`` (which defines ``name``, rebinding it) and then runs
+        it.  The budget and specialization twins wait here: most runs
+        never enter them."""
+
+        def stub(r, m, o, c, y):
+            with self._lock:
+                if self.ns[name] is stub:
+                    self._exec(source)
+            return self.ns[name](r, m, o, c, y)
+
+        self.ns[name] = stub
+
+    def _exec(self, source: str) -> None:
+        exec(compile(source, f"<jit:{id(self.exe):#x}>", "exec"), self.ns)
 
     def _translate_superblock(
         self, start: int, specialized: bool = True,
         fname: Optional[str] = None,
     ) -> str:
+        """Synthesise the trace rooted at ``start``, registering an
+        :class:`_ExitPath` per exit and deferring its twins; returns the
+        source text defining ``fname`` (default ``_b<start>``)."""
         code = self.code
         ncode = self.ncode
         max_cycles = self.max_cycles
-        opts = self.opts
         st = self.jit3_stats
         name = fname or f"_b{start}"
         # loop mode -- body inside ``while True:``, all accessed
         # registers preloaded, every exit writes back the full written
         # set -- pays off only where a back-edge can actually link, so
         # it is reserved for blocks some backward branch targets;
-        # everything else gets tier-2-style lazy loads and
-        # written-so-far write-backs
-        loop_mode = opts.link_loops and start in self._backedge_targets()
+        # everything else gets lazy loads and written-so-far write-backs
+        loop_mode = start in self._backedge_targets
         if loop_mode:
             IND = "        "
             lines = [
@@ -870,7 +365,6 @@ class Jit3Program(JitProgram):
         inline_stack: List[int] = []   # expected return pcs, innermost last
         spec_assumed: Dict[int, int] = {}   # entry-guard register -> value
         spec_lines: List[str] = []
-        extra_source = ""
         ninstr = 0
         prefix = 0
         calls = 0
@@ -963,7 +457,7 @@ class Jit3Program(JitProgram):
             )
 
         def emit_backedge(ind: str) -> None:
-            faults.check(faults.SITE_JIT3, "link")
+            faults.check(faults.SITE_JIT, "link")
             lines.append(f"{ind}y += {prefix}")
             lines.append(f"{ind}\x00XB y")
             eid = self._new_exit(_ExitPath(
@@ -975,22 +469,20 @@ class Jit3Program(JitProgram):
             st["elided_syncs"] += len(written)
 
         def inline_decision(entry: int) -> bool:
-            if not opts.inline:
-                return False
             callee = self.exe.func_at_pc.get(entry)
             if callee is None:
                 return False
-            if self._hot.get(entry, 0) < opts.hot_calls:
+            if self._hot.get(entry, 0) < HOT_CALLS:
                 bail("cold")
                 return False
-            if len(inline_stack) >= opts.inline_depth:
+            if len(inline_stack) >= INLINE_DEPTH:
                 bail("depth")
                 return False
             size = self._extent.get(entry, ncode)
-            if size > opts.inline_size_cap:
+            if size > INLINE_SIZE_CAP:
                 bail("size")
                 return False
-            if ninstr + size > opts.trace_cap:
+            if ninstr + size > TRACE_CAP:
                 bail("trace_cap")
                 return False
             preserved = self.exe.preserved_masks.get(callee)
@@ -999,10 +491,10 @@ class Jit3Program(JitProgram):
             mask = destroy
             for i in accessed:
                 mask |= 1 << i
-            if bin(mask).count("1") > opts.max_trace_regs:
+            if bin(mask).count("1") > MAX_TRACE_REGS:
                 bail("footprint")
                 return False
-            faults.check(faults.SITE_JIT3, "inline")
+            faults.check(faults.SITE_JIT, "inline")
             return True
 
         def addr_expr(base: int, imm: int) -> None:
@@ -1011,9 +503,9 @@ class Jit3Program(JitProgram):
 
         # -- specialization: entry guards on profiled-constant arguments --
         if (
-            specialized and opts.specialize
+            specialized
             and start in self.exe.func_at_pc
-            and self._hot.get(start, 0) >= opts.hot_calls
+            and self._hot.get(start, 0) >= HOT_CALLS
         ):
             observed = self._arg_consts.get(start) or ()
             guards = [
@@ -1023,9 +515,9 @@ class Jit3Program(JitProgram):
             ]
             if guards:
                 fallback = f"_f{start}"
-                extra_source = self._translate_superblock(
+                self._defer(fallback, self._translate_superblock(
                     start, specialized=False, fname=fallback
-                )
+                ))
                 for g, v in guards:
                     consts[g] = v
                     spec_assumed[g] = v
@@ -1172,13 +664,13 @@ class Jit3Program(JitProgram):
                         if imm == start and backedge_linkable():
                             emit_backedge(IND)
                             break
-                        if pc < imm < ncode and ninstr < opts.trace_cap:
+                        if pc < imm < ncode and ninstr < TRACE_CAP:
                             pc = imm
                             continue
                         exit_to(IND, imm, checked=imm <= pc)
                         break
                     pc += 1
-                    if pc < ncode and ninstr < opts.trace_cap:
+                    if pc < ncode and ninstr < TRACE_CAP:
                         continue
                     exit_to(IND, pc, checked=False)
                     break
@@ -1210,7 +702,7 @@ class Jit3Program(JitProgram):
                         emit_backedge(IND)
                         break
                     pc = imm
-                    if ninstr < opts.trace_cap:
+                    if ninstr < TRACE_CAP:
                         continue
                     exit_to(IND, pc, checked=False)
                     break
@@ -1222,7 +714,7 @@ class Jit3Program(JitProgram):
                 else:
                     exit_to(arm, imm, checked=imm <= pc)
                 pc += 1
-                if pc < ncode and ninstr < opts.trace_cap:
+                if pc < ncode and ninstr < TRACE_CAP:
                     continue
                 exit_to(IND, pc, checked=False)
                 break
@@ -1231,7 +723,7 @@ class Jit3Program(JitProgram):
                 if imm == start and backedge_linkable():
                     emit_backedge(IND)
                     break
-                if pc < imm < ncode and ninstr < opts.trace_cap:
+                if pc < imm < ncode and ninstr < TRACE_CAP:
                     pc = imm
                     continue
                 exit_to(IND, imm, checked=imm <= pc)
@@ -1297,7 +789,7 @@ class Jit3Program(JitProgram):
 
             prefix += lat
             pc += 1
-            if pc >= ncode or ninstr >= opts.trace_cap:
+            if pc >= ncode or ninstr >= TRACE_CAP:
                 exit_to(IND, pc, checked=False)
                 break
 
@@ -1305,17 +797,6 @@ class Jit3Program(JitProgram):
         if ninstr > st["max_trace_len"]:
             st["max_trace_len"] = ninstr
 
-        out: List[str] = []
-        for ln in lines:
-            if ln == "\x00PRELOAD":
-                out.extend(f"    r{i} = r[{i}]" for i in sorted(accessed))
-            elif ln == "\x00SPEC":
-                out.extend(spec_lines)
-            elif ln.endswith("\x00WB"):
-                ind = ln[: -len("\x00WB")]
-                out.extend(f"{ind}r[{i}] = r{i}" for i in written)
-            else:
-                out.append(ln)
         # Budget-check hoisting.  Mid-trace budget pre-guards (one per
         # trapping instruction) and the per-exit budget checks can only
         # ever fire when the remaining cycle budget is smaller than the
@@ -1324,60 +805,213 @@ class Jit3Program(JitProgram):
         # mode -- and deopts to a twin that keeps every check;
         # everywhere else they are provably dead (``prefix`` is
         # monotone, so the final total bounds every intermediate
-        # ``y + k`` and post-accrual ``y`` test).
-        if any("\x00BG " in ln or "\x00XB " in ln for ln in out):
-            twin = "_g" + name[1:]
-            fast: List[str] = []
-            slow: List[str] = []
-            for ln in out:
+        # ``y + k`` and post-accrual ``y`` test).  The twin shares the
+        # trace's exit ids but is compiled only if a run enters it.
+        twin = "_g" + name[1:]
+
+        def render(fast: bool) -> str:
+            out = [f"def {name if fast else twin}(r, m, o, c, y):"]
+            for ln in lines[1:]:
+                if "\x00" not in ln:
+                    out.append(ln)
+                    continue
                 body = ln.lstrip()
                 ind = ln[: len(ln) - len(body)]
-                if body.startswith("\x00BG "):
-                    slow.append(
-                        f"{ind}if y + {body[4:]} > {max_cycles}:"
+                tag, _, arg = body.partition(" ")
+                if tag == "\x00PRELOAD":
+                    out.extend(f"    r{i} = r[{i}]" for i in sorted(accessed))
+                elif tag == "\x00SPEC":
+                    out.extend(spec_lines)
+                elif tag == "\x00WB":
+                    out.extend(f"{ind}r[{i}] = r{i}" for i in written)
+                elif tag == "\x00ENTRY":
+                    if fast:
+                        out.append(f"{ind}if y + {prefix} > {max_cycles}:")
+                        if loop_mode:  # deopt mid-loop: sync first
+                            out.extend(
+                                f"{ind}    r[{i}] = r{i}" for i in written
+                            )
+                        out.append(f"{ind}    return {twin}, y")
+                elif not fast:
+                    test = f"y + {arg}" if tag == "\x00BG" else arg
+                    out.append(
+                        f"{ind}if {test} > {max_cycles}:"
                         f" raise MachineTrap('cycle budget exceeded')"
                     )
-                elif body.startswith("\x00XB "):
-                    slow.append(
-                        f"{ind}if {body[4:]} > {max_cycles}:"
-                        f" raise MachineTrap('cycle budget exceeded')"
-                    )
-                elif body == "\x00ENTRY":
-                    if loop_mode:
-                        fast.append(
-                            f"{ind}if y + {prefix} > {max_cycles}:"
-                        )
-                        fast.extend(
-                            f"{ind}    r[{i}] = r{i}" for i in written
-                        )
-                        fast.append(f"{ind}    return {twin}, y")
-                    else:
-                        fast.append(
-                            f"{ind}if y + {prefix} > {max_cycles}:"
-                            f" return {twin}, y"
-                        )
-                elif ln.startswith(f"def {name}("):
-                    fast.append(ln)
-                    slow.append(f"def {twin}(r, m, o, c, y):")
-                else:
-                    fast.append(ln)
-                    slow.append(ln)
-            out = slow + [""] + fast
-        else:
-            out = [ln for ln in out if ln.lstrip() != "\x00ENTRY"]
-        source = "\n".join(out) + "\n"
-        if extra_source:
-            source = extra_source + source
-        return source
+            return "\n".join(out) + "\n"
 
-    # -- execution -----------------------------------------------------------
+        self._defer(twin, render(fast=False))
+        return render(fast=True)
+
+    def _new_exit(self, path: _ExitPath) -> int:
+        """Register a trace exit and return its counter id.  Runs
+        with ``_lock`` held (or before the instance is shared), so every
+        run in progress has the new slot before code can bump it."""
+        eid = len(self.exits)
+        self.exits.append(path)
+        for counts in self._live.values():
+            counts.append(0)
+        return eid
+
+    def _translate(self, pc: int) -> Callable:
+        """Translate and install the trace at ``pc``; returns its
+        function, now also bound as ``_b<pc>`` and in the table."""
+        self._exec(self._translate_superblock(pc))
+        fn = self.table[pc] = self.ns[f"_b{pc}"]
+        return fn
+
+    def _jump(self, pc: int) -> Callable:
+        """Resolve a jump target (the entry, a stub's own pc, or a
+        dynamic JR/JALR target), translating it on first use."""
+        fn = self.table.get(pc)
+        if fn is None:
+            if pc < 0 or pc >= self.ncode:
+                raise MachineTrap(f"pc {pc} outside code")
+            with self._lock:
+                # an overlapping run may have translated it meanwhile
+                fn = self.table.get(pc) or self._translate(pc)
+        return fn
+
+    # -- execution ----------------------------------------------------------
+
+    def run(self) -> RunStats:
+        exe = self.exe
+        mem: List[int] = [0] * self.mem_size
+        for a, v in exe.data_init.items():
+            mem[a] = v
+        regs: List[int] = [0] * NUM_REGISTERS
+        regs[SP.index] = self.mem_size
+        out: List[int] = []
+        # on-demand translation mid-run extends counts (see _new_exit)
+        with self._lock:
+            counts = [0] * len(self.exits)
+            self._live[id(counts)] = counts
+        cycles = 0
+
+        try:
+            fn = self._jump(exe.entry_pc)
+            while fn is not None:
+                fn, cycles = fn(regs, mem, out, counts, cycles)
+        finally:
+            with self._lock:
+                del self._live[id(counts)]
+
+        stats = RunStats()
+        stats.cycles = cycles
+        stats.output = out
+        nkinds = len(_KINDS)
+        load_counts = [0] * nkinds
+        store_counts = [0] * nkinds
+        exits = self.exits
+        for eid, n in enumerate(counts):
+            if not n:
+                continue
+            path = exits[eid]
+            stats.instructions += n * path.ninstr
+            stats.calls += n * path.calls
+            stats.branches += n * path.branches
+            for kind, cnt in path.loads.items():
+                load_counts[kind] += n * cnt
+            for kind, cnt in path.stores.items():
+                store_counts[kind] += n * cnt
+        for i, k in enumerate(_KINDS):
+            if load_counts[i]:
+                stats.loads[k] = load_counts[i]
+            if store_counts[i]:
+                stats.stores[k] = store_counts[i]
+        return stats
+
+
+def _profile_digest(profile) -> str:
+    """Stable digest of whatever was passed as a profile (``None``, a
+    :class:`~repro.pipeline.profile.BlockProfile`, or a plain dict)."""
+    if profile is None:
+        return "none"
+    digest = getattr(profile, "digest", None)
+    if callable(digest):
+        return digest()
+    import hashlib
+
+    items = sorted(
+        (fn, tuple(sorted(blocks.items())))
+        for fn, blocks in profile.items()
+    )
+    return hashlib.sha256(repr(items).encode("utf-8")).hexdigest()
+
+
+def _hot_by_pc(exe: Executable, profile) -> Dict[int, int]:
+    """Block execution counts keyed by pc (via the executable's labels)."""
+    hot: Dict[int, int] = {}
+    if not profile:
+        return hot
+    for fn, blocks in profile.items():
+        if not isinstance(blocks, dict):
+            continue
+        for block, count in blocks.items():
+            pc = exe.labels.get(f"{fn}.{block}")
+            if pc is not None and count:
+                hot[pc] = max(hot.get(pc, 0), count)
+        entry = exe.func_entries.get(fn)
+        if entry is not None:
+            count = blocks.get("entry", 0)
+            if count:
+                hot[entry] = max(hot.get(entry, 0), count)
+    return hot
+
+
+def _arg_consts_by_pc(exe: Executable, profile) -> Dict[int, Tuple]:
+    """Observed-constant call arguments keyed by function entry pc."""
+    call_args = getattr(profile, "call_args", None)
+    if not call_args:
+        return {}
+    out: Dict[int, Tuple] = {}
+    for fn, args in call_args.items():
+        entry = exe.func_entries.get(fn)
+        if entry is not None:
+            out[entry] = tuple(args)
+    return out
+
+
+class Jit3Program(JitProgram):
+    """The translator fed a block profile (tier 3).
+
+    The profile drives hot-direction following, inlining and
+    specialization (see the module docstring); ``jit3_stats`` is
+    surfaced on :attr:`RunStats.jit3` after every run.
+    """
+
+    def __init__(
+        self,
+        exe: Executable,
+        stack_words: int = DEFAULT_STACK_WORDS,
+        max_cycles: int = DEFAULT_MAX_CYCLES,
+        profile=None,
+    ):
+        super().__init__(exe, stack_words, max_cycles)
+        self._hot = _hot_by_pc(exe, profile)
+        self._arg_consts = _arg_consts_by_pc(exe, profile)
 
     def run(self) -> RunStats:
         stats = super().run()
-        info = dict(self.jit3_stats)
-        info["bailouts"] = dict(self.jit3_stats["bailouts"])
+        with self._lock:  # an overlapping run may be translating
+            info = dict(self.jit3_stats)
+            info["bailouts"] = dict(self.jit3_stats["bailouts"])
         stats.jit3 = info
         return stats
+
+
+def _cached(exe: Executable, key: Tuple, make: Callable) -> JitProgram:
+    """The translation cached on ``exe`` (next to ``_decoded``) under
+    ``key``, made on first use; the key's tier tag keeps the profiled
+    and profile-less translations of one executable apart."""
+    cache = getattr(exe, "_jit_cache", None)
+    if cache is None:
+        cache = {}
+        exe._jit_cache = cache  # type: ignore[attr-defined]
+    prog = cache.get(key)
+    if prog is None:
+        prog = cache[key] = make()
+    return prog
 
 
 def run_jit(
@@ -1385,23 +1019,16 @@ def run_jit(
     stack_words: int = DEFAULT_STACK_WORDS,
     max_cycles: int = DEFAULT_MAX_CYCLES,
 ) -> RunStats:
-    """Execute ``exe`` on the block-translating tier.
+    """Execute ``exe`` on the translator without a profile.
 
-    The translation is cached on the executable (next to ``_decoded``)
-    keyed by ``("jit", stack_words, max_cycles)`` -- the tier tag keeps
-    tier-2 and tier-3 translations of one executable from colliding --
-    so repeated runs skip straight to execution.
+    The translation is cached on the executable keyed by ``("jit",
+    stack_words, max_cycles)``, so repeated runs reuse every trace
+    translated so far.
     """
-    cache = getattr(exe, "_jit_cache", None)
-    if cache is None:
-        cache = {}
-        exe._jit_cache = cache  # type: ignore[attr-defined]
-    key = ("jit", stack_words, max_cycles)
-    prog = cache.get(key)
-    if prog is None:
-        prog = JitProgram(exe, stack_words, max_cycles)
-        cache[key] = prog
-    return prog.run()
+    return _cached(
+        exe, ("jit", stack_words, max_cycles),
+        lambda: JitProgram(exe, stack_words, max_cycles),
+    ).run()
 
 
 def run_jit3(
@@ -1409,35 +1036,19 @@ def run_jit3(
     stack_words: int = DEFAULT_STACK_WORDS,
     max_cycles: int = DEFAULT_MAX_CYCLES,
     profile=None,
-    opts: Optional[Jit3Options] = None,
-    store=None,
 ) -> RunStats:
-    """Execute ``exe`` on the tier-3 trace-translating tier.
+    """Execute ``exe`` on the translator fed ``profile``.
 
     ``profile`` is the :class:`~repro.pipeline.profile.BlockProfile`
     driving inlining/linking/specialization decisions (``None`` keeps
-    the translator conservative: loop linking only).  ``store`` is an
-    optional :class:`~repro.store.ArtifactStore` through which whole
-    translations round-trip, keyed by (executable fingerprint, profile
-    digest, sim parameters).  The in-memory translation is cached on
-    the executable keyed by tier, sim parameters, options and profile
-    digest.
+    the translator conservative: loop linking only).  The translation
+    is cached on the executable keyed by ``("jit3", stack_words,
+    max_cycles, profile digest)``.
     """
-    cache = getattr(exe, "_jit_cache", None)
-    if cache is None:
-        cache = {}
-        exe._jit_cache = cache  # type: ignore[attr-defined]
-    opts = opts or Jit3Options()
-    key = ("jit3", stack_words, max_cycles, opts.key(),
-           _profile_digest(profile))
-    prog = cache.get(key)
-    if prog is None:
-        prog = Jit3Program(
-            exe, stack_words, max_cycles,
-            profile=profile, opts=opts, store=store,
-        )
-        cache[key] = prog
-    return prog.run()
+    return _cached(
+        exe, ("jit3", stack_words, max_cycles, _profile_digest(profile)),
+        lambda: Jit3Program(exe, stack_words, max_cycles, profile=profile),
+    ).run()
 
 
 SIM_TIERS = ("auto", "interp", "jit", "jit3")
@@ -1482,31 +1093,25 @@ def simulate(
     block_counts: Optional[Dict[int, int]] = None,
     sim_tier: str = "auto",
     profile=None,
-    jit3_opts: Optional[Jit3Options] = None,
-    store=None,
 ) -> RunStats:
     """Execute ``exe`` on the selected simulator tier.
 
     ``sim_tier`` is ``"auto"`` (default), ``"interp"`` (always the
-    reference interpreter), ``"jit"`` (the tier-2 block translator) or
-    ``"jit3"`` (the profile-guided trace translator).  The translated
-    tiers are incompatible with the interpreter-only features
-    (``check_contracts``, ``block_counts``).  All tiers produce
-    bit-identical :class:`RunStats`.
+    reference interpreter), ``"jit"`` (the translator without a
+    profile) or ``"jit3"`` (the translator fed a block profile).  The
+    translated tiers are incompatible with the interpreter-only
+    features (``check_contracts``, ``block_counts``).  All tiers
+    produce bit-identical :class:`RunStats`.
 
-    ``"auto"`` picks the fastest applicable tier: tier 3 when a profile
-    is attached to the executable (see
-    :func:`repro.pipeline.profile.attach_profile`) or passed as
-    ``profile``, tier 2 otherwise -- and a *translation* failure walks
-    down the ladder (jit3 -> jit -> interp) with every failure recorded
-    in :attr:`RunStats.sim_fallback`.  :class:`MachineTrap` is program
+    ``"auto"`` runs the translator, with the profile attached to the
+    executable (see :func:`repro.pipeline.profile.attach_profile`) or
+    passed as ``profile`` when there is one -- and a *translation*
+    failure falls back to the interpreter, recorded in
+    :attr:`RunStats.sim_fallback`.  :class:`MachineTrap` is program
     semantics (all tiers raise it identically) and always propagates.
 
     ``sim_tier="jit3"`` with no profile anywhere collects one via a
     single interpreter profiling run first (and attaches it).
-    ``store`` (or ``exe._artifact_store``, which the engine attaches to
-    everything it compiles) persists tier-3 translations across
-    processes.
     """
     if sim_tier not in SIM_TIERS:
         raise ValueError(
@@ -1526,43 +1131,32 @@ def simulate(
             check_contracts=check_contracts,
             block_counts=block_counts,
         )
-    if profile is None:
-        profile = getattr(exe, "_block_profile", None)
-    if store is None:
-        store = getattr(exe, "_artifact_store", None)
     if sim_tier == "jit":
         return run_jit(exe, stack_words=stack_words, max_cycles=max_cycles)
-    if sim_tier == "jit3":
+    if profile is None:
+        profile = getattr(exe, "_block_profile", None)
+    if sim_tier == "jit3" and profile is None:
+        profile = _self_profile(exe)
+    try:
         if profile is None:
-            profile = _self_profile(exe)
+            return run_jit(
+                exe, stack_words=stack_words, max_cycles=max_cycles
+            )
         return run_jit3(
             exe, stack_words=stack_words, max_cycles=max_cycles,
-            profile=profile, opts=jit3_opts, store=store,
+            profile=profile,
         )
-    # tier "auto": a *translation* failure falls back one tier at a
-    # time (jit3 -> jit -> interp), recording each failure on the
-    # stats.  MachineTrap is program semantics (all tiers raise it
-    # identically) and propagates.
-    failures: List[str] = []
-    if profile is not None:
-        try:
-            return run_jit3(
-                exe, stack_words=stack_words, max_cycles=max_cycles,
-                profile=profile, opts=jit3_opts, store=store,
-            )
-        except MachineTrap:
-            raise
-        except Exception as exc:
-            failures.append(f"jit3: {exc!r}")
-    try:
-        stats = run_jit(exe, stack_words=stack_words, max_cycles=max_cycles)
     except MachineTrap:
         raise
     except Exception as exc:
-        failures.append(f"jit: {exc!r}")
+        # tier "auto" only: a translation failure is not program
+        # semantics, so the interpreter reruns the program from scratch
+        if sim_tier != "auto":
+            raise
         stats = run_program(
             exe, stack_words=stack_words, max_cycles=max_cycles
         )
-    if failures:
-        stats.sim_fallback = "; ".join(failures)
-    return stats
+        stats.sim_fallback = (
+            f"{'jit' if profile is None else 'jit3'}: {exc!r}"
+        )
+        return stats

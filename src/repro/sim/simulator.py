@@ -104,7 +104,7 @@ def _decode(exe: Executable) -> List[Tuple[int, int, int, int, int, int]]:
 
 def decoded_stream(exe: Executable) -> List[Tuple[int, int, int, int, int, int]]:
     """The executable's decoded instruction stream, cached on ``exe``
-    (shared by the interpreter and the block-translating tier)."""
+    (shared by the interpreter and the trace translator)."""
     code = getattr(exe, "_decoded", None)
     if code is None:
         code = _decode(exe)

@@ -26,14 +26,16 @@ class RunStats:
     loads: Counter = field(default_factory=Counter)    # MemKind -> count
     stores: Counter = field(default_factory=Counter)
     output: List[int] = field(default_factory=list)
-    #: set when an "auto"-tier run fell back from the block translator to
+    #: set when an "auto"-tier run fell back from the trace translator to
     #: the interpreter (the repr of the translation failure); excluded
     #: from equality because the measurement itself is tier-independent
     sim_fallback: Optional[str] = field(default=None, compare=False)
     #: tier-3 translation decisions (inlined calls, linked loops and
     #: returns, specialization guards, bailout reasons, elided host
-    #: register syncs); ``None`` off the jit3 tier, and excluded from
-    #: equality for the same reason as ``sim_fallback``
+    #: register syncs), counted over the traces translated so far:
+    #: traces are translated on first entry, so code no run has reached
+    #: contributes nothing; ``None`` off the jit3 tier, and excluded
+    #: from equality for the same reason as ``sim_fallback``
     jit3: Optional[Dict[str, object]] = field(default=None, compare=False)
 
     @property

@@ -79,9 +79,6 @@ SCRUB_STATE = "scrub.json"
 NS_FRONTEND = "fe"
 NS_PLAN = "plan"
 NS_CODEGEN = "code"
-#: tier-3 JIT trace translations, keyed by
-#: (executable fingerprint, profile digest, sim parameters)
-NS_JIT3 = "jit3"
 
 
 class StoreError(RuntimeError):

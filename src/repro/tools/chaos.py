@@ -3,11 +3,11 @@
 For every benchmark this drives two builds of the same source -- a
 plain (non-resilient) reference compile and a resilient compile under a
 seeded :class:`~repro.faults.FaultPlan` arming one fault per toolchain
-stage (planner, coloring, shrink-wrap, codegen, tier-2 and tier-3 JIT
-translation, pool worker) -- and checks the resilience contract.  A
-block profile is attached to every resilient build, so its ``auto``
-run starts at the tier-3 JIT and a fault there must walk the full
-jit3 -> jit -> interp fallback ladder.  The contract:
+stage (planner, coloring, shrink-wrap, codegen, JIT translation, pool
+worker) -- and checks the resilience contract.  A block profile is
+attached to every resilient build, so its ``auto`` run feeds the
+profile to the trace translator, and a fault there must fall back to
+the interpreter.  The contract:
 
 * the resilient compile completes with **no unhandled exception**;
 * its program produces the **same output** as the reference build
@@ -57,7 +57,6 @@ CHAOS_SITES = (
     faults.SITE_SHRINKWRAP,
     faults.SITE_CODEGEN,
     faults.SITE_JIT,
-    faults.SITE_JIT3,
     faults.SITE_WORKER,
 )
 

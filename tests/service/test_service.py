@@ -170,11 +170,11 @@ func main() {
 """
 
 
-@pytest.mark.parametrize("tier", ["jit", "auto"])
+@pytest.mark.parametrize("tier", ["jit", "auto", "jit3"])
 def test_concurrent_runs_of_one_program(tier):
     # single-flight hands all six requests the same program, so their
-    # runs overlap on one cached tier-2 translation, which each run
-    # extends as it first reaches a superblock
+    # runs overlap on one cached translation, which each run extends as
+    # it first reaches a trace (tier "jit3" also self-profiles first)
     async def scenario():
         svc = CompileService(O2)
         runs = await asyncio.gather(

@@ -1,5 +1,6 @@
-"""Block-translating tier tests: tier identity, traps, the sim_tier
-knob, translation caching, and word-width shift semantics."""
+"""Trace translator tests (tier "jit", no profile): tier identity,
+traps, the sim_tier knob, translation caching and on first entry,
+overlapping runs, and word-width shift semantics."""
 
 import sys
 import threading
@@ -11,7 +12,7 @@ from repro.pipeline import compile_program, O2, O3_SW
 from repro.pipeline.linker import Executable
 from repro.pipeline.profile import block_profile_of
 from repro.sim import run_jit, run_program, simulate, SIM_TIERS
-from repro.sim.jit import JitProgram
+from repro.sim.jit import Jit3Program, JitProgram
 from repro.target.isa import Instr, Opcode
 from repro.target.registers import ALL_REGISTERS
 
@@ -295,7 +296,7 @@ def test_only_entered_superblocks_are_translated():
     # a function that is never called is never translated
     assert exe.func_entries["unused"] not in prog.table
     # nor is a fall-through after a conditional branch that nothing
-    # else targets: the superblock ending in the branch runs it inline
+    # else targets: the trace ending in the branch runs it inline
     targets = _static_targets(exe)
     inline_only = [
         pc for pc in range(1, len(exe.instrs))
@@ -336,14 +337,21 @@ func main() {
 def test_overlapping_runs_share_one_translation():
     # the compile service runs one cached program for concurrent
     # identical requests, so one run can translate while another is
-    # mid-flight (this program reaches new code at i = 101 and 201)
-    exe = compile_program(STAGED, O2).executable
+    # mid-flight (this program reaches new code at i = 101 and 201),
+    # with or without a profile
+    built = compile_program(STAGED, O2)
+    exe = built.executable
+    profile = block_profile_of(built, attach=False)
     expected = run_program(exe)
+    makers = (
+        lambda: JitProgram(exe),
+        lambda: Jit3Program(exe, profile=profile),
+    )
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(5):
-            prog = JitProgram(exe)
+        for make in makers * 5:
+            prog = make()
             start = threading.Barrier(4)
             results, errors = [], []
 

@@ -1,9 +1,8 @@
 """Tier-3 trace JIT unit tests: inlining and its bailouts, loop
 linking, specialization guards (hit and miss), trap identity inside
-inlined bodies, translation cache keying, the persistent artifact
-round-trip, and the jit3 -> jit -> interp fault ladder."""
-
-import tempfile
+inlined bodies, translation on first entry and the lazily compiled
+budget twins, translation cache keying, and the fallback to the
+interpreter."""
 
 import pytest
 
@@ -13,9 +12,8 @@ from repro.pipeline.driver import compile_program
 from repro.pipeline.options import O2, O3_SW
 from repro.pipeline.profile import BlockProfile, attach_profile, \
     block_profile_of
-from repro.sim import run_program, simulate
-from repro.sim.jit import Jit3Options, Jit3Program, run_jit3
-from repro.store.store import ArtifactStore, NS_JIT3
+from repro.sim import jit, run_program, simulate
+from repro.sim.jit import Jit3Program, run_jit3
 from repro.tools.reports import jit3_report
 
 HOT_CALL = """
@@ -55,48 +53,54 @@ def test_hot_call_is_inlined_and_loop_linked():
     assert info["elided_syncs"] > 0
 
 
-def test_specialization_guard_folds_constant_argument():
-    # add() always sees b == 3: the profile proves it, the entry block
-    # is specialized behind a guard
+def test_specialization_guard_folds_constant_argument(monkeypatch):
+    # add() always sees b == 3: the profile proves it, so add's entry
+    # trace is specialized behind a guard.  That trace exists only
+    # where add() is entered rather than inlined: inlining is off here
+    monkeypatch.setattr(jit, "INLINE_DEPTH", 0)
     exe, profile = build()
     assert profile.call_args["add"][1] == 3
     stats = run_jit3(exe, profile=profile)
     assert stats.jit3["spec_guards"] >= 1
+    assert stats.jit3["inlined_calls"] == 0
     assert stats == run_program(exe)
 
 
-def test_specialization_guard_miss_dispatches_to_twin():
+def test_specialization_guard_miss_dispatches_to_twin(monkeypatch):
     # a fabricated profile claiming a wrong constant: every guard must
     # miss at runtime and the unspecialized twin must run -- output and
     # stats stay bit-identical
+    monkeypatch.setattr(jit, "INLINE_DEPTH", 0)
     exe, profile = build()
     wrong = BlockProfile(
         dict(profile),
         call_args={"add": (999999, 999999, 0, 0)},
     )
     assert wrong.digest() != profile.digest()
-    stats = run_jit3(exe, profile=wrong)
+    prog = Jit3Program(exe, profile=wrong)
+    stats = prog.run()
     assert stats.jit3["spec_guards"] >= 1
     assert stats == run_program(exe)
+    # the twin waited behind a stub until the first miss compiled it
+    twin = f"_f{exe.func_entries['add']}"
+    assert prog.ns[twin].__name__ == twin
 
 
 # -- inline-guard bailouts ---------------------------------------------------
 
-def test_footprint_conflict_bails_out():
+def test_footprint_conflict_bails_out(monkeypatch):
+    monkeypatch.setattr(jit, "MAX_TRACE_REGS", 1)
     exe, profile = build()
-    stats = run_jit3(
-        exe, profile=profile, opts=Jit3Options(max_trace_regs=1)
-    )
+    stats = run_jit3(exe, profile=profile)
     assert stats.jit3["inlined_calls"] == 0
     assert stats.jit3["bailouts"].get("footprint", 0) >= 1
     assert stats == run_program(exe)
 
 
-def test_cold_call_is_not_inlined():
+def test_cold_call_is_not_inlined(monkeypatch):
+    monkeypatch.setattr(jit, "HOT_CALLS", 10 ** 9)
     exe, profile = build()
-    stats = run_jit3(
-        exe, profile=profile, opts=Jit3Options(hot_calls=10 ** 9)
-    )
+    stats = run_jit3(exe, profile=profile)
     assert stats.jit3["inlined_calls"] == 0
     assert stats.jit3["bailouts"].get("cold", 0) >= 1
     assert stats == run_program(exe)
@@ -154,9 +158,9 @@ def test_trap_inside_inlined_body_is_identical():
 def test_trap_inside_inlined_body_is_identical_strict():
     exe, profile = trapping_exe_with_profile()
     prog = Jit3Program(exe, profile=profile)
-    assert prog.jit3_stats["inlined_calls"] >= 1
     with pytest.raises(MachineTrap, match="divide by zero"):
         prog.run()
+    assert prog.jit3_stats["inlined_calls"] >= 1
 
 
 def test_budget_traps_are_identical_at_every_cycle_count():
@@ -184,18 +188,89 @@ def test_budget_traps_are_identical_at_every_cycle_count():
         assert interp == jit3, f"budget {budget}: {interp} != {jit3}"
 
 
-def test_fast_variants_carry_a_guarded_twin():
+def test_budget_at_the_trap_boundary_is_identical():
+    # the twin's guard before a trapping instruction decides which trap
+    # wins when the budget runs out right there: sweep the budgets
+    # around the boundary between the budget trap and the divide by zero
+    exe, profile = trapping_exe_with_profile()
+
+    def message(runner, budget):
+        with pytest.raises(MachineTrap) as trap:
+            runner(exe, max_cycles=budget)
+        return str(trap.value)
+
+    lo, hi = 1, 10 ** 6   # smallest budget that reaches the divide
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if message(run_program, mid) == "cycle budget exceeded":
+            lo = mid + 1
+        else:
+            hi = mid
+    assert "divide by zero" in message(run_program, lo)
+    for budget in range(lo - 3, lo + 3):
+        assert message(
+            lambda e, **kw: run_jit3(e, profile=profile, **kw), budget
+        ) == message(run_program, budget), budget
+
+
+def _twins(prog):
+    """The budget twins bound so far, by name."""
+    return {n: fn for n, fn in prog.ns.items() if n.startswith("_g")}
+
+
+def test_generous_budget_leaves_every_twin_a_stub():
+    # every trace is synthesised with its fully guarded twin, but a run
+    # that never nears the budget never deopts, so no twin is compiled
     exe, profile = build()
     prog = Jit3Program(exe, profile=profile)
-    source = "\n".join(prog._sources)
-    assert "def _g" in source           # deopt twins exist
-    assert "return _g" in source        # ...and fast variants route there
-    # the fast variants carry no per-instruction budget guards: every
-    # "y + k > limit" test outside a twin is the single entry check
-    for chunk in source.split("def ")[1:]:
-        if chunk.startswith("_b") or chunk.startswith("_f"):
-            guards = chunk.count(f"> {prog.max_cycles}")
-            assert guards <= 1, chunk.splitlines()[0]
+    assert prog.run() == run_program(exe)
+    assert prog.run() == run_program(exe)
+    twins = _twins(prog)
+    assert twins
+    for name, fn in twins.items():
+        assert fn.__name__ != name, f"{name} was compiled"
+
+
+def test_tight_budget_compiles_the_twin_and_traps():
+    exe, profile = build()
+    budget = run_program(exe).cycles // 2
+    with pytest.raises(MachineTrap, match="cycle budget") as interp:
+        run_program(exe, max_cycles=budget)
+    prog = Jit3Program(exe, max_cycles=budget, profile=profile)
+    with pytest.raises(MachineTrap) as jit3:
+        prog.run()
+    assert str(jit3.value) == str(interp.value)
+    compiled = [n for n, fn in _twins(prog).items() if fn.__name__ == n]
+    assert compiled
+    # the compiled twin is kept: a rerun traps the same way through it
+    with pytest.raises(MachineTrap) as again:
+        prog.run()
+    assert str(again.value) == str(interp.value)
+
+
+UNCALLED = """
+func unused(x) { return x * 3; }
+func add(a, b) { return a + b; }
+func main() {
+  var s = 0; var i;
+  for (i = 0; i < 60; i = i + 1) { s = s + add(i, 3); }
+  if (s < 0) { s = unused(s); }
+  print(s);
+  return 0;
+}
+"""
+
+
+def test_profiled_run_never_translates_an_uncalled_function():
+    exe, profile = build(UNCALLED)
+    prog = Jit3Program(exe, profile=profile)
+    assert not prog.table           # nothing is translated before run
+    assert prog.run() == run_program(exe)
+    assert prog.jit3_stats["inlined_calls"] >= 1
+    entry = exe.func_entries["unused"]
+    end = entry + prog._extent[entry]
+    assert not [pc for pc in prog.table if entry <= pc < end]
+    assert f"_f{entry}" not in prog.ns
 
 
 # -- caching and tier separation --------------------------------------------
@@ -218,74 +293,51 @@ def test_profile_digest_is_part_of_the_cache_key():
     assert len(tags) == 2
 
 
-# -- persistent artifact round-trip -----------------------------------------
-
-def test_translation_roundtrips_through_the_store():
-    exe, profile = build()
-    ref = run_program(exe)
-    with tempfile.TemporaryDirectory(prefix="repro-jit3-") as tmp:
-        store = ArtifactStore(tmp)
-        first = Jit3Program(exe, profile=profile, store=store)
-        stats1 = first.run()
-        assert stats1 == ref
-        assert store.get(NS_JIT3, first._store_key) is not None
-
-        # a second translation of the same (exe, profile, params) must
-        # restore from the store without translating anything
-        second = Jit3Program.__new__(Jit3Program)
-        second._translate_superblock = _boom  # type: ignore[attr-defined]
-        Jit3Program.__init__(
-            second, exe, profile=profile, store=store
-        )
-        assert second._sources  # installed from the artifact
-        stats2 = second.run()
-        assert stats2 == ref
-        assert stats2.jit3["traces"] == stats1.jit3["traces"]
-
-
-def _boom(*a, **kw):  # pragma: no cover - must never be called
-    raise AssertionError("store hit should have skipped translation")
-
-
-# -- the fault ladder --------------------------------------------------------
+# -- the fallback to the interpreter -----------------------------------------
 
 def test_jit3_fault_falls_down_the_ladder():
+    # the ladder has one rung: a fault at construction, at an inline
+    # decision or at a loop link (both mid-run, since traces translate
+    # on first entry) lands the "auto" run on the interpreter
     exe, profile = build()
     ref = run_program(exe)
     for key in ("translate", "inline", "link"):
         fresh = compile_program(HOT_CALL, O3_SW).executable
         attach_profile(fresh, profile)
         plan = faults.FaultPlan(specs=[
-            faults.FaultSpec(site=faults.SITE_JIT3, match=key, count=None)
+            faults.FaultSpec(site=faults.SITE_JIT, match=key, count=None)
         ])
         with faults.active(plan):
             stats = simulate(fresh, sim_tier="auto")
         assert stats == ref
-        assert stats.sim_fallback is not None
-        assert "jit3" in stats.sim_fallback
+        assert stats.sim_fallback.startswith("jit3: ")
         assert plan.fired
 
 
 def test_jit3_and_jit_faults_land_on_the_interpreter():
+    # with or without a profile, one failure is recorded and the
+    # interpreter runs the program
     exe, profile = build()
     ref = run_program(exe)
-    fresh = compile_program(HOT_CALL, O3_SW).executable
-    attach_profile(fresh, profile)
-    plan = faults.FaultPlan(specs=[
-        faults.FaultSpec(site=faults.SITE_JIT3, count=None),
-        faults.FaultSpec(site=faults.SITE_JIT, count=None),
-    ])
-    with faults.active(plan):
-        stats = simulate(fresh, sim_tier="auto")
-    assert stats == ref
-    assert "jit3" in stats.sim_fallback and "jit:" in stats.sim_fallback
+    for attached, tag in ((profile, "jit3"), (None, "jit")):
+        fresh = compile_program(HOT_CALL, O3_SW).executable
+        if attached is not None:
+            attach_profile(fresh, attached)
+        plan = faults.FaultPlan(specs=[
+            faults.FaultSpec(site=faults.SITE_JIT, count=None),
+        ])
+        with faults.active(plan):
+            stats = simulate(fresh, sim_tier="auto")
+        assert stats == ref
+        assert stats.sim_fallback.startswith(f"{tag}: ")
+        assert ";" not in stats.sim_fallback
 
 
 # -- auto escalation and explicit tier --------------------------------------
 
 def test_auto_escalates_when_a_profile_is_attached():
     prog = compile_program(HOT_CALL, O2)
-    assert prog.run().jit3 is None          # no profile: tier 2
+    assert prog.run().jit3 is None          # no profile: tier "jit"
     block_profile_of(prog)                  # attaches as a side effect
     stats = prog.run()
     assert stats.jit3 is not None           # profile attached: tier 3

@@ -85,7 +85,7 @@ def test_fault_free_auto_tier_records_no_fallback():
 
 # -- translation failing mid-run ----------------------------------------------
 
-# ``late``'s superblock is first entered after ``main`` has printed, so
+# ``late``'s trace is first entered after ``main`` has printed, so
 # under on-first-entry translation it fails with output already produced
 LATE = """
 func late(n) { return n * 7; }
@@ -94,14 +94,15 @@ func main() { print 1; print late(6); }
 
 
 def fail_late_translation(monkeypatch, exc):
-    """Make tier 2 raise ``exc`` when it translates ``late``'s entry."""
+    """Make the translator raise ``exc`` when it translates ``late``'s
+    entry."""
     exe = compile_program(LATE, O3_SW).executable
     late = exe.func_entries["late"]
     original = JitProgram._translate_superblock
 
     def translate(self, start):
         if start == late:
-            # main's superblock (which prints first) already ran
+            # main's trace (which prints first) already ran
             assert exe.entry_pc in self.table
             raise exc
         return original(self, start)
@@ -117,7 +118,7 @@ def test_mid_run_translation_failure_falls_back_cleanly(monkeypatch):
     assert "RuntimeError('late')" in stats.sim_fallback
     ref = run_program(compile_program(LATE, O3_SW).executable)
     assert stats == ref
-    # the tier-2 run's partial output never reaches the result
+    # the translated run's partial output never reaches the result
     assert stats.output == ref.output == [1, 42]
 
 

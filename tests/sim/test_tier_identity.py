@@ -3,7 +3,7 @@ same execution on random programs under every paper configuration.
 
 The generator is biased toward what distinguishes the tiers: trapping
 arithmetic (``/ %``, shifts that can leave the 0..63 range), loops (the
-superblock translator's backward-edge exits and budget checks), calls
+trace translator's backward-edge exits and budget checks), calls
 (trampoline transitions), and array traffic (MemKind classification).
 A program may legitimately trap -- then both tiers must raise the same
 message; otherwise their RunStats must be bit-identical.
@@ -116,7 +116,7 @@ def test_tiers_identical_on_random_programs(src):
 @settings(max_examples=20, deadline=None)
 @given(programs())
 def test_tier2_budget_traps_identical_on_random_programs(src):
-    # tier 2 translates a superblock on first entry, so a budget trap
+    # the translator translates a trace on first entry, so a budget trap
     # can fire between translations; a rerun reuses the partial cache
     for options in PAPER_CONFIGS.values():
         exe = compile_cached(src, options).executable
