@@ -16,7 +16,7 @@ from repro.ir import lower_module, optimize_module
 from repro.frontend import analyze, parse
 from repro.pipeline import compile_program, O3
 from repro.target.isa import MemKind
-from repro.target.registers import FULL_FILE
+from repro.target.registers import DEFAULT_CONVENTION
 
 SRC = """
 func q(y) {
@@ -44,7 +44,7 @@ def tree_register_count(prefer: bool) -> int:
     plan = plan_program(
         mod,
         PlanOptions(
-            register_file=FULL_FILE, ipra=True, prefer_subtree_reg=prefer
+            convention=DEFAULT_CONVENTION, ipra=True, prefer_subtree_reg=prefer
         ),
     )
     mask = (

@@ -27,9 +27,10 @@ from repro.pipeline import compile_program, CompilerOptions
 from repro.sim import SIM_TIERS
 from repro.target.codegen import generate_function
 from repro.target.registers import (
-    callee_only_file,
-    caller_only_file,
-    convention_from_register_file,
+    CALLEE_SAVED,
+    CALLER_SAVED,
+    Convention,
+    validate_convention,
 )
 
 
@@ -42,13 +43,15 @@ def _options(args: argparse.Namespace) -> CompilerOptions:
         ipra_globals=args.ipra_globals,
     )
     if args.callers is not None:
-        opts = opts.with_(convention=convention_from_register_file(
-            caller_only_file(args.callers)
-        ))
+        opts = opts.with_(convention=validate_convention(Convention(
+            allocatable=CALLER_SAVED[:args.callers],
+            name=f"caller-only-{args.callers}",
+        )))
     if args.callees is not None:
-        opts = opts.with_(convention=convention_from_register_file(
-            callee_only_file(args.callees)
-        ))
+        opts = opts.with_(convention=validate_convention(Convention(
+            allocatable=CALLEE_SAVED[:args.callees],
+            name=f"callee-only-{args.callees}",
+        )))
     return opts
 
 

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.frontend.errors import LinkError
 from repro.ir.function import IRModule
-from repro.target.isa import AsmFunction, Instr, Opcode
+from repro.target.isa import AsmFunction, Instr, Opcode, OPS
 
 
 @dataclass
@@ -116,9 +116,6 @@ class ObjectCode:
     preserved_masks: Dict[str, int] = field(default_factory=dict)
 
 
-_BRANCH_OPS = (Opcode.B, Opcode.BEQZ, Opcode.BNEZ, Opcode.JAL)
-
-
 def link_executable(
     objects: Sequence[ObjectCode], entry: str = "main"
 ) -> Executable:
@@ -183,19 +180,20 @@ def link_executable(
     for pc, ins in enumerate(code):
         if ins.label is None:
             continue
-        if ins.op in _BRANCH_OPS:
+        kind = OPS[ins.op].label
+        if kind == "code":
             target = labels.get(ins.label)
             if target is None:
                 raise LinkError(f"unresolved code symbol {ins.label!r}")
             ins.imm = target
-        elif ins.op is Opcode.LA:
+        elif kind == "sym":
             if ins.label in exe.func_entries:
                 ins.imm = exe.func_entries[ins.label]
             elif ins.label in exe.data_layout:
                 ins.imm = exe.data_layout[ins.label][0]
             else:
                 raise LinkError(f"unresolved symbol {ins.label!r}")
-        elif ins.op in (Opcode.LW, Opcode.SW):
+        elif kind == "data":
             loc = exe.data_layout.get(ins.label)
             if loc is None:
                 raise LinkError(f"unresolved data symbol {ins.label!r}")

@@ -9,8 +9,8 @@ base (-O2)        ``O2``                  (intra, no shrink-wrap)
 A    (-O2 + SW)   ``O2_SW``
 B    (-O3)        ``O3``                  (IPRA, no shrink-wrap)
 C    (-O3 + SW)   ``O3_SW``
-D                 ``O3_SW`` with ``caller_only_file(7)``
-E                 ``O3_SW`` with ``callee_only_file(7)``
+D                 ``O3_SW`` with ``CALLER_ONLY_7``
+E                 ``O3_SW`` with ``CALLEE_ONLY_7``
 ================  ============================================
 
 Opt levels: 0 = straight translation (no IR optimisation, no register
@@ -30,8 +30,6 @@ from repro.target.registers import (
     Convention,
     ConventionError,
     DEFAULT_CONVENTION,
-    RegisterFile,
-    convention_from_register_file,
     validate_convention,
 )
 
@@ -40,10 +38,6 @@ from repro.target.registers import (
 class CompilerOptions:
     opt_level: int = 2
     shrink_wrap: bool = False
-    #: deprecated alias for ``convention``: a RegisterFile here becomes
-    #: the paper's fixed linkage restricted to the file's registers; after
-    #: init it always holds the convention's allocatable view
-    register_file: Optional[RegisterFile] = None
     #: Section 6 propagate-vs-wrap combining strategy
     combine: bool = True
     #: Fig. 1 tie-break: prefer registers already used in the call tree
@@ -59,32 +53,13 @@ class CompilerOptions:
     #: subtrees provably never touch them
     ipra_globals: bool = False
     #: the calling convention in force (save classes, argument registers,
-    #: allocatable pool, demotion ladder); the autotuner's search variable
+    #: allocatable pool, demotion ladder); the autotuner's search
+    #: variable.  ``None`` means :data:`DEFAULT_CONVENTION`.
     convention: Optional[Convention] = None
 
     def __post_init__(self) -> None:
-        convention = self.convention
-        if convention is None:
-            if self.register_file is None:
-                convention = DEFAULT_CONVENTION
-            else:
-                convention = convention_from_register_file(
-                    self.register_file
-                )
-        elif not isinstance(convention, Convention):
-            # leave the bad value in place for validate_options to report
-            return
-        elif (
-            self.register_file is not None
-            and tuple(self.register_file.allocatable)
-            != tuple(convention.allocatable)
-        ):
-            raise OptionsError(
-                "convention and register_file disagree on the allocatable "
-                "pool; pass only one (register_file is a deprecated alias)"
-            )
-        object.__setattr__(self, "convention", convention)
-        object.__setattr__(self, "register_file", convention.register_file)
+        if self.convention is None:
+            object.__setattr__(self, "convention", DEFAULT_CONVENTION)
 
     @property
     def ipra(self) -> bool:
@@ -99,14 +74,7 @@ class CompilerOptions:
         return self.opt_level >= 1
 
     def with_(self, **kwargs) -> "CompilerOptions":
-        """Functional update.  Setting one of ``convention`` /
-        ``register_file`` clears the other so the replacement wins (the
-        two are views of the same choice; ``register_file`` is the
-        deprecated spelling)."""
-        if "convention" in kwargs and "register_file" not in kwargs:
-            kwargs["register_file"] = None
-        elif "register_file" in kwargs and "convention" not in kwargs:
-            kwargs["convention"] = None
+        """Functional update."""
         return replace(self, **kwargs)
 
 
@@ -125,11 +93,6 @@ def validate_options(options: CompilerOptions) -> CompilerOptions:
     ) or not 0 <= options.opt_level <= 3:
         raise OptionsError(
             f"opt_level must be an integer in 0..3, got {options.opt_level!r}"
-        )
-    if not isinstance(options.register_file, RegisterFile):
-        raise OptionsError(
-            "register_file must be a RegisterFile, got "
-            f"{type(options.register_file).__name__}"
         )
     if not isinstance(options.convention, Convention):
         raise OptionsError(

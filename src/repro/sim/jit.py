@@ -30,7 +30,13 @@ Translation scheme
   reads/writes are cached in Python locals for the whole trace and
   written back only at exits, reads of $zero fold to the literal ``0``,
   and writes to $zero are discarded (their trapping operand evaluation
-  is kept).
+  is kept).  What a value-computing opcode emits comes from its entry
+  in the opcode table (:data:`~repro.target.isa.OPS`): a trap-free
+  opcode whose sources are all translation-time constants folds, via a
+  function compiled once from its value template; otherwise the
+  template is emitted, after the budget pre-guard and its own guard if
+  it can trap.  Loads, stores, branches, calls and HALT are trace
+  logic and keep their own arms.
 * Per-instruction counters disappear.  Every trace *exit* gets an id
   and a record of the instructions on the unique entry-to-exit path, so
   instructions, calls, branches and loads/stores by
@@ -151,13 +157,11 @@ from repro.sim.simulator import (
     DUMP_INDEX,
     decoded_stream,
     run_program,
-    _ADD, _SUB, _MUL, _DIV, _REM, _AND, _OR, _XOR, _SLL, _SRL, _SRA,
-    _SLT, _SLE, _SEQ, _SNE, _ADDI, _LI, _LA, _MOVE, _NEG, _NOT, _LW,
-    _SW, _B, _BEQZ, _BNEZ, _JAL, _JALR, _JR, _PRINT, _HALT,
+    _LW, _SW, _B, _BEQZ, _BNEZ, _JAL, _JALR, _JR, _PRINT, _HALT,
     _KINDS, _LAT,
 )
 from repro.sim.stats import RunStats
-from repro.target.isa import srl
+from repro.target.isa import OPS, OpInfo, Opcode, offset, srl
 from repro.target.registers import (
     ALLOCATABLE_MASK,
     NUM_REGISTERS,
@@ -175,14 +179,6 @@ __all__ = [
     "SIM_TIERS",
 ]
 
-#: binary ALU ops with a plain infix translation
-_INFIX = {
-    _ADD: "+", _SUB: "-", _MUL: "*", _AND: "&", _OR: "|", _XOR: "^",
-}
-
-#: comparison ops translated to conditional expressions
-_COMPARE = {_SLT: "<", _SLE: "<=", _SEQ: "==", _SNE: "!="}
-
 #: trace growth cap, in translated instructions
 TRACE_CAP = 512
 
@@ -198,20 +194,48 @@ HOT_CALLS = 8
 #: argument-register indices, in parameter order (specialization slots)
 _PARAM_IDX: Tuple[int, ...] = tuple(r.index for r in PARAM_REGS)
 
-#: constant folders for trap-free ALU ops (DIV/REM/shifts can trap and
-#: are never folded; their guards must execute)
-_FOLD = {
-    _ADD: lambda a, b: a + b,
-    _SUB: lambda a, b: a - b,
-    _MUL: lambda a, b: a * b,
-    _AND: lambda a, b: a & b,
-    _OR: lambda a, b: a | b,
-    _XOR: lambda a, b: a ^ b,
-    _SLT: lambda a, b: 1 if a < b else 0,
-    _SLE: lambda a, b: 1 if a <= b else 0,
-    _SEQ: lambda a, b: 1 if a == b else 0,
-    _SNE: lambda a, b: 1 if a != b else 0,
-}
+
+def _template_function(template: str) -> Callable[[str, str, int], str]:
+    """``template`` as a function of its operands' source text."""
+    return eval(
+        "lambda a, b, i: f" + repr(template.replace("{off}", "{offset(i)}")),
+        {"offset": offset},
+    )
+
+
+class _ValueOp:
+    """How the translator emits one value-computing opcode, compiled
+    once from its :data:`~repro.target.isa.OPS` templates into
+    functions of ``(a, b, i)``: ``text`` and ``guard`` give the source
+    text of the value and of its guard, and ``fold``, for a trap-free
+    opcode, computes the value.  ``first`` and ``then`` are the source
+    positions (0 for ``rs``, 1 for ``rt``) read before and after the
+    guard, so the guard precedes the loads it does not need."""
+
+    __slots__ = ("traps", "text", "guard", "fold", "first", "then")
+
+    def __init__(self, info: OpInfo):
+        self.traps = info.traps
+        self.text = _template_function(info.value)
+        self.guard = None if info.guard is None else _template_function(
+            info.guard
+        )
+        self.fold = None if info.traps else eval(
+            "lambda a, b, i: "
+            + info.value.format(a="a", b="b", i="i", off=" + i")
+        )
+        srcs = [("rs", "rt").index(f) for f in info.reads]
+        guarded = info.guard or ""
+        self.first = tuple(k for k in srcs if "{%s}" % "ab"[k] in guarded)
+        self.then = tuple(k for k in srcs if k not in self.first)
+
+
+#: per opcode number: the :class:`_ValueOp` of each value-computing
+#: opcode, ``None`` for the opcodes the trace logic handles itself
+_VALUE_OPS: List[Optional[_ValueOp]] = [
+    _ValueOp(OPS[op]) if OPS[op].value is not None else None
+    for op in Opcode
+]
 
 
 class _ExitPath:
@@ -498,8 +522,25 @@ class JitProgram:
             return True
 
         def addr_expr(base: int, imm: int) -> None:
-            off = f" + {imm}" if imm > 0 else (f" - {-imm}" if imm < 0 else "")
-            lines.append(f"{IND}a = {read(base)}{off}")
+            lines.append(f"{IND}a = {read(base)}{offset(imm)}")
+
+        def emit_value(vop: _ValueOp, rd: int, rs: int, rt: int,
+                       imm: int) -> None:
+            # a discarded result still emits a value that can trap
+            src = [rs, rt]
+            for k in vop.first:
+                src[k] = read(src[k])
+            if vop.guard is not None:
+                lines.append(f"{IND}{vop.guard(src[0], src[1], imm)}")
+            for k in vop.then:
+                src[k] = read(src[k])
+            w = write(rd)
+            value = vop.text(src[0], src[1], imm)
+            if w is None:
+                if vop.traps and vop.guard is None:
+                    lines.append(f"{IND}{value}")
+            elif w != value:  # a move onto itself is no code at all
+                lines.append(f"{IND}{w} = {value}")
 
         # -- specialization: entry guards on profiled-constant arguments --
         if (
@@ -539,8 +580,24 @@ class JitProgram:
             op, rd, rs, rt, imm, kind = code[pc]
             ninstr += 1
             lat = _LAT[op]
+            vop = _VALUE_OPS[op]
 
-            if op == _LW:
+            if vop is not None:
+                if vop.traps:
+                    budget_guard()
+                    emit_value(vop, rd, rs, rt, imm)
+                else:
+                    # fold when every source is a translation-time
+                    # constant (an unused source field decodes to $zero)
+                    av, bv = const_of(rs), const_of(rt)
+                    if av is None or bv is None:
+                        emit_value(vop, rd, rs, rt, imm)
+                    else:
+                        val = vop.fold(av, bv, imm)
+                        w = write(rd, const=val)
+                        if w is not None:
+                            lines.append(f"{IND}{w} = {val}")
+            elif op == _LW:
                 budget_guard()
                 addr_expr(rs, imm)
                 lines.append(
@@ -560,98 +617,6 @@ class JitProgram:
                 )
                 lines.append(f"{IND}m[a] = {read(rs)}")
                 stores[kind] = stores.get(kind, 0) + 1
-            elif op in _INFIX or op in _COMPARE:
-                av, bv = const_of(rs), const_of(rt)
-                if av is not None and bv is not None:
-                    val = _FOLD[op](av, bv)
-                    w = write(rd, const=val)
-                    if w is not None:
-                        lines.append(f"{IND}{w} = {val}")
-                else:
-                    a, b = read(rs), read(rt)
-                    w = write(rd)
-                    if w is not None:
-                        if op in _INFIX:
-                            lines.append(f"{IND}{w} = {a} {_INFIX[op]} {b}")
-                        else:
-                            lines.append(
-                                f"{IND}{w} = 1 if {a} {_COMPARE[op]} {b}"
-                                f" else 0"
-                            )
-            elif op == _ADDI:
-                av = const_of(rs)
-                a = read(rs)
-                if av is not None:
-                    val = av + imm
-                    w = write(rd, const=val)
-                    if w is not None:
-                        lines.append(f"{IND}{w} = {val}")
-                else:
-                    w = write(rd)
-                    if w is not None:
-                        rhs = a if imm == 0 else (
-                            f"{a} + {imm}" if imm > 0 else f"{a} - {-imm}"
-                        )
-                        lines.append(f"{IND}{w} = {rhs}")
-            elif op == _LI or op == _LA:
-                w = write(rd, const=imm)
-                if w is not None:
-                    lines.append(f"{IND}{w} = {imm}")
-            elif op == _MOVE:
-                av = const_of(rs)
-                a = read(rs)
-                w = write(rd, const=av)
-                if w is not None and w != a:
-                    lines.append(f"{IND}{w} = {a}")
-            elif op == _DIV or op == _REM:
-                budget_guard()
-                fn = "sdiv" if op == _DIV else "srem"
-                a, b = read(rs), read(rt)
-                w = write(rd)
-                call = f"{fn}({a}, {b})"
-                lines.append(
-                    f"{IND}{w} = {call}" if w is not None else f"{IND}{call}"
-                )
-            elif op == _SLL or op == _SRL or op == _SRA:
-                budget_guard()
-                s = read(rt)
-                lines.append(
-                    f"{IND}if {s} < 0 or {s} > 63:"
-                    f" raise MachineTrap('shift amount %d out of range'"
-                    f" % ({s},))"
-                )
-                a = read(rs)
-                w = write(rd)
-                if w is not None:
-                    if op == _SLL:
-                        lines.append(f"{IND}{w} = {a} << {s}")
-                    elif op == _SRA:
-                        lines.append(f"{IND}{w} = {a} >> {s}")
-                    else:
-                        lines.append(f"{IND}{w} = srl({a}, {s})")
-            elif op == _NEG:
-                av = const_of(rs)
-                if av is not None:
-                    w = write(rd, const=-av)
-                    if w is not None:
-                        lines.append(f"{IND}{w} = {-av}")
-                else:
-                    a = read(rs)
-                    w = write(rd)
-                    if w is not None:
-                        lines.append(f"{IND}{w} = -{a}")
-            elif op == _NOT:
-                av = const_of(rs)
-                if av is not None:
-                    val = 1 if av == 0 else 0
-                    w = write(rd, const=val)
-                    if w is not None:
-                        lines.append(f"{IND}{w} = {val}")
-                else:
-                    a = read(rs)
-                    w = write(rd)
-                    if w is not None:
-                        lines.append(f"{IND}{w} = 1 if {a} == 0 else 0")
             elif op == _PRINT:
                 lines.append(f"{IND}o.append({read(rs)})")
             elif op == _BEQZ or op == _BNEZ:

@@ -9,7 +9,11 @@ The instruction stream is pre-decoded once per executable into flat int
 tuples (cached on the executable) and interpreted by an integer-dispatch
 loop; this keeps whole-benchmark simulations in the millions of
 instructions per second range, fast enough to regenerate the paper's
-tables in seconds.
+tables in seconds.  Latencies and which opcodes write ``rd`` come from
+the opcode table (:data:`~repro.target.isa.OPS`), but each opcode's
+value is written out by hand in the dispatch loop: the loop is the
+oracle the table's value templates, and the translator built from
+them, are tested against.
 
 An optional *contract checker* maintains a shadow call stack and verifies,
 at every return, that the callee preserved exactly the registers its
@@ -27,7 +31,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.ir.arith import MachineTrap, sdiv, srem
 from repro.pipeline.linker import Executable
 from repro.sim.stats import RunStats
-from repro.target.isa import latency, MemKind, Opcode, srl
+from repro.target.isa import MemKind, Opcode, OPS, srl
 from repro.target.registers import (
     ALL_REGISTERS,
     AT0,
@@ -49,19 +53,13 @@ _SCRATCH_MASK = (1 << AT0.index) | (1 << AT1.index) | (1 << AT2.index)
 _OPNUM: Dict[Opcode, int] = {op: i for i, op in enumerate(Opcode)}
 _KINDNUM: Dict[MemKind, int] = {k: i for i, k in enumerate(MemKind)}
 _KINDS: List[MemKind] = list(MemKind)
-_LAT: List[int] = [latency(op) for op in Opcode]
+_LAT: List[int] = [OPS[op].latency for op in Opcode]
 
 (_ADD, _SUB, _MUL, _DIV, _REM, _AND, _OR, _XOR, _SLL, _SRL, _SRA, _SLT,
  _SLE, _SEQ, _SNE, _ADDI, _LI, _LA, _MOVE, _NEG, _NOT, _LW, _SW, _B,
  _BEQZ, _BNEZ, _JAL, _JALR, _JR, _PRINT, _HALT) = (
     _OPNUM[op] for op in Opcode
 )
-
-#: opcodes that write their ``rd`` operand
-_WRITES_RD = frozenset((
-    _ADD, _SUB, _MUL, _DIV, _REM, _AND, _OR, _XOR, _SLL, _SRL, _SRA,
-    _SLT, _SLE, _SEQ, _SNE, _ADDI, _LI, _LA, _MOVE, _NEG, _NOT, _LW,
-))
 
 #: ``rd`` slot that discards writes to $zero.  Decoding redirects any
 #: write whose destination is register 0 here, so the hot loop never
@@ -89,7 +87,7 @@ def _decode(exe: Executable) -> List[Tuple[int, int, int, int, int, int]]:
     for ins in exe.instrs:
         op = _OPNUM[ins.op]
         rd = ins.rd.index if ins.rd is not None else 0
-        if rd == 0 and op in _WRITES_RD:
+        if rd == 0 and OPS[ins.op].writes:
             rd = DUMP_INDEX  # $zero is hardwired: discard the write
         decoded.append((
             op,

@@ -17,7 +17,6 @@ _EXPORTS = {
     "Instr": "repro.target.isa",
     "MemKind": "repro.target.isa",
     "Opcode": "repro.target.isa",
-    "disassemble": "repro.target.isa",
     "latency": "repro.target.isa",
     "resolve_parallel_moves": "repro.target.parallel_move",
     "ALL_REGISTERS": "repro.target.registers",
@@ -34,16 +33,11 @@ _EXPORTS = {
     "DEFAULT_CLOBBER_MASK": "repro.target.registers",
     "DEFAULT_CONVENTION": "repro.target.registers",
     "DEFAULT_LADDER": "repro.target.registers",
-    "FULL_FILE": "repro.target.registers",
     "LADDER_TAGS": "repro.target.registers",
     "NUM_PARAM_REGS": "repro.target.registers",
     "NUM_REGISTERS": "repro.target.registers",
     "PARAM_REGS": "repro.target.registers",
     "Register": "repro.target.registers",
-    "RegisterFile": "repro.target.registers",
-    "callee_only_file": "repro.target.registers",
-    "caller_only_file": "repro.target.registers",
-    "convention_from_register_file": "repro.target.registers",
     "reg": "repro.target.registers",
     "registers_in_mask": "repro.target.registers",
     "split_convention": "repro.target.registers",

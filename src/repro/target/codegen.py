@@ -42,7 +42,14 @@ from repro.ir.instructions import (
 )
 from repro.ir.values import Const, Value, VKind, VReg
 from repro.target.frame import CodegenError, Frame, build_frame
-from repro.target.isa import AsmFunction, Instr, MemKind, Opcode
+from repro.target.isa import (
+    AsmFunction,
+    BINARY_OPERATORS,
+    Instr,
+    MemKind,
+    Opcode,
+    UNARY_OPERATORS,
+)
 from repro.target.parallel_move import resolve_parallel_moves
 from repro.target.registers import (
     ALL_REGISTERS,
@@ -58,22 +65,6 @@ from repro.target.registers import (
 
 __all__ = ["CodegenError", "generate_function"]
 
-_BIN_SIMPLE = {
-    "+": Opcode.ADD,
-    "-": Opcode.SUB,
-    "*": Opcode.MUL,
-    "/": Opcode.DIV,
-    "%": Opcode.REM,
-    "&": Opcode.AND,
-    "|": Opcode.OR,
-    "^": Opcode.XOR,
-    "<<": Opcode.SLL,
-    ">>": Opcode.SRA,
-    "<": Opcode.SLT,
-    "<=": Opcode.SLE,
-    "==": Opcode.SEQ,
-    "!=": Opcode.SNE,
-}
 # comparisons lowered by swapping operands
 _BIN_SWAPPED = {">": Opcode.SLT, ">=": Opcode.SLE}
 
@@ -381,7 +372,7 @@ class _Emitter:
         ra = self.read_value(ins.a, AT0)
         rb = self.read_value(ins.b, AT1)
         rd = self.dest_reg(ins.dst)
-        op = _BIN_SIMPLE.get(ins.op)
+        op = BINARY_OPERATORS.get(ins.op)
         if op is not None:
             self.emit(op=op, rd=rd, rs=ra, rt=rb)
         else:
@@ -394,10 +385,9 @@ class _Emitter:
     def _emit_un(self, ins: Un) -> None:
         ra = self.read_value(ins.a, AT0)
         rd = self.dest_reg(ins.dst)
-        if ins.op == "-":
-            self.emit(op=Opcode.NEG, rd=rd, rs=ra)
-        elif ins.op == "!":
-            self.emit(op=Opcode.NOT, rd=rd, rs=ra)
+        op = UNARY_OPERATORS.get(ins.op)
+        if op is not None:
+            self.emit(op=op, rd=rd, rs=ra)
         elif ins.op == "~":
             # ~x == -x - 1 (the ISA has no bitwise-not)
             self.emit(op=Opcode.NEG, rd=rd, rs=ra)

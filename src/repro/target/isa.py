@@ -5,13 +5,23 @@ loads/stores with a single base+offset addressing mode, absolute branches
 and jump-and-link.  ``Opcode`` order is load-bearing: the simulator
 pre-decodes instructions to integer opcode numbers by enum position, so
 new opcodes must be appended, never inserted.
+
+:data:`OPS` is the one opcode table: each opcode's operand layout (what
+it reads and writes, and what kind of label its immediate may name),
+latency, value template and trap behaviour, and the MiniC operator it
+implements.  The assembler text (:meth:`Instr.render`), the cycle
+counts, the linker's relocations, codegen's operator selection and the
+trace translator's emitted code all read it.  The interpreter's
+dispatch loop in :mod:`repro.sim.simulator` deliberately does not: it
+is the independent oracle the table is tested against.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple
 
 from repro.target.registers import Register
 
@@ -98,28 +108,132 @@ class MemKind(enum.Enum):
         return self is not MemKind.DATA
 
 
-# Cycle costs.  Single-cycle ALU core with a load-delay-free but 2-cycle
-# memory pipe and the classic long multiply/divide.
-_LATENCY: Dict[Opcode, int] = {
-    Opcode.MUL: 10,
-    Opcode.DIV: 35,
-    Opcode.REM: 35,
-    Opcode.LW: 2,
-    Opcode.SW: 2,
-    Opcode.JAL: 2,
-    Opcode.JALR: 2,
+@dataclass(frozen=True)
+class OpInfo:
+    """Everything one opcode means, defined once.
+
+    ``syntax`` is the assembler operand layout, which also says what the
+    opcode reads and writes: ``rd`` is always the destination, every
+    other register named is a source.  Its tokens are the register
+    fields ``rd``/``rs``/``rt``; ``imm``, a plain immediate; ``code``, a
+    code label (a pc once linked); ``sym``, a function or data label or
+    a plain immediate; and ``data(rs)``/``data(rt)``, a memory operand
+    -- a data label plus offset, or ``imm(base)``.  JAL and JALR also
+    write ``$ra``.
+
+    ``value`` is, for the opcodes that compute a register value, a
+    Python expression over ``{a}`` (``rs``), ``{b}`` (``rt``), ``{i}``
+    (the immediate) and ``{off}`` (the immediate as an added term:
+    `` + 5``, `` - 5`` or nothing for 0) -- the trace translator's
+    emitted code and constant folder.  ``traps`` marks an opcode that
+    can trap: inside ``value`` itself (``sdiv``/``srem``), or in
+    ``guard``, a statement over the same names run before it.  ``minic``
+    is the MiniC operator the opcode implements, if any.
+    """
+
+    syntax: str
+    latency: int = 1
+    value: Optional[str] = None
+    traps: bool = False
+    guard: Optional[str] = None
+    minic: Optional[str] = None
+
+    @cached_property
+    def operands(self) -> Tuple[str, ...]:
+        return tuple(t.strip() for t in self.syntax.split(",") if t)
+
+    @cached_property
+    def writes(self) -> Tuple[str, ...]:
+        """The register fields written."""
+        return ("rd",) if "rd" in self.operands else ()
+
+    @cached_property
+    def reads(self) -> Tuple[str, ...]:
+        """The register fields read, in operand order."""
+        return tuple(
+            f for t in self.operands
+            for f in ("rs", "rt") if t in (f, f"data({f})")
+        )
+
+    @cached_property
+    def label(self) -> Optional[str]:
+        """What a label in ``imm`` names: ``"code"``, ``"data"`` or
+        ``"sym"`` (either), or ``None`` where no label may appear."""
+        for t in self.operands:
+            if t in ("code", "sym"):
+                return t
+            if t.startswith("data("):
+                return "data"
+        return None
+
+
+_SHIFT_GUARD = (
+    "if {b} < 0 or {b} > 63:"
+    " raise MachineTrap('shift amount %d out of range' % ({b},))"
+)
+
+
+def _alu(
+    value: str, minic: Optional[str], latency: int = 1,
+    traps: bool = False, guard: Optional[str] = None,
+) -> OpInfo:
+    return OpInfo("rd, rs, rt", latency, value, traps, guard, minic)
+
+
+# Cycle costs: a single-cycle ALU core with a load-delay-free but
+# 2-cycle memory pipe and the classic long multiply/divide.
+OPS: Dict[Opcode, OpInfo] = {
+    Opcode.ADD: _alu("{a} + {b}", "+"),
+    Opcode.SUB: _alu("{a} - {b}", "-"),
+    Opcode.MUL: _alu("{a} * {b}", "*", latency=10),
+    Opcode.DIV: _alu("sdiv({a}, {b})", "/", latency=35, traps=True),
+    Opcode.REM: _alu("srem({a}, {b})", "%", latency=35, traps=True),
+    Opcode.AND: _alu("{a} & {b}", "&"),
+    Opcode.OR: _alu("{a} | {b}", "|"),
+    Opcode.XOR: _alu("{a} ^ {b}", "^"),
+    Opcode.SLL: _alu("{a} << {b}", "<<", traps=True, guard=_SHIFT_GUARD),
+    Opcode.SRL: _alu("srl({a}, {b})", None, traps=True, guard=_SHIFT_GUARD),
+    Opcode.SRA: _alu("{a} >> {b}", ">>", traps=True, guard=_SHIFT_GUARD),
+    Opcode.SLT: _alu("1 if {a} < {b} else 0", "<"),
+    Opcode.SLE: _alu("1 if {a} <= {b} else 0", "<="),
+    Opcode.SEQ: _alu("1 if {a} == {b} else 0", "=="),
+    Opcode.SNE: _alu("1 if {a} != {b} else 0", "!="),
+    Opcode.ADDI: OpInfo("rd, rs, imm", value="{a}{off}"),
+    Opcode.LI: OpInfo("rd, imm", value="{i}"),
+    Opcode.LA: OpInfo("rd, sym", value="{i}"),
+    Opcode.MOVE: OpInfo("rd, rs", value="{a}"),
+    Opcode.NEG: OpInfo("rd, rs", value="-{a}", minic="-"),
+    Opcode.NOT: OpInfo("rd, rs", value="1 if {a} == 0 else 0", minic="!"),
+    Opcode.LW: OpInfo("rd, data(rs)", 2),
+    Opcode.SW: OpInfo("rs, data(rt)", 2),
+    Opcode.B: OpInfo("code"),
+    Opcode.BEQZ: OpInfo("rs, code"),
+    Opcode.BNEZ: OpInfo("rs, code"),
+    Opcode.JAL: OpInfo("code", 2),
+    Opcode.JALR: OpInfo("rs", 2),
+    Opcode.JR: OpInfo("rs"),
+    Opcode.PRINT: OpInfo("rs"),
+    Opcode.HALT: OpInfo(""),
+}
+
+#: MiniC binary and unary operators -> the opcode implementing each
+BINARY_OPERATORS: Dict[str, Opcode] = {
+    info.minic: op for op, info in OPS.items()
+    if info.minic and len(info.reads) == 2
+}
+UNARY_OPERATORS: Dict[str, Opcode] = {
+    info.minic: op for op, info in OPS.items()
+    if info.minic and len(info.reads) == 1
 }
 
 
 def latency(op: Opcode) -> int:
-    return _LATENCY.get(op, 1)
+    return OPS[op].latency
 
 
-_THREE_REG = {
-    Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.DIV, Opcode.REM,
-    Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.SLL, Opcode.SRL,
-    Opcode.SRA, Opcode.SLT, Opcode.SLE, Opcode.SEQ, Opcode.SNE,
-}
+def offset(imm: int) -> str:
+    """``imm`` as an added term: `` + 5``, `` - 5``, or ``""`` for 0."""
+    return f" + {imm}" if imm > 0 else (f" - {-imm}" if imm < 0 else "")
 
 
 @dataclass
@@ -136,43 +250,29 @@ class Instr:
     comment: Optional[str] = None
 
     def render(self) -> str:
-        op = self.op
-        text = self._operands(op)
+        text = self.op.value
+        operands = ", ".join(
+            self._operand(t) for t in OPS[self.op].operands
+        )
+        if operands:
+            text = f"{text} {operands}"
         if self.comment:
             text = f"{text:<28}# {self.comment}"
         return text
 
-    def _operands(self, op: Opcode) -> str:
-        name = op.value
-        if op in _THREE_REG:
-            return f"{name} ${self.rd.name}, ${self.rs.name}, ${self.rt.name}"
-        if op is Opcode.ADDI:
-            return f"{name} ${self.rd.name}, ${self.rs.name}, {self.imm}"
-        if op in (Opcode.LI, Opcode.LA):
-            target = self.label if self.label is not None else self.imm
-            return f"{name} ${self.rd.name}, {target}"
-        if op in (Opcode.MOVE, Opcode.NEG, Opcode.NOT):
-            return f"{name} ${self.rd.name}, ${self.rs.name}"
-        if op is Opcode.LW:
-            return f"{name} ${self.rd.name}, {self._addr(self.rs)}"
-        if op is Opcode.SW:
-            return f"{name} ${self.rs.name}, {self._addr(self.rt)}"
-        if op is Opcode.B:
-            return f"{name} {self.label or self.imm}"
-        if op in (Opcode.BEQZ, Opcode.BNEZ):
-            return f"{name} ${self.rs.name}, {self.label or self.imm}"
-        if op is Opcode.JAL:
-            return f"{name} {self.label or self.imm}"
-        if op in (Opcode.JALR, Opcode.JR):
-            return f"{name} ${self.rs.name}"
-        if op is Opcode.PRINT:
-            return f"{name} ${self.rs.name}"
-        return name  # HALT
-
-    def _addr(self, base: Optional[Register]) -> str:
-        if self.label is not None:
+    def _operand(self, token: str) -> str:
+        if token in ("rd", "rs", "rt"):
+            return f"${getattr(self, token).name}"
+        if token == "imm":
+            return f"{self.imm}"
+        if token == "code":
+            return f"{self.label or self.imm}"
+        if token == "sym":
+            return f"{self.label if self.label is not None else self.imm}"
+        if self.label is not None:  # data(rs) / data(rt)
             off = f"+{self.imm}" if self.imm else ""
             return f"{self.label}{off}"
+        base = self.rs if token == "data(rs)" else self.rt
         return f"{self.imm or 0}(${base.name})"
 
 
@@ -206,6 +306,3 @@ class AsmFunction:
             lines.append(f"{lab}:")
         return "\n".join(lines)
 
-
-def disassemble(instrs: Iterable[Instr]) -> str:
-    return "\n".join(ins.render() for ins in instrs)

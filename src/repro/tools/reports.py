@@ -8,11 +8,13 @@ are also handy when studying why the allocator made a particular choice.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional
 
 from repro.interproc.allocator import FnPlan, ProgramPlan
 from repro.pipeline.driver import CompiledProgram
 from repro.pipeline.linker import Executable
+from repro.target.isa import OPS
 from repro.target.registers import DEFAULT_CONVENTION, registers_in_mask
 
 
@@ -180,7 +182,11 @@ def disassemble(exe: Executable, function: Optional[str] = None) -> str:
     for pc in range(start, end):
         for label in sorted(by_pc.get(pc, ())):
             lines.append(f"{label}:")
-        lines.append(f"  {pc:5d}  {exe.instrs[pc].render()}")
+        ins = exe.instrs[pc]
+        if ins.label is not None and OPS[ins.op].label == "data":
+            # linking folded the symbol's address into the offset
+            ins = replace(ins, imm=ins.imm - exe.data_layout[ins.label][0])
+        lines.append(f"  {pc:5d}  {ins.render()}")
     return "\n".join(lines)
 
 

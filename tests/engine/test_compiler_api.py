@@ -10,7 +10,7 @@ from repro.pipeline.driver import (
     compile_program,
     link_modules,
 )
-from repro.target.registers import RegisterFile
+from repro.target.registers import DEFAULT_CONVENTION
 
 SRC = "func main() { print 41 + 1; }"
 
@@ -74,7 +74,9 @@ def test_set_options_validates_and_chains():
         CompilerOptions(opt_level=5),
         CompilerOptions(opt_level=-1),
         CompilerOptions(opt_level=True),
-        CompilerOptions(opt_level=2, register_file=RegisterFile(())),
+        CompilerOptions(
+            opt_level=2, convention=DEFAULT_CONVENTION.with_allocatable(())
+        ),
         CompilerOptions(entry=""),
         CompilerOptions(entry=42),
         CompilerOptions(block_weights={"f": {"b": -1}}),
@@ -88,7 +90,9 @@ def test_bad_options_rejected_at_construction(options):
 
 
 def test_empty_register_file_fine_below_o2():
-    c = Compiler(CompilerOptions(opt_level=1, register_file=RegisterFile(())))
+    c = Compiler(CompilerOptions(
+        opt_level=1, convention=DEFAULT_CONVENTION.with_allocatable(())
+    ))
     assert c.add_source(SRC).run().output == [42]
 
 

@@ -10,7 +10,7 @@ registers per call tree.
 from helpers import lower_opt
 
 from repro.interproc import PlanOptions, plan_program
-from repro.target.registers import FULL_FILE
+from repro.target.registers import DEFAULT_CONVENTION
 
 SRC = """
 func q(y) {
@@ -31,7 +31,7 @@ func main() {
 
 def test_fig1_registers_shared_across_active_procedures():
     p = plan_program(
-        lower_opt(SRC), PlanOptions(register_file=FULL_FILE, ipra=True)
+        lower_opt(SRC), PlanOptions(convention=DEFAULT_CONVENTION, ipra=True)
     )
     q_used = p.summaries["q"].used_mask
     p_alloc = p.plans["p"].alloc
@@ -65,11 +65,11 @@ def test_fig1_no_save_restore_executed():
 def test_fig1_tie_break_ablation_changes_sharing():
     base = plan_program(
         lower_opt(SRC),
-        PlanOptions(register_file=FULL_FILE, ipra=True, prefer_subtree_reg=True),
+        PlanOptions(convention=DEFAULT_CONVENTION, ipra=True, prefer_subtree_reg=True),
     )
     off = plan_program(
         lower_opt(SRC),
-        PlanOptions(register_file=FULL_FILE, ipra=True, prefer_subtree_reg=False),
+        PlanOptions(convention=DEFAULT_CONVENTION, ipra=True, prefer_subtree_reg=False),
     )
     # with the preference on, p+q together touch no more registers than
     # with it off

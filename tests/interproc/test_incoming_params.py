@@ -3,12 +3,16 @@
 from helpers import lower_opt, run_all_levels
 
 from repro.interproc import PlanOptions, plan_program
-from repro.target.registers import FULL_FILE, callee_only_file
+from repro.target.registers import CALLEE_SAVED, DEFAULT_CONVENTION
 
 
-def plan(src, register_file=FULL_FILE):
+def callee_only(n):
+    return DEFAULT_CONVENTION.with_allocatable(CALLEE_SAVED[:n])
+
+
+def plan(src, convention=DEFAULT_CONVENTION):
     return plan_program(
-        lower_opt(src), PlanOptions(register_file=register_file, ipra=True)
+        lower_opt(src), PlanOptions(convention=convention, ipra=True)
     )
 
 
@@ -33,7 +37,7 @@ def test_spilled_param_arrives_in_free_register():
     }
     func main() { print f(1, 2, 3, 4); }
     """
-    p = plan(src, register_file=callee_only_file(2))
+    p = plan(src, convention=callee_only(2))
     specs = p.summaries["f"].params
     live = [s for s in specs if not s.dead]
     regs = [s.reg.index for s in live if s.reg is not None]
@@ -43,7 +47,7 @@ def test_spilled_param_arrives_in_free_register():
 
     base = compile_and_run(src, O2, check_contracts=True)
     restricted = compile_and_run(
-        src, O3_SW.with_(register_file=callee_only_file(2)),
+        src, O3_SW.with_(convention=callee_only(2)),
         check_contracts=True,
     )
     assert base.output == restricted.output
@@ -103,7 +107,7 @@ def test_more_than_eleven_live_params_fall_back_to_stack():
     }}
     func main() {{ print wide({', '.join(str(i) for i in range(13))}); }}
     """
-    p = plan(src, register_file=callee_only_file(1))
+    p = plan(src, convention=callee_only(1))
     specs = p.summaries["wide"].params
     assert any(s.on_stack for s in specs)
     stats = run_all_levels(src)

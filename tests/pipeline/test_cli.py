@@ -85,3 +85,31 @@ def test_example_programs(capsys, name):
     base = capsys.readouterr().out
     assert main(["run", str(path), "-O", "0"]) == 0
     assert capsys.readouterr().out == base
+
+
+@pytest.mark.parametrize("flag,config", [
+    ("--callers", "D"), ("--callees", "E"),
+])
+def test_restricted_register_flags_build_the_paper_configs(
+    monkeypatch, capsys, flag, config,
+):
+    import repro.__main__ as cli
+    from repro.pipeline import compile_program, PAPER_CONFIGS
+
+    built = []
+
+    def capture(sources, options):
+        built.append(compile_program(sources, options))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "compile_program", capture)
+    path = PROGRAMS / "sort.mc"
+    assert main(
+        ["run", str(path), "-O", "3", "--shrink-wrap", flag, "7"]
+    ) == 0
+    capsys.readouterr()
+    (prog,) = built
+    ref = compile_program([(path.stem, path.read_text())],
+                          PAPER_CONFIGS[config])
+    assert prog.options.convention == PAPER_CONFIGS[config].convention
+    assert prog.executable.fingerprint() == ref.executable.fingerprint()

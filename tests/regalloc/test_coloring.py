@@ -5,17 +5,19 @@ from helpers import lower_opt
 from repro.regalloc import allocate_function, AllocEnv, intra_env
 from repro.regalloc.coloring import ColoringOptions
 from repro.target.registers import (
-    FULL_FILE,
-    RegisterFile,
-    caller_only_file,
-    callee_only_file,
+    CALLEE_ONLY_7,
+    CALLER_SAVED,
+    DEFAULT_CONVENTION,
 )
 
 
 def allocate(src, name="f", env=None, **kwargs):
     mod = lower_opt(src)
     fn = mod.functions[name]
-    env = env or intra_env(FULL_FILE, {n: len(f.params) for n, f in mod.functions.items()})
+    env = env or intra_env(
+        DEFAULT_CONVENTION,
+        {n: len(f.params) for n, f in mod.functions.items()},
+    )
     return allocate_function(fn, env, **kwargs)
 
 
@@ -74,7 +76,7 @@ def test_value_across_single_call_may_choose_either():
 def test_no_registers_means_all_memory():
     alloc = allocate(
         "func f(a, b) { return a + b; }",
-        env=intra_env(RegisterFile(())),
+        env=intra_env(DEFAULT_CONVENTION.with_allocatable(())),
     )
     assert alloc.assignment == {}
     assert alloc.own_assigned_mask == 0
@@ -98,7 +100,9 @@ def test_pressure_spills_lowest_priority():
         return a + b + c + d + e + g;
     }
     """
-    alloc = allocate(src, env=intra_env(caller_only_file(2)))
+    alloc = allocate(src, env=intra_env(
+        DEFAULT_CONVENTION.with_allocatable(CALLER_SAVED[:2])
+    ))
     used = {r.index for r in alloc.assignment.values()}
     assert len(used) <= 2
     # the four parameters interfere pairwise: at most two get registers
@@ -116,7 +120,7 @@ def test_param_register_preference_default_convention():
 def test_callee_only_file_still_allocates():
     alloc = allocate(
         "func f(a, b) { return a * b; }",
-        env=intra_env(callee_only_file(7)),
+        env=intra_env(CALLEE_ONLY_7),
     )
     assert reg_of(alloc, "a") is not None
     assert reg_of(alloc, "a").callee_saved
@@ -134,7 +138,7 @@ def test_globals_allocated_only_in_call_free_functions():
     func caller() { leaf(); return g1; }
     """
     mod = lower_opt(src)
-    env = intra_env(FULL_FILE, {"leaf": 0, "caller": 0})
+    env = intra_env(DEFAULT_CONVENTION, {"leaf": 0, "caller": 0})
     leaf_alloc = allocate_function(mod.functions["leaf"], env)
     caller_alloc = allocate_function(mod.functions["caller"], env)
     assert any(v.name == "g1" for v in leaf_alloc.candidates)
@@ -145,7 +149,9 @@ def test_subtree_preference_tie_break():
     # two equal-priority choices: with a subtree mask the used register wins
     src = "func f(a) { return a + 1; }"
     mod = lower_opt(src)
-    env = AllocEnv(register_file=FULL_FILE, ipra=True, proc_is_open=False)
+    env = AllocEnv(
+        convention=DEFAULT_CONVENTION, ipra=True, proc_is_open=False
+    )
     a_pref = allocate_function(
         mod.functions["f"], env,
         ColoringOptions(prefer_subtree_reg=True),

@@ -10,11 +10,11 @@ from repro.regalloc.priority import (
     SAVE_RESTORE_COST,
     STORE_COST,
 )
-from repro.target.registers import FULL_FILE, reg
+from repro.target.registers import DEFAULT_CONVENTION, reg
 
 
 def make_model(**kwargs):
-    return PriorityModel(env=intra_env(FULL_FILE), **kwargs)
+    return PriorityModel(env=intra_env(DEFAULT_CONVENTION), **kwargs)
 
 
 def make_range(uses=0, defs=0, blocks=(0,), kind=VKind.LOCAL, calls=()):

@@ -1,20 +1,22 @@
 """Trace translator tests (tier "jit", no profile): tier identity,
 traps, the sim_tier knob, translation caching and on first entry,
-overlapping runs, and word-width shift semantics."""
+overlapping runs, word-width shift semantics, and the opcode table's
+value templates against the interpreter."""
 
+import itertools
 import sys
 import threading
 
 import pytest
 
-from repro.ir.arith import MachineTrap
+from repro.ir.arith import BINOPS, MachineTrap, UNOPS
 from repro.pipeline import compile_program, O2, O3_SW
 from repro.pipeline.linker import Executable
 from repro.pipeline.profile import block_profile_of
 from repro.sim import run_jit, run_program, simulate, SIM_TIERS
 from repro.sim.jit import Jit3Program, JitProgram
-from repro.target.isa import Instr, Opcode
-from repro.target.registers import ALL_REGISTERS
+from repro.target.isa import Instr, MemKind, Opcode, OPS
+from repro.target.registers import ALL_REGISTERS, ZERO
 
 T0 = ALL_REGISTERS[9]
 T1 = ALL_REGISTERS[10]
@@ -181,6 +183,72 @@ def shift_exe(op, value, amount):
 def test_shift_semantics(op, value, amount, expected):
     stats = both_tiers(shift_exe(op, value, amount))
     assert stats.output == [expected]
+
+
+# -- the opcode table: every value template against the interpreter ---------
+
+OPERANDS = (0, 1, -1, 7, -8, 63, 64, 2 ** 63 - 1, -2 ** 63)
+VALUE_OPS = [op for op, info in OPS.items() if info.value is not None]
+
+
+def value_op_exe(op, values, loaded):
+    """``op`` on ``values`` (its register sources in rs, rt order, then
+    its immediate), printing the result.  The sources are set with LI,
+    so the translator sees constants (and folds trap-free opcodes), or,
+    if ``loaded``, read with LW from data memory, so it emits the
+    template over registers."""
+    info = OPS[op]
+    values = list(values)
+    instrs, data, fields = [], {}, {}
+    for field, r in zip(info.reads, (T0, T1)):
+        v = values.pop(0)
+        if loaded:
+            data[len(data) + 1] = v
+            instrs.append(Instr(
+                op=Opcode.LW, rd=r, rs=ZERO, imm=len(data),
+                kind=MemKind.SCALAR,
+            ))
+        else:
+            instrs.append(Instr(op=Opcode.LI, rd=r, imm=v))
+        fields[field] = r
+    imm = values.pop() if values else None
+    instrs += [
+        Instr(op=op, rd=T2, imm=imm, **fields),
+        Instr(op=Opcode.PRINT, rs=T2),
+        Instr(op=Opcode.HALT),
+    ]
+    return Executable(
+        instrs=instrs, entry_pc=0, data_init=data, data_size=len(data) + 1,
+    )
+
+
+def outcome(exe, tier):
+    try:
+        return simulate(exe, sim_tier=tier), None
+    except MachineTrap as trap:
+        return None, str(trap)
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["li", "lw"])
+@pytest.mark.parametrize("op", VALUE_OPS, ids=lambda op: op.name)
+def test_value_ops_conform_to_interpreter_and_minic(op, loaded):
+    info = OPS[op]
+    arity = len(info.reads) + ("imm" in info.operands or "sym" in info.operands)
+    minic = None
+    if info.minic is not None:
+        minic = (BINOPS if arity == 2 else UNOPS)[info.minic]
+    for values in itertools.product(OPERANDS, repeat=arity):
+        exe = value_op_exe(op, values, loaded)
+        stats, trap = outcome(exe, "interp")
+        assert outcome(exe, "jit") == (stats, trap), values
+        if minic is None:
+            continue
+        try:
+            expected = minic(*values)
+        except MachineTrap as exc:
+            assert trap == str(exc), values
+        else:
+            assert trap is None and stats.output == [expected], values
 
 
 # -- the sim_tier knob ------------------------------------------------------

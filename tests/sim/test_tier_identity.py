@@ -1,10 +1,12 @@
 """Differential property test: both simulator tiers retire the exact
 same execution on random programs under every paper configuration.
 
-The generator is biased toward what distinguishes the tiers: trapping
-arithmetic (``/ %``, shifts that can leave the 0..63 range), loops (the
-trace translator's backward-edge exits and budget checks), calls
-(trampoline transitions), and array traffic (MemKind classification).
+The generator draws every MiniC operator, comparisons and unary
+operators included, and is biased toward what distinguishes the tiers:
+trapping arithmetic (``/ %``, shifts that can leave the 0..63 range),
+loops (the trace translator's backward-edge exits and budget checks),
+calls (trampoline transitions), and array traffic (MemKind
+classification).
 A program may legitimately trap -- then both tiers must raise the same
 message; otherwise their RunStats must be bit-identical.
 """
@@ -17,7 +19,11 @@ from repro.ir.arith import MachineTrap
 from repro.pipeline import PAPER_CONFIGS
 
 VARS = ["a", "b", "c"]
-BINOPS = ["+", "-", "*", "/", "%", "<<", ">>", "&", "|", "^"]
+BINOPS = [
+    "+", "-", "*", "/", "%", "<<", ">>", "&", "|", "^",
+    "<", "<=", ">", ">=", "==", "!=",
+]
+UNOPS = ["-", "!", "~"]
 
 
 @st.composite
@@ -33,8 +39,11 @@ def atoms(draw, nparams):
 @st.composite
 def exprs(draw, nparams):
     a = draw(atoms(nparams))
-    if draw(st.booleans()):
+    shape = draw(st.integers(0, 2))
+    if shape == 0:
         return a
+    if shape == 1:
+        return f"({draw(st.sampled_from(UNOPS))}{a})"
     op = draw(st.sampled_from(BINOPS))
     b = draw(atoms(nparams))
     return f"({a} {op} {b})"

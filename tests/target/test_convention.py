@@ -1,4 +1,4 @@
-"""The Convention value type: validation, presets, specs, aliases."""
+"""The Convention value type: validation, presets, specs."""
 
 import pytest
 
@@ -13,10 +13,6 @@ from repro.target.registers import (
     DEFAULT_CONVENTION,
     DEFAULT_LADDER,
     PARAM_REGS,
-    RegisterFile,
-    callee_only_file,
-    caller_only_file,
-    convention_from_register_file,
     split_convention,
     validate_convention,
 )
@@ -95,13 +91,6 @@ def test_paper_table2_presets():
     validate_convention(CALLEE_ONLY_7)
 
 
-def test_register_file_alias_maps_to_presets():
-    assert convention_from_register_file(caller_only_file(7)) == CALLER_ONLY_7
-    assert convention_from_register_file(callee_only_file(7)) == CALLEE_ONLY_7
-    full = convention_from_register_file(RegisterFile(ALLOCATABLE))
-    assert full == DEFAULT_CONVENTION
-
-
 def test_with_allocatable_keeps_linkage_masks():
     restricted = DEFAULT_CONVENTION.with_allocatable(ALLOCATABLE[:5])
     assert restricted.caller_mask == DEFAULT_CONVENTION.caller_mask
@@ -112,15 +101,12 @@ def test_with_allocatable_keeps_linkage_masks():
     validate_convention(empty)
 
 
-def test_options_convention_and_register_file_interplay():
+def test_options_convention_update_and_validation():
     from repro.pipeline.options import O3_SW, OptionsError, validate_options
 
     alt = split_convention(13, 4)
     o = O3_SW.with_(convention=alt)
     assert o.convention == alt
-    assert tuple(o.register_file) == alt.allocatable
-    # deprecated alias still works and resolves to a convention
-    o2 = O3_SW.with_(register_file=caller_only_file(7))
-    assert o2.convention == CALLER_ONLY_7
+    assert O3_SW.with_(convention=None).convention == DEFAULT_CONVENTION
     with pytest.raises(OptionsError):
         validate_options(O3_SW.with_(convention="nope"))

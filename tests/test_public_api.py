@@ -29,8 +29,8 @@ def test_paper_config_names():
     assert PAPER_CONFIGS["A"].shrink_wrap and not PAPER_CONFIGS["A"].ipra
     assert PAPER_CONFIGS["B"].ipra and not PAPER_CONFIGS["B"].shrink_wrap
     assert PAPER_CONFIGS["C"].ipra and PAPER_CONFIGS["C"].shrink_wrap
-    assert len(PAPER_CONFIGS["D"].register_file) == 7
-    assert len(PAPER_CONFIGS["E"].register_file) == 7
+    assert len(PAPER_CONFIGS["D"].convention.allocatable) == 7
+    assert len(PAPER_CONFIGS["E"].convention.allocatable) == 7
 
 
 def test_subpackages_importable():

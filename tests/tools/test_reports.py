@@ -1,6 +1,7 @@
 """Diagnostic-report tests."""
 
 import asyncio
+import re
 
 import pytest
 
@@ -69,6 +70,21 @@ def test_disassemble_single_function(prog):
     text = disassemble(prog.executable, "leaf")
     assert "leaf" in text
     assert "mid:" not in text
+
+
+def test_disassemble_prints_data_offsets_relative_to_the_symbol():
+    # linking folds a data symbol's address into lw/sw's offset; the
+    # listing must subtract it again (g sits at 1, a at 2)
+    exe = compile_program(
+        "var g = 3; array a[4];\nfunc main() { print a[2]; print g; }", O2
+    ).executable
+    assert exe.data_layout == {"g": (1, 1), "a": (2, 4)}
+    text = disassemble(exe)
+    assert re.search(r"lw \$\w+, a\+2$", text, re.M)
+    assert re.search(r"lw \$\w+, g$", text, re.M)
+    assert "a+4" not in text and "g+1" not in text
+    # the linked image itself is untouched
+    assert [i.imm for i in exe.instrs if i.label in ("a", "g")] == [4, 1]
 
 
 def test_interference_summary(prog):
