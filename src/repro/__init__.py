@@ -29,7 +29,6 @@ from repro.engine import (
     DegradationRecord,
     Engine,
     EngineStats,
-    ResiliencePolicy,
 )
 from repro.frontend.errors import OptionsError
 from repro.pipeline import (
@@ -81,7 +80,6 @@ __all__ = [
     "Engine",
     "EngineStats",
     "OptionsError",
-    "ResiliencePolicy",
     "compile_and_run",
     "compile_module",
     "compile_program",

@@ -7,11 +7,7 @@ session.
 """
 
 from repro.engine.core import BatchCancelled, Engine
-from repro.engine.resilience import (
-    CompileReport,
-    DegradationRecord,
-    ResiliencePolicy,
-)
+from repro.engine.resilience import CompileReport, DegradationRecord
 from repro.engine.session import Compiler
 from repro.engine.stats import CompileRecord, EngineStats, StageStats
 
@@ -23,6 +19,5 @@ __all__ = [
     "DegradationRecord",
     "Engine",
     "EngineStats",
-    "ResiliencePolicy",
     "StageStats",
 ]

@@ -30,10 +30,9 @@ are merged depth-by-depth onto one schedule, so procedures from
 different requests plan concurrently and identical procedures
 deduplicate through the shared caches.
 
-The plan and codegen caches are :class:`GuardedCache` instances: every
-entry carries a content checksum recomputed on lookup, so a corrupted
-entry (bit rot, or an injected ``corrupt`` fault) is detected,
-invalidated and recomputed instead of silently miscompiling.
+The plan and codegen caches are plain dicts: an in-memory entry changes
+only if the engine has a bug, and a checksum recomputed on every hit
+would not catch that either.
 
 With ``store_path=...`` the engine adds a second, *persistent* level
 below the in-memory caches: a sharded content-addressed
@@ -75,11 +74,7 @@ from repro.engine.invalidation import (
     effective_summaries,
     plan_key,
 )
-from repro.engine.resilience import (
-    CompileReport,
-    GuardedCache,
-    ResiliencePolicy,
-)
+from repro.engine.resilience import CompileReport
 from repro.engine.scheduler import default_workers, run_levels, scc_levels
 from repro.engine.stats import CompileRecord, EngineStats
 from repro.frontend.errors import OptionsError
@@ -124,37 +119,6 @@ def normalize_sources(
         else:
             named.append((f"module{i}" if i else "main", src))
     return named
-
-
-# -- cache content checksums -------------------------------------------------
-
-def _plan_fingerprint(plan: FnPlan) -> Tuple:
-    """Cheap content checksum over the fields downstream stages consume."""
-    s = plan.summary
-    return (
-        plan.name,
-        plan.mode,
-        plan.saved_mask,
-        tuple(sorted(plan.wrapped)),
-        tuple(r.index for r in plan.entry_exit_saves),
-        tuple(
-            (p.pos, None if p.reg is None else p.reg.index, p.dead)
-            for p in plan.incoming_params
-        ),
-        None if s is None else (s.closed, s.used_mask, s.saved_locally_mask),
-    )
-
-
-def _codegen_fingerprint(entry: Tuple[AsmFunction, int]) -> Tuple:
-    asm, preserved = entry
-    instrs = asm.instrs
-    return (
-        asm.name,
-        len(instrs),
-        preserved,
-        instrs[0].render() if instrs else None,
-        instrs[-1].render() if instrs else None,
-    )
 
 
 # -- the open-demotion ladder ------------------------------------------------
@@ -261,11 +225,10 @@ class Engine:
     """Summary-keyed incremental compiler, one instance per session.
 
     ``resilient=True`` arms the per-procedure fault boundary (failures
-    demote to the open convention instead of aborting the session) and
-    the worker watchdogs configured by ``policy``.  ``store_path``
-    attaches a persistent cross-process artifact store (a path, or an
-    already-open :class:`~repro.store.ArtifactStore` to share one store
-    handle between engines).
+    demote to the open convention instead of aborting the session).
+    ``store_path`` attaches a persistent cross-process artifact store (a
+    path, or an already-open :class:`~repro.store.ArtifactStore` to
+    share one store handle between engines).
     """
 
     def __init__(
@@ -273,7 +236,6 @@ class Engine:
         options: CompilerOptions = O2,
         max_workers: Optional[int] = None,
         resilient: bool = False,
-        policy: Optional[ResiliencePolicy] = None,
         store_path=None,
     ):
         self.options = validate_options(options)
@@ -281,18 +243,15 @@ class Engine:
             default_workers() if max_workers is None else max_workers
         )
         self.resilient = bool(resilient)
-        self.policy = (
-            policy if policy is not None
-            else (ResiliencePolicy() if resilient else None)
-        )
         self.store = open_store(store_path)
         self.stats = EngineStats()
         self._frontend = FrontendCache(store=self.store)
-        self._plans: GuardedCache = GuardedCache(_plan_fingerprint)
-        self._codegen: GuardedCache = GuardedCache(_codegen_fingerprint)
+        self._plans: Dict[PlanKey, Union[FnPlan, StoredPlan]] = {}
+        self._codegen: Dict[Tuple, Tuple[AsmFunction, int]] = {}
         self._last_keys: Optional[Dict[str, PlanKey]] = None
-        self._corruptions_reported = 0
-        self._store_seen = (0, 0, 0.0)
+        # the store's cumulative counters as of the last record, so each
+        # record gets its own delta (the handle may be shared)
+        self._store_seen = self._store_counters()
 
     # -- public API ---------------------------------------------------------
 
@@ -496,25 +455,30 @@ class Engine:
 
     # -- internals ----------------------------------------------------------
 
+    def _store_counters(self) -> Tuple[int, int, float, int]:
+        """The store's cumulative counters (zeros without a store)."""
+        if self.store is None:
+            return (0, 0, 0.0, 0)
+        st = self.store.stats
+        return (st.hits, st.misses, st.seconds, st.corruptions)
+
     def _finish_record(
         self, record: CompileRecord, report: Optional[CompileReport]
     ) -> None:
-        total = self._plans.corruptions + self._codegen.corruptions
-        record.cache_corruptions = total - self._corruptions_reported
-        self._corruptions_reported = total
         if self.store is not None:
-            st = self.store.stats
+            now = self._store_counters()
+            hits, misses, seconds, corruptions = (
+                a - b for a, b in zip(now, self._store_seen)
+            )
+            self._store_seen = now
             stage = record.stages["store"]
-            hits, misses, seconds = self._store_seen
-            stage.hits += st.hits - hits
-            stage.misses += st.misses - misses
-            stage.seconds += st.seconds - seconds
-            self._store_seen = (st.hits, st.misses, st.seconds)
-            record.cache_corruptions += st.corruptions
+            stage.hits += hits
+            stage.misses += misses
+            stage.seconds += seconds
+            record.cache_corruptions = corruptions
         if report is not None:
-            report.cache_corruptions += record.cache_corruptions
+            report.cache_corruptions = record.cache_corruptions
             record.degraded = len(report.degradations)
-            record.retries = report.retries
         record.total_seconds = sum(
             s.seconds for s in record.stages.values()
         )
@@ -571,7 +535,7 @@ class Engine:
                         program, plan, keys, record, report, no_store
                     )
             except _ReplanWithoutStore as replan:
-                self._plans.drop(keys[replan.name])
+                self._plans.pop(keys[replan.name], None)
                 no_store.add(replan.name)
                 continue
             except _DemoteAtCodegen as demote:
@@ -663,8 +627,6 @@ class Engine:
             return (_DEMOTED, name, level), plan, False
         allowed = ctx.allowed_map.get(name)
         key = plan_key(fn, ctx.popts, ctx.arities, is_open, eff, allowed)
-        if faults.corrupts(faults.SITE_CACHE_PLAN, name):
-            self._plans.corrupt(key)
         plan = self._plans.get(key)
         hit = plan is not None
         if not hit and self.store is not None and name not in ctx.no_store:
@@ -686,7 +648,7 @@ class Engine:
                 )
                 ctx.demoted[name] = level
                 return (_DEMOTED, name, level), plan, False
-            self._plans.put(key, plan)
+            self._plans[key] = plan
             if self.store is not None and name not in ctx.no_store:
                 self.store.put(NS_PLAN, key, StoredPlan.from_plan(plan))
         if plan.summary is not None and plan.summary.closed:
@@ -702,12 +664,12 @@ class Engine:
         if not isinstance(stub, StoredPlan):
             return None
         ckey = (key, arrays_fp)
-        if self._codegen.get(ckey) is None:
+        if ckey not in self._codegen:
             entry = self.store.get(NS_CODEGEN, ckey)
             if not (isinstance(entry, tuple) and len(entry) == 2):
                 return None
-            self._codegen.put(ckey, entry)
-        self._plans.put(key, stub)
+            self._codegen[ckey] = entry
+        self._plans[key] = stub
         return stub
 
     def _plan(
@@ -730,17 +692,10 @@ class Engine:
         ctx = self._plan_context(
             program, popts, record, report, forced, no_store
         )
-
-        def on_retry(name: str) -> None:
-            if ctx.report is not None:
-                ctx.report.retries += 1
-
         outcomes = run_levels(
             ctx.levels,
             lambda name: self._plan_one(ctx, name),
             self.max_workers,
-            policy=self.policy if self.resilient else None,
-            on_retry=on_retry,
         )
         return self._assemble(ctx, outcomes)
 
@@ -804,14 +759,12 @@ class Engine:
                 cached = None
             else:
                 ckey = (key, arrays_fp)
-                if faults.corrupts(faults.SITE_CACHE_CODEGEN, name):
-                    self._codegen.corrupt(ckey)
                 cached = self._codegen.get(ckey)
                 if cached is None and self.store is not None \
                         and name not in no_store:
                     entry = self.store.get(NS_CODEGEN, ckey)
                     if isinstance(entry, tuple) and len(entry) == 2:
-                        self._codegen.put(ckey, entry)
+                        self._codegen[ckey] = entry
                         cached = entry
             if cached is not None:
                 stage.hits += 1
@@ -842,7 +795,7 @@ class Engine:
                     raise _DemoteAtCodegen(name, next_level) from exc
                 preserved = _preserved_mask(fnplan)
                 if not demoted_level:
-                    self._codegen.put(ckey, (asm, preserved))
+                    self._codegen[ckey] = (asm, preserved)
                     if self.store is not None and name not in no_store:
                         self.store.put(NS_CODEGEN, ckey, (asm, preserved))
             obj.functions[name] = asm

@@ -1,4 +1,4 @@
-"""Resilience policy and per-compile fault reporting.
+"""Per-compile fault reporting for the resilient engine.
 
 Chow's *open* classification is itself a graceful-degradation device:
 any procedure the allocator cannot fully analyse falls back to the
@@ -8,25 +8,27 @@ extends that safety valve from "cannot analyse" to "analysis crashed":
 a per-procedure fault boundary catches failures in planning or codegen
 and *demotes* the procedure down an escalating ladder of ever more
 conservative strategies, every rung of which presents the default
-linkage (an open procedure, a callee-saved barrier) to callers:
+linkage (an open procedure, a callee-saved barrier) to callers.  The
+rungs are convention data (``Convention.ladder``, default
+:data:`~repro.target.registers.DEFAULT_LADDER`); each names a strategy:
 
-====  =======================  ==========================================
-rung  fallback tag             strategy
-====  =======================  ==========================================
-1     ``open``                 replan as an open procedure (closed
-                               procedures only -- the failing closed-mode
-                               machinery is skipped)
-2     ``open-noshrinkwrap``    rung 1 with shrink-wrapping disabled
-3     ``open-noregalloc``      rung 2 with an empty register file: no
-                               allocation at all, every value memory-
-                               resident -- the reference convention
-====  =======================  ==========================================
+=======================  ==================================================
+fallback tag             strategy
+=======================  ==================================================
+``open``                 replan as an open procedure (closed procedures
+                         only -- the failing closed-mode machinery is
+                         skipped)
+``open-noshrinkwrap``    ``open`` with shrink-wrapping disabled
+``open-noregalloc``      ``open-noshrinkwrap`` with an empty register
+                         file: no allocation at all, every value memory-
+                         resident -- the reference convention
+=======================  ==================================================
 
 Every rung keeps the *true* summaries of closed callees in view: a
 demoted caller must still act as a save barrier for callee-saved
 registers its closed subtree clobbers, otherwise the demotion would be
-unsound rather than conservative.  A procedure that fails all three
-rungs is genuinely uncompilable and the original error propagates.
+unsound rather than conservative.  A procedure that fails every rung
+is genuinely uncompilable and the original error propagates.
 
 Demoted plans are never cached: a transient fault must not poison the
 session's plan or codegen caches, so the next fault-free compile of the
@@ -36,11 +38,7 @@ same key recomputes the clean artifact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
-
-#: demotion ladder tags, indexed by rung (1-based)
-FALLBACK_TAGS = {1: "open", 2: "open-noshrinkwrap", 3: "open-noregalloc"}
-MAX_DEMOTION_LEVEL = max(FALLBACK_TAGS)
+from typing import Dict, List, Set
 
 
 @dataclass
@@ -50,7 +48,7 @@ class DegradationRecord:
     procedure: str
     stage: str        # 'plan' | 'codegen'
     error: str        # repr of the exception that tripped the boundary
-    fallback: str     # FALLBACK_TAGS rung that finally succeeded
+    fallback: str     # ladder tag of the rung that finally succeeded
 
     def to_dict(self) -> Dict[str, str]:
         return {
@@ -66,9 +64,7 @@ class CompileReport:
     """Resilience outcome of one :meth:`Engine.compile` call."""
 
     degradations: List[DegradationRecord] = field(default_factory=list)
-    #: planner tasks re-run after a worker timeout or failure
-    retries: int = 0
-    #: cache entries detected corrupt, invalidated and recomputed
+    #: store entries detected corrupt, invalidated and recomputed
     cache_corruptions: int = 0
     #: JIT translations that fell back to the interpreter tier
     jit_fallbacks: int = 0
@@ -92,93 +88,6 @@ class CompileReport:
     def to_dict(self) -> Dict:
         return {
             "degradations": [d.to_dict() for d in self.degradations],
-            "retries": self.retries,
             "cache_corruptions": self.cache_corruptions,
             "jit_fallbacks": self.jit_fallbacks,
         }
-
-
-@dataclass(frozen=True)
-class ResiliencePolicy:
-    """Watchdog knobs for the resilient engine's worker pools.
-
-    ``task_timeout`` bounds one planner task on the thread pool (``None``
-    disables the watchdog); a timed-out or failed task is retried inline
-    (the sequential fallback) up to ``max_retries`` times with a linear
-    ``backoff_seconds`` pause between attempts.
-    """
-
-    task_timeout: Optional[float] = 30.0
-    max_retries: int = 2
-    backoff_seconds: float = 0.05
-
-    def __post_init__(self):
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise ValueError("task_timeout must be positive or None")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.backoff_seconds < 0:
-            raise ValueError("backoff_seconds must be >= 0")
-
-
-class GuardedCache:
-    """A dict cache whose entries carry content checksums.
-
-    ``fingerprint(value)`` must be a cheap pure function over the fields
-    that matter; a lookup recomputes it and treats any mismatch (or any
-    exception while fingerprinting a rotted object) as corruption: the
-    entry is dropped, ``corruptions`` incremented, and the caller simply
-    sees a miss -- detect, invalidate, retry.
-    """
-
-    def __init__(self, fingerprint):
-        self._fingerprint = fingerprint
-        self._data: Dict = {}
-        self.corruptions = 0
-
-    def get(self, key):
-        entry = self._data.get(key)
-        if entry is None:
-            return None
-        value, fp = entry
-        try:
-            ok = self._fingerprint(value) == fp
-        except Exception:
-            ok = False
-        if not ok:
-            del self._data[key]
-            self.corruptions += 1
-            return None
-        return value
-
-    def put(self, key, value) -> None:
-        self._data[key] = (value, self._fingerprint(value))
-
-    def drop(self, key) -> None:
-        """Evict the entry under ``key`` (used when the engine must not
-        re-hit a store-restored stub during a replan restart)."""
-        self._data.pop(key, None)
-
-    def corrupt(self, key) -> bool:
-        """Fault-injection hook: bit-rot the entry under ``key``."""
-        if key in self._data:
-            _, fp = self._data[key]
-            self._data[key] = (_ROTTED, fp)
-            return True
-        return False
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, key) -> bool:
-        return key in self._data
-
-
-class _Rotted:
-    """Sentinel standing in for a bit-rotted cache value."""
-
-    def __repr__(self):  # pragma: no cover - debug aid
-        return "<rotted cache entry>"
-
-
-_ROTTED = _Rotted()

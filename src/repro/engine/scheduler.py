@@ -12,25 +12,18 @@ Planning is pure Python, so threads buy little on a GIL build -- the
 schedule exists because the paper's framework permits it and because it
 documents the dependency structure; ``max_workers <= 1`` runs inline.
 
-With a :class:`~repro.engine.resilience.ResiliencePolicy`, every pooled
-task gets a watchdog: ``policy.task_timeout`` bounds how long the
-caller waits on one task, and a timed-out or crashed task is re-run
-*inline* in the calling thread -- the sequential fallback -- up to
-``policy.max_retries`` times with a linear backoff.  A hung worker
-thread cannot be killed, so on timeout the pool is abandoned at
-shutdown (``wait=False``) rather than joined.
+A task's exception propagates to the caller.  Planning is deterministic,
+so re-running a task that raised would raise again; the failure belongs
+to the engine's demotion ladder (a resilient session) or to the compile
+service's retry policy, breaker and deadlines.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
-from typing import Callable, Dict, List, Optional, Sequence, TypeVar
+from typing import Callable, Dict, List, Sequence, TypeVar
 
-from repro import faults
-from repro.engine.resilience import ResiliencePolicy
 from repro.interproc.callgraph import CallGraph, _tarjan_sccs
 
 T = TypeVar("T")
@@ -79,73 +72,22 @@ def run_levels(
     levels: Sequence[Sequence[str]],
     task: Callable[[str], T],
     max_workers: int,
-    policy: Optional[ResiliencePolicy] = None,
-    on_retry: Optional[Callable[[str], None]] = None,
 ) -> Dict[str, T]:
     """Run ``task`` for every name, level by level, parallel within a
-    level.
-
-    Without a ``policy``, exceptions propagate from the failing task,
-    exactly as before.  With one, a pooled task that times out or raises
-    is retried inline (see the module docstring); ``on_retry(name)``
-    fires once per retry attempt so the engine can count them.  The
-    retry bypasses the :data:`~repro.faults.SITE_WORKER` injection site:
-    the inline run *is* the fallback for a faulty worker, not another
-    worker.  Exceptions surviving every retry propagate.
-    """
+    level; the first failing task's exception propagates."""
     results: Dict[str, T] = {}
-
-    def run_in_worker(name: str) -> T:
-        faults.check(faults.SITE_WORKER, name)
-        return task(name)
-
-    def retry_inline(name: str, first_error: BaseException) -> T:
-        last = first_error
-        for attempt in range(1, policy.max_retries + 1):
-            if on_retry is not None:
-                on_retry(name)
-            if policy.backoff_seconds:
-                time.sleep(policy.backoff_seconds * attempt)
-            try:
-                return task(name)
-            except Exception as exc:
-                last = exc
-        raise last
-
     if max_workers <= 1:
         for level in levels:
             for name in level:
-                if policy is None:
-                    results[name] = task(name)
-                    continue
-                try:
-                    results[name] = run_in_worker(name)
-                except Exception as exc:
-                    results[name] = retry_inline(name, exc)
+                results[name] = task(name)
         return results
 
-    pool = ThreadPoolExecutor(max_workers=max_workers)
-    join_pool = True
-    try:
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:
         for level in levels:
-            if len(level) == 1 and policy is None:
+            if len(level) == 1:
                 results[level[0]] = task(level[0])
                 continue
-            worker = task if policy is None else run_in_worker
-            futures = {name: pool.submit(worker, name) for name in level}
-            timeout = None if policy is None else policy.task_timeout
+            futures = {name: pool.submit(task, name) for name in level}
             for name in level:
-                try:
-                    results[name] = futures[name].result(timeout=timeout)
-                except FutureTimeout as exc:
-                    # the thread is stuck; abandon it at shutdown and
-                    # fall back to running the task here
-                    join_pool = False
-                    results[name] = retry_inline(name, exc)
-                except Exception as exc:
-                    if policy is None:
-                        raise
-                    results[name] = retry_inline(name, exc)
-    finally:
-        pool.shutdown(wait=join_pool, cancel_futures=not join_pool)
+                results[name] = futures[name].result()
     return results

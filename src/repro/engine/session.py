@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.engine.core import Engine, normalize_sources
-from repro.engine.resilience import ResiliencePolicy
 from repro.engine.stats import EngineStats
 from repro.frontend.errors import OptionsError
 from repro.pipeline.driver import (
@@ -48,8 +47,8 @@ class Compiler:
     a procedure whose planning or codegen fails is demoted to the open
     classification (default linkage convention) instead of aborting the
     session, and ``compile().report.degradations`` lists what happened
-    (see :mod:`repro.engine.resilience`).  ``policy`` tunes the worker
-    watchdogs.  The fault-free path is bit-identical either way.
+    (see :mod:`repro.engine.resilience`).  The fault-free path is
+    bit-identical either way.
 
     ``store_path=...`` attaches a persistent, cross-process artifact
     store under that directory: compiles fall through the in-memory
@@ -64,12 +63,11 @@ class Compiler:
         options: CompilerOptions = O2,
         max_workers: Optional[int] = None,
         resilient: bool = False,
-        policy: Optional[ResiliencePolicy] = None,
         store_path=None,
     ):
         self._engine = Engine(
             options, max_workers=max_workers,
-            resilient=resilient, policy=policy, store_path=store_path,
+            resilient=resilient, store_path=store_path,
         )
         self._sources: List[Tuple[str, str]] = []
 

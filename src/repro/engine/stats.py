@@ -67,8 +67,7 @@ class CompileRecord:
     total_seconds: float = 0.0
     #: resilience counters (see :mod:`repro.engine.resilience`)
     degraded: int = 0            # procedures demoted to the open convention
-    retries: int = 0             # planner tasks re-run after worker faults
-    cache_corruptions: int = 0   # cache entries detected corrupt and redone
+    cache_corruptions: int = 0   # store entries detected corrupt and redone
 
     def to_dict(self) -> Dict:
         return {
@@ -77,7 +76,6 @@ class CompileRecord:
             "invalidated": self.invalidated,
             "total_seconds": round(self.total_seconds, 6),
             "degraded": self.degraded,
-            "retries": self.retries,
             "cache_corruptions": self.cache_corruptions,
             "stages": {k: v.to_dict() for k, v in self.stages.items()},
         }
@@ -145,7 +143,6 @@ class EngineStats:
         as per-run fault totals)."""
         return {
             "degraded": sum(r.degraded for r in self.records),
-            "retries": sum(r.retries for r in self.records),
             "cache_corruptions": sum(
                 r.cache_corruptions for r in self.records
             ),

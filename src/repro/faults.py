@@ -2,9 +2,9 @@
 
 A :class:`FaultPlan` is an explicit, seedable list of faults to inject
 at named *sites* threaded through the toolchain (planning, coloring,
-shrink-wrapping, codegen, cache lookups, pool workers, JIT
-translation, suite workers, and the on-disk artifact store's reads,
-writes and lock acquisitions).  Components consult the harness with
+shrink-wrapping, codegen, JIT translation, suite workers, the on-disk
+artifact store's reads, writes, lock acquisitions and scrubs, and the
+compile service's batch dispatch).  Components consult the harness with
 
     faults.check(SITE_COLORING, fn.name)
 
@@ -17,10 +17,12 @@ the failure modes the resilience layer must absorb:
     the site raises :class:`InjectedFault` (a crashed stage);
 ``hang``
     the site sleeps ``hang_seconds`` (a stuck stage or worker -- pair
-    with the watchdog timeouts to exercise the timeout/retry path);
+    with the suite supervisor's or the service's deadlines to exercise
+    the timeout path);
 ``corrupt``
-    a cache site bit-rots a stored entry (consumed via
-    :func:`corrupts`; the checksummed caches must detect and retry);
+    ``store-read`` bit-rots an entry's payload before its checksum is
+    verified (consumed via :func:`corrupts`; the store must detect the
+    mismatch and the engine recompute);
 ``kill``
     a pool *worker process* dies with ``os._exit`` (the parent sees a
     ``BrokenProcessPool``).  Outside a worker process the kind is a
@@ -60,32 +62,25 @@ __all__ = [
     "current_plan",
     "install",
     "worker_context",
-    "SITE_CACHE_CODEGEN",
-    "SITE_CACHE_PLAN",
     "SITE_CODEGEN",
     "SITE_COLORING",
     "SITE_JIT",
     "SITE_PLAN",
     "SITE_SERVICE_DEADLINE",
-    "SITE_SERVICE_QUEUE",
     "SITE_SHRINKWRAP",
     "SITE_STORE_LOCK",
     "SITE_STORE_READ",
     "SITE_STORE_SCRUB",
     "SITE_STORE_WRITE",
     "SITE_SUITE_WORKER",
-    "SITE_WORKER",
 ]
 
 # -- site registry -----------------------------------------------------------
 
 SITE_PLAN = "plan"                   # engine/core: per-procedure planning
 SITE_CODEGEN = "codegen"             # engine/core: per-procedure codegen
-SITE_CACHE_PLAN = "cache-plan"       # engine/core: plan cache entries
-SITE_CACHE_CODEGEN = "cache-codegen"  # engine/core: codegen cache entries
 SITE_COLORING = "coloring"           # regalloc/coloring: allocate_function
 SITE_SHRINKWRAP = "shrinkwrap"       # shrinkwrap/placement: shrink_wrap
-SITE_WORKER = "worker"               # engine/scheduler: planner pool task
 SITE_JIT = "jit"                     # sim/jit: trace translation
 #                                      (keys: "translate"/"inline"/"link")
 SITE_SUITE_WORKER = "suite-worker"   # benchsuite/harness: suite pool cell
@@ -97,16 +92,12 @@ SITE_STORE_LOCK = "store-lock"       # store: advisory-lock acquisition
 SITE_STORE_SCRUB = "store-scrub"     # store: scrub per-entry re-verify
 SITE_SERVICE_DEADLINE = "service-deadline"  # service: batch dispatch on the
 #                                      executor (hang = stalled planner)
-SITE_SERVICE_QUEUE = "service-queue"  # service: request admission control
 
 ALL_SITES: Tuple[str, ...] = (
     SITE_PLAN,
     SITE_CODEGEN,
-    SITE_CACHE_PLAN,
-    SITE_CACHE_CODEGEN,
     SITE_COLORING,
     SITE_SHRINKWRAP,
-    SITE_WORKER,
     SITE_JIT,
     SITE_SUITE_WORKER,
     SITE_STORE_READ,
@@ -114,7 +105,6 @@ ALL_SITES: Tuple[str, ...] = (
     SITE_STORE_LOCK,
     SITE_STORE_SCRUB,
     SITE_SERVICE_DEADLINE,
-    SITE_SERVICE_QUEUE,
 )
 
 KINDS = ("raise", "hang", "corrupt", "kill")
@@ -317,8 +307,9 @@ def check(site: str, key: Optional[str] = None) -> None:
 
 
 def corrupts(site: str, key: Optional[str] = None) -> bool:
-    """True when an armed ``corrupt`` spec matches this cache site; the
-    caller is then responsible for bit-rotting its stored entry."""
+    """True when an armed ``corrupt`` spec matches this site; the caller
+    (the store's read path) is then responsible for bit-rotting the
+    entry it is about to verify."""
     if _ACTIVE is None:
         return False
     return _ACTIVE.wants_corruption(site, key)

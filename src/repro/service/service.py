@@ -57,11 +57,9 @@ admitting (:class:`ServiceClosed`), flushes the in-flight groups, and
 -- given a ``deadline`` -- fails the stragglers with
 :class:`DeadlineExceeded` rather than stalling shutdown forever.
 
-Fault-injection sites (:mod:`repro.faults`): ``service-deadline``
+Fault-injection site (:mod:`repro.faults`): ``service-deadline``
 consults on the executor thread right before batch dispatch (a ``hang``
-models a stalled planner, a ``raise`` exercises the retry path);
-``service-queue`` consults at admission (a ``raise`` sheds the request
-with ``ServiceOverloaded``).
+models a stalled planner, a ``raise`` exercises the retry path).
 
 The engine itself runs on the event loop's default executor, one batch
 at a time -- the engine is a session object, not a thread-safe one; the
@@ -82,7 +80,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro import faults
 from repro.engine.core import BatchCancelled, Engine, normalize_sources
 from repro.engine.fingerprint import options_fingerprint, request_fingerprint
-from repro.engine.resilience import ResiliencePolicy
 from repro.engine.stats import CompileRecord
 from repro.frontend.errors import CompileError
 from repro.pipeline.driver import CompiledProgram, Source
@@ -95,7 +92,7 @@ class ServiceError(RuntimeError):
 
 class ServiceOverloaded(ServiceError):
     """The request was shed by admission control (queue past its
-    high-water mark, or an injected queue-pressure fault)."""
+    high-water mark)."""
 
 
 class ServiceClosed(ServiceError):
@@ -272,7 +269,6 @@ class CompileService:
         store_path=None,
         max_workers: Optional[int] = None,
         resilient: bool = False,
-        policy: Optional[ResiliencePolicy] = None,
         batch_window: float = 0.005,
         max_batch: int = 16,
         default_deadline: Optional[float] = None,
@@ -285,7 +281,6 @@ class CompileService:
             validate_options(options),
             max_workers=max_workers,
             resilient=resilient,
-            policy=policy,
             store_path=store_path,
         )
         if batch_window < 0:
@@ -378,13 +373,6 @@ class CompileService:
             result = await self._await_result(pend.future, deadline, fp)
             return replace(result, deduped=True)
 
-        try:
-            faults.check(faults.SITE_SERVICE_QUEUE, None)
-        except faults.InjectedFault as exc:
-            self.stats.shed += 1
-            raise ServiceOverloaded(
-                "request shed (injected queue-pressure fault)"
-            ) from exc
         if len(self._pending) >= self.max_queue:
             self.stats.shed += 1
             raise ServiceOverloaded(

@@ -22,9 +22,10 @@ the old complete entry or the new complete entry, never a torn write,
 which is the whole concurrency model for readers and writers (no locks;
 last writer of identical content wins).  Reads recompute the checksum
 and treat any mismatch or unpickling failure as corruption: the entry
-is unlinked, counted, and the caller sees a miss -- the same
-detect-invalidate-recompute policy as the in-memory
-:class:`~repro.engine.resilience.GuardedCache`.
+is unlinked, counted, and the caller sees a miss and recomputes
+(detect, invalidate, recompute).  Only the store checksums its
+entries: bytes on disk can rot or tear, objects in the engine's
+in-memory caches cannot.
 
 Garbage collection is LRU by file mtime (a hit bumps the entry's mtime)
 under a best-effort advisory lock; a stale lock older than

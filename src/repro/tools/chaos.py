@@ -3,11 +3,11 @@
 For every benchmark this drives two builds of the same source -- a
 plain (non-resilient) reference compile and a resilient compile under a
 seeded :class:`~repro.faults.FaultPlan` arming one fault per toolchain
-stage (planner, coloring, shrink-wrap, codegen, JIT translation, pool
-worker) -- and checks the resilience contract.  A block profile is
-attached to every resilient build, so its ``auto`` run feeds the
-profile to the trace translator, and a fault there must fall back to
-the interpreter.  The contract:
+stage (planner, coloring, shrink-wrap, codegen, JIT translation) -- and
+checks the resilience contract.  A block profile is attached to every
+resilient build, so its ``auto`` run feeds the profile to the trace
+translator, and a fault there must fall back to the interpreter.  The
+contract:
 
 * the resilient compile completes with **no unhandled exception**;
 * its program produces the **same output** as the reference build
@@ -57,7 +57,6 @@ CHAOS_SITES = (
     faults.SITE_SHRINKWRAP,
     faults.SITE_CODEGEN,
     faults.SITE_JIT,
-    faults.SITE_WORKER,
 )
 
 #: sites whose fault key names the procedure being compiled, so a fired
@@ -123,8 +122,7 @@ def run_chaos(seed: int, config: str, names: Optional[List[str]] = None,
         if verbose:
             print(
                 f"{name:<10s} fired={len(plan.fired):d} "
-                f"degraded={len(report.degradations):d} "
-                f"retries={report.retries:d} output-ok="
+                f"degraded={len(report.degradations):d} output-ok="
                 f"{out == ref_out}"
             )
 
@@ -310,9 +308,10 @@ def run_service_chaos(seed: int, config: str,
     2. **transient dispatch faults** -- ``service-deadline`` raises on
        the first dispatch attempts; bounded retry must absorb them and
        still return bit-identical programs;
-    3. **admission shedding** -- ``service-queue`` raises for a few
-       admissions; exactly those requests fail with the *typed*
-       :class:`ServiceOverloaded` (never an unhandled crash) and the
+    3. **admission shedding** -- a service with ``max_queue=1`` receives
+       every request at once; the requests past the high-water mark
+       fail with the *typed* :class:`ServiceOverloaded` (never an
+       unhandled crash), ``stats.shed`` counts exactly those, and the
        rest compile normally;
     4. **breaker + degraded serving** -- persistent dispatch failure
        trips the per-fingerprint breaker; while open, requests are
@@ -419,20 +418,13 @@ def run_service_chaos(seed: int, config: str,
         )
 
     # phase 3: admission control sheds with the typed error
-    shed_count = min(2, max(1, len(selected) - 1))
-    queue_plan = faults.FaultPlan(specs=[
-        faults.FaultSpec(site=faults.SITE_SERVICE_QUEUE, kind="raise",
-                         count=shed_count),
-    ])
-
     async def shedding():
-        svc = CompileService(options)
-        with faults.active(queue_plan):
-            results = await asyncio.gather(
-                *(svc.compile(benches[n].source) for n in selected),
-                return_exceptions=True,
-            )
-            await svc.join()
+        svc = CompileService(options, max_queue=1)
+        results = await asyncio.gather(
+            *(svc.compile(benches[n].source) for n in selected),
+            return_exceptions=True,
+        )
+        await svc.join()
         return svc, results
 
     try:
@@ -449,10 +441,10 @@ def run_service_chaos(seed: int, config: str,
             violations.append(
                 f"service shed phase: non-typed failures {other!r}"
             )
-        if shed != len(queue_plan.fired):
+        if len(selected) > 1 and not shed:
             violations.append(
-                f"service shed phase: {len(queue_plan.fired)} queue "
-                f"faults fired but {shed} requests shed"
+                f"service shed phase: {len(selected)} simultaneous "
+                "requests against max_queue=1 and none was shed"
             )
         if svc.stats.shed != shed:
             violations.append(

@@ -192,15 +192,14 @@ def disassemble(exe: Executable, function: Optional[str] = None) -> str:
 
 def resilience_report(prog: CompiledProgram) -> str:
     """The fault-boundary outcome of a resilient compile: every
-    degradation (procedure, stage, fallback rung, error) plus the retry
-    and cache-corruption counters.  Programs compiled without
+    degradation (procedure, stage, fallback rung, error) plus the store
+    corruption and JIT fallback counters.  Programs compiled without
     ``resilient=True`` carry no report."""
     report = prog.report
     if report is None:
         return "no resilience report (compiled without resilient=True)"
     lines = [
         f"degraded procedures: {len(report.degradations)}  "
-        f"retries: {report.retries}  "
         f"cache corruptions: {report.cache_corruptions}  "
         f"jit fallbacks: {report.jit_fallbacks}"
     ]
@@ -231,7 +230,7 @@ def suite_fault_summary(results, engine_stats=None) -> str:
         totals = engine_stats.fault_totals()
         lines.append(
             "engine faults: "
-            f"{totals['degraded']} degraded, {totals['retries']} retries, "
+            f"{totals['degraded']} degraded, "
             f"{totals['cache_corruptions']} cache corruptions"
         )
     return "\n".join(lines)

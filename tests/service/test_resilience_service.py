@@ -316,26 +316,6 @@ def test_queue_high_water_mark_sheds_typed():
     assert served[0].program.run().output is not None
 
 
-def test_injected_queue_pressure_sheds_typed():
-    plan = faults.FaultPlan(specs=[
-        faults.FaultSpec(site=faults.SITE_SERVICE_QUEUE, kind="raise",
-                         count=1),
-    ])
-
-    async def scenario():
-        svc = CompileService(O2)
-        with faults.active(plan):
-            with pytest.raises(ServiceOverloaded):
-                await svc.compile(SRC.format(n=1))
-        result = await svc.compile(SRC.format(n=1))
-        await svc.join()
-        return svc, result
-
-    svc, result = go(scenario())
-    assert svc.stats.shed == 1
-    assert result.program.run().output == [8]
-
-
 # -- graceful drain ----------------------------------------------------------
 
 def test_drain_stops_admission_but_flushes_inflight():
