@@ -21,14 +21,12 @@ all when the edit leaves the summary signature intact.  Flipping a plan
 option (say ``shrink_wrap``) changes every plan key but no front-end
 key, so parsing and lowering are fully reused.
 
-Planning runs level-by-level over the call graph's SCC condensation
-(:mod:`repro.engine.scheduler`); the plan-key model makes each level's
-procedures independent, so the levels may run on a thread pool without
-affecting output.  :meth:`Engine.compile_batch` exploits the same
-property across *programs*: the levels of several independent requests
-are merged depth-by-depth onto one schedule, so procedures from
-different requests plan concurrently and identical procedures
-deduplicate through the shared caches.
+Planning is one pass over the call graph's depth-first postorder, the
+order the reference ``plan_program`` uses, so every closed callee's
+summary is published before its callers are planned.
+:meth:`Engine.compile_batch` compiles several independent programs one
+after another through :meth:`Engine.compile`; identical procedures
+across the requests deduplicate through the shared caches.
 
 The plan and codegen caches are plain dicts: an in-memory entry changes
 only if the engine has a bug, and a checksum recomputed on every hit
@@ -61,7 +59,6 @@ is bit-identical to a non-resilient compile.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from dataclasses import replace as _options_replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
@@ -75,7 +72,6 @@ from repro.engine.invalidation import (
     plan_key,
 )
 from repro.engine.resilience import CompileReport
-from repro.engine.scheduler import default_workers, run_levels, scc_levels
 from repro.engine.stats import CompileRecord, EngineStats
 from repro.frontend.errors import OptionsError
 from repro.interproc.allocator import (
@@ -198,27 +194,22 @@ class _ReplanWithoutStore(Exception):
 
 @dataclass
 class _PlanContext:
-    """Everything one planning pass needs, bundled so the per-procedure
-    task is reusable by both :meth:`Engine._plan` and the merged-level
-    schedule of :meth:`Engine.compile_batch`."""
+    """What one planning pass shares across its procedures."""
 
     program: IRModule
     popts: PlanOptions
-    record: CompileRecord
     report: Optional[CompileReport]
     forced: Dict[str, int]
     no_store: Set[str]
-    result: ProgramPlan
     arities: Dict[str, int]
     cg: Optional[object]
     pos: Dict[str, int]
-    levels: List[List[str]]
     allowed_map: Dict[str, object]
     arrays_fp: Tuple
-    #: closed summaries published as their levels complete
-    closed: Dict[str, object] = field(default_factory=dict)
     #: procedures demoted this pass (forced, or by the fault boundary)
-    demoted: Dict[str, int] = field(default_factory=dict)
+    demoted: Dict[str, int]
+    #: closed summaries published as their procedures are planned
+    closed: Dict[str, object] = field(default_factory=dict)
 
 
 class Engine:
@@ -234,14 +225,10 @@ class Engine:
     def __init__(
         self,
         options: CompilerOptions = O2,
-        max_workers: Optional[int] = None,
         resilient: bool = False,
         store_path=None,
     ):
         self.options = validate_options(options)
-        self.max_workers = (
-            default_workers() if max_workers is None else max_workers
-        )
         self.resilient = bool(resilient)
         self.store = open_store(store_path)
         self.stats = EngineStats()
@@ -260,34 +247,40 @@ class Engine:
         sources: Union[Source, Sequence[Source]],
         options: Optional[CompilerOptions] = None,
     ) -> CompiledProgram:
-        """Whole-program compile, reusing everything an edit left alone."""
+        """Whole-program compile, reusing everything an edit left alone.
+
+        The returned program's ``record`` is this compile's
+        :class:`CompileRecord`, also appended to ``stats.records``.
+        """
         options = self.options if options is None else validate_options(options)
         record = self.stats.begin("program")
         report = CompileReport() if self.resilient else None
-        with self.stats.timer(record, "frontend"):
-            program = self._lower_and_link(
-                normalize_sources(sources), options, record
-            )
-        if options.entry not in program.functions:
-            raise OptionsError(
-                f"entry point {options.entry!r} is not defined by the "
-                "given sources"
-            )
+        try:
+            with self.stats.timer(record, "frontend"):
+                program = self._lower_and_link(
+                    normalize_sources(sources), options, record
+                )
+            if options.entry not in program.functions:
+                raise OptionsError(
+                    f"entry point {options.entry!r} is not defined by the "
+                    "given sources"
+                )
 
-        popts = _plan_options(options)
-        plan, keys, obj = self._plan_and_codegen(
-            program, popts, record, report
-        )
-        record.invalidated = count_changed(self._last_keys, keys)
-        self._last_keys = keys
+            popts = _plan_options(options)
+            plan, keys, obj = self._plan_and_codegen(
+                program, popts, record, report
+            )
+            record.invalidated = count_changed(self._last_keys, keys)
+            self._last_keys = keys
 
-        with self.stats.timer(record, "link"):
-            exe = link_executable([obj], entry=options.entry)
-        record.functions = len(program.functions)
-        self._finish_record(record, report)
+            with self.stats.timer(record, "link"):
+                exe = link_executable([obj], entry=options.entry)
+            record.functions = len(program.functions)
+        finally:
+            self._finish_record(record, report)
         return CompiledProgram(
             executable=exe, ir=program, plan=plan, options=options,
-            report=report, engine_stats=self.stats,
+            report=report, engine_stats=self.stats, record=record,
         )
 
     def compile_module(
@@ -298,17 +291,19 @@ class Engine:
         record = self.stats.begin("module")
         report = CompileReport() if self.resilient else None
         ((name, text),) = normalize_sources([source])
-        with self.stats.timer(record, "frontend"):
-            module = self._frontend.lower_source(
-                name, text, options.optimize_ir
+        try:
+            with self.stats.timer(record, "frontend"):
+                module = self._frontend.lower_source(
+                    name, text, options.optimize_ir
+                )
+                self._drain_frontend_counters(record)
+            popts = _plan_options(options.with_(externally_visible=True))
+            plan, keys, obj = self._plan_and_codegen(
+                module, popts, record, report
             )
-            self._drain_frontend_counters(record)
-        popts = _plan_options(options.with_(externally_visible=True))
-        plan, keys, obj = self._plan_and_codegen(
-            module, popts, record, report
-        )
-        record.functions = len(module.functions)
-        self._finish_record(record, report)
+            record.functions = len(module.functions)
+        finally:
+            self._finish_record(record, report)
         return CompiledModule(object_code=obj, ir=module, plan=plan)
 
     def compile_batch(
@@ -317,140 +312,32 @@ class Engine:
         options: Optional[CompilerOptions] = None,
         should_cancel=None,
     ) -> List[Union[CompiledProgram, Exception]]:
-        """Compile many independent programs through one merged schedule.
+        """Compile many independent programs, one :meth:`compile` each.
 
-        Level *k* of the merged schedule is the union of level *k* of
-        every request's SCC condensation, so independent procedures from
-        different requests plan concurrently and identical procedures
-        (near-duplicate requests, shared library code) deduplicate
-        through the session caches.  Failures are per-request: slot *i*
-        of the returned list is either the built program or the
-        exception that request raised.
+        Failures are per-request: slot *i* of the returned list is either
+        the built program or the exception that request raised.
+        Identical procedures across requests (near-duplicate requests,
+        shared library code) deduplicate through the session caches.
 
         ``should_cancel`` arms cooperative cancellation: a zero-argument
-        callable polled at request boundaries (before each sequential
-        compile, before the merged planning pass, before each request's
-        codegen).  Once it returns true, every not-yet-finished request
-        gets a :class:`BatchCancelled` in its result slot instead of
-        being compiled -- the engine never abandons work mid-procedure,
-        so caches stay coherent, it just stops starting new work.  The
-        :class:`~repro.service.CompileService` uses this to stop burning
-        planner time on a batch whose waiters have all hit their
-        deadlines.
-
-        The merged path covers the common case; a resilient engine (or
-        a merged pass tripped by an injected fault or a broken store
-        pairing) falls back to compiling the affected requests
-        individually through :meth:`compile`, which preserves the exact
-        per-program restart semantics.
+        callable polled before each request.  Once it returns true, every
+        not-yet-started request gets a :class:`BatchCancelled` in its
+        result slot instead of being compiled -- the engine never
+        abandons work mid-procedure, so caches stay coherent, it just
+        stops starting new work.  :class:`~repro.service.CompileService`
+        uses this to stop burning planner time on a batch whose waiters
+        have all hit their deadlines.
         """
         options = self.options if options is None else validate_options(options)
-        cancelled = (
-            (lambda: False) if should_cancel is None else should_cancel
-        )
-        results: List[Union[CompiledProgram, Exception]] = \
-            [None] * len(requests)  # type: ignore[list-item]
-        if self.resilient or len(requests) <= 1:
-            for i, sources in enumerate(requests):
-                if cancelled():
-                    results[i] = BatchCancelled()
-                    continue
-                try:
-                    results[i] = self.compile(sources, options)
-                except Exception as exc:
-                    results[i] = exc
-            return results
-
-        popts = _plan_options(options)
-        prepared: List[List] = []  # [slot index, record, program, ctx]
-        for i, sources in enumerate(requests):
-            record = CompileRecord(kind="program")
-            try:
-                with self.stats.timer(record, "frontend"):
-                    program = self._lower_and_link(
-                        normalize_sources(sources), options, record
-                    )
-                if options.entry not in program.functions:
-                    raise OptionsError(
-                        f"entry point {options.entry!r} is not defined by "
-                        "the given sources"
-                    )
-            except Exception as exc:
-                results[i] = exc
+        results: List[Union[CompiledProgram, Exception]] = []
+        for sources in requests:
+            if should_cancel is not None and should_cancel():
+                results.append(BatchCancelled())
                 continue
-            prepared.append([i, record, program, None])
-
-        try:
-            if cancelled():
-                for slot in prepared:
-                    results[slot[0]] = BatchCancelled()
-                return results
-            t0 = time.perf_counter()
-            for slot in prepared:
-                slot[3] = self._plan_context(
-                    slot[2], popts, slot[1], None, None, None
-                )
-            merged: List[List[Tuple[int, str]]] = []
-            depth = max((len(s[3].levels) for s in prepared), default=0)
-            for d in range(depth):
-                level: List[Tuple[int, str]] = []
-                for slot in prepared:
-                    if d < len(slot[3].levels):
-                        level.extend(
-                            (slot[0], name) for name in slot[3].levels[d]
-                        )
-                if level:
-                    merged.append(level)
-            by_slot = {slot[0]: slot for slot in prepared}
-            outcomes = run_levels(
-                merged,
-                lambda key: self._plan_one(by_slot[key[0]][3], key[1]),
-                self.max_workers,
-            )
-            plan_seconds = time.perf_counter() - t0
-
-            for slot in prepared:
-                i, record, program, ctx = slot
-                if cancelled():
-                    results[i] = BatchCancelled()
-                    continue
-                record.stages["plan"].seconds += (
-                    plan_seconds / len(prepared)
-                )
-                own = {
-                    name: outcomes[(i, name)] for name in ctx.result.order
-                }
-                plan, keys = self._assemble(ctx, own)
-                record.invalidated = count_changed(self._last_keys, keys)
-                self._last_keys = keys
-                with self.stats.timer(record, "codegen"):
-                    obj = self._codegen_module(
-                        program, plan, keys, record, None
-                    )
-                with self.stats.timer(record, "link"):
-                    exe = link_executable([obj], entry=options.entry)
-                record.functions = len(program.functions)
-                self.stats.records.append(record)
-                self._finish_record(record, None)
-                results[i] = CompiledProgram(
-                    executable=exe, ir=program, plan=plan, options=options,
-                    engine_stats=self.stats,
-                )
-        except Exception:
-            # the merged pass tripped (injected fault, store pairing
-            # break, a planner bug in one request): finish the remaining
-            # requests one at a time with full restart semantics
-            for slot in prepared:
-                if results[slot[0]] is None:
-                    if cancelled():
-                        results[slot[0]] = BatchCancelled()
-                        continue
-                    try:
-                        results[slot[0]] = self.compile(
-                            requests[slot[0]], options
-                        )
-                    except Exception as exc:
-                        results[slot[0]] = exc
+            try:
+                results.append(self.compile(sources, options))
+            except Exception as exc:
+                results.append(exc)
         return results
 
     # -- internals ----------------------------------------------------------
@@ -551,66 +438,6 @@ class Engine:
             "resilient compile failed to stabilise demotions"
         )  # pragma: no cover - loop bound is a safety net
 
-    def _plan_context(
-        self,
-        program: IRModule,
-        popts: PlanOptions,
-        record: CompileRecord,
-        report: Optional[CompileReport],
-        forced: Optional[Dict[str, int]],
-        no_store: Optional[Set[str]],
-    ) -> _PlanContext:
-        """Replicates ``plan_program``'s setup: call graph, postorder,
-        level schedule, and the mod/ref prepass."""
-        forced = dict(forced) if forced else {}
-        result = ProgramPlan(module=program)
-        arities = {
-            name: len(fn.params) for name, fn in program.functions.items()
-        }
-        arities.update(program.externs)
-
-        if popts.ipra:
-            cg = build_call_graph(
-                program,
-                entry=popts.entry,
-                externally_visible=popts.externally_visible,
-            )
-            result.call_graph = cg
-            result.order = dfs_postorder(cg)
-            levels = scc_levels(result.order, cg)
-        else:
-            cg = None
-            result.order = list(program.functions)
-            levels = [result.order] if result.order else []
-        pos = {name: i for i, name in enumerate(result.order)}
-
-        # mod/ref prepass: mirrors the sequential allocator's accumulation
-        # (the modref map never depends on plans, only on IR)
-        allowed_map: Dict[str, object] = {}
-        if popts.ipra and popts.ipra_globals:
-            modref: Dict[str, object] = {}
-            for name in result.order:
-                fn = program.functions[name]
-                allowed_map[name] = cacheable_globals(fn, modref)
-                modref[name] = subtree_global_refs(fn, modref)
-
-        return _PlanContext(
-            program=program,
-            popts=popts,
-            record=record,
-            report=report,
-            forced=forced,
-            no_store=set(no_store) if no_store else set(),
-            result=result,
-            arities=arities,
-            cg=cg,
-            pos=pos,
-            levels=levels,
-            allowed_map=allowed_map,
-            arrays_fp=tuple(sorted(program.arrays.items())),
-            demoted=dict(forced),
-        )
-
     def _plan_one(self, ctx: _PlanContext, name: str):
         """Plan one procedure: memory cache, then the persistent store,
         then :func:`plan_function` (with the resilient demotion ladder
@@ -677,44 +504,72 @@ class Engine:
         program: IRModule,
         popts: PlanOptions,
         record: CompileRecord,
-        report: Optional[CompileReport] = None,
-        forced: Optional[Dict[str, int]] = None,
-        no_store: Optional[Set[str]] = None,
+        report: Optional[CompileReport],
+        forced: Dict[str, int],
+        no_store: Set[str],
     ) -> Tuple[ProgramPlan, Dict[str, PlanKey]]:
-        """Replicates ``plan_program`` with per-procedure memoisation and
-        a level-parallel schedule.
+        """Replicates ``plan_program`` with per-procedure memoisation:
+        call graph, depth-first postorder, the mod/ref prepass, then one
+        :meth:`_plan_one` per procedure in that order.
 
         ``forced`` maps procedure name -> demotion rung for procedures
         that must be planned open regardless of faults (codegen-stage
         demotions being replanned); ``no_store`` names procedures pinned
         to from-scratch plans after a store pairing break.
         """
-        ctx = self._plan_context(
-            program, popts, record, report, forced, no_store
-        )
-        outcomes = run_levels(
-            ctx.levels,
-            lambda name: self._plan_one(ctx, name),
-            self.max_workers,
-        )
-        return self._assemble(ctx, outcomes)
+        result = ProgramPlan(module=program)
+        arities = {
+            name: len(fn.params) for name, fn in program.functions.items()
+        }
+        arities.update(program.externs)
 
-    def _assemble(
-        self, ctx: _PlanContext, outcomes: Dict[str, Tuple]
-    ) -> Tuple[ProgramPlan, Dict[str, PlanKey]]:
+        cg = None
+        if popts.ipra:
+            cg = build_call_graph(
+                program,
+                entry=popts.entry,
+                externally_visible=popts.externally_visible,
+            )
+            result.call_graph = cg
+            result.order = dfs_postorder(cg)
+        else:
+            result.order = list(program.functions)
+
+        # mod/ref prepass: mirrors the sequential allocator's accumulation
+        # (the modref map never depends on plans, only on IR)
+        allowed_map: Dict[str, object] = {}
+        if popts.ipra and popts.ipra_globals:
+            modref: Dict[str, object] = {}
+            for name in result.order:
+                fn = program.functions[name]
+                allowed_map[name] = cacheable_globals(fn, modref)
+                modref[name] = subtree_global_refs(fn, modref)
+
+        ctx = _PlanContext(
+            program=program,
+            popts=popts,
+            report=report,
+            forced=forced,
+            no_store=no_store,
+            arities=arities,
+            cg=cg,
+            pos={name: i for i, name in enumerate(result.order)},
+            allowed_map=allowed_map,
+            arrays_fp=tuple(sorted(program.arrays.items())),
+            demoted=dict(forced),
+        )
         keys: Dict[str, PlanKey] = {}
-        stage = ctx.record.stages["plan"]
-        for name in ctx.result.order:
-            key, plan, hit = outcomes[name]
-            keys[name] = key
-            ctx.result.plans[name] = plan
+        stage = record.stages["plan"]
+        for name in result.order:
+            keys[name], plan, hit = self._plan_one(ctx, name)
+            result.plans[name] = plan
             if plan.summary is not None:
-                ctx.result.summaries[name] = plan.summary
+                result.summaries[name] = plan.summary
             if hit:
                 stage.hits += 1
             else:
                 stage.misses += 1
-        return ctx.result, keys
+        return result, keys
 
     def _demote(
         self, fn, popts, eff, arities, is_open, exc, report

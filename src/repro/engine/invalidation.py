@@ -19,8 +19,8 @@ cycles are open), and an open procedure's published summary is exactly
 ``default_summary``, computable without planning it.  Encoding
 ``(callee, arity, signature-or-absent)`` per direct callee therefore
 captures both the subtree clobber union and every call-site summary
-lookup, independent of execution order -- which is what makes the
-level-parallel schedule bit-identical to the sequential pass.
+lookup, independent of execution order -- which is what lets a plan
+cached by one compile serve any later compile with the same key.
 """
 
 from __future__ import annotations

@@ -56,6 +56,9 @@ class Compiler:
     pointed at the same path warm-starts from earlier sessions' work
     (see :mod:`repro.store`).  Warm-started output stays bit-identical
     to a cold compile.
+
+    ``max_workers`` is accepted for compatibility and ignored: planning
+    always runs on the calling thread.
     """
 
     def __init__(
@@ -66,8 +69,7 @@ class Compiler:
         store_path=None,
     ):
         self._engine = Engine(
-            options, max_workers=max_workers,
-            resilient=resilient, store_path=store_path,
+            options, resilient=resilient, store_path=store_path
         )
         self._sources: List[Tuple[str, str]] = []
 

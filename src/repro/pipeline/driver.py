@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle with the engine
     from repro.engine.resilience import CompileReport
+    from repro.engine.stats import CompileRecord
 
 from repro.frontend import analyze, parse
 from repro.interproc.allocator import (
@@ -59,6 +60,9 @@ class CompiledProgram:
     #: the building engine's stats sink; tier-3 runs of this program
     #: report their translation decisions into it
     engine_stats: Optional[object] = None
+    #: the building compile's stage timings and cache counts; ``None``
+    #: unless the program was built by an engine
+    record: Optional["CompileRecord"] = None
 
     def run(self, **kwargs) -> RunStats:
         """Simulate the program; ``sim_tier`` selects the engine

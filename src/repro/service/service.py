@@ -17,10 +17,8 @@ single-flight bounds duplicate *work in flight*, not duplicate lookups.
 
 **Batching.**  Distinct requests that arrive within ``batch_window``
 seconds are grouped (per options digest, up to ``max_batch``) and handed
-to :meth:`Engine.compile_batch`, which merges their SCC condensation
-levels onto one schedule: independent procedures from different requests
-plan concurrently and shared procedures deduplicate through the session
-caches.
+to :meth:`Engine.compile_batch` in one executor round trip; shared
+procedures deduplicate through the session caches.
 
 On top of those sits the **resilience layer** -- the service-grade
 guarantees a front end serving heavy traffic needs:
@@ -65,8 +63,8 @@ The engine itself runs on the event loop's default executor, one batch
 at a time -- the engine is a session object, not a thread-safe one; the
 service is the serialisation point.  Results carry the per-request
 :class:`~repro.engine.stats.CompileRecord` (stage seconds, cache and
-store hit/miss counts) when the engine produced one, plus a snapshot of
-the store's cumulative counters (hits/misses/evictions/corruptions).
+store hit/miss counts), plus a snapshot of the store's cumulative
+counters (hits/misses/evictions/corruptions).
 """
 
 from __future__ import annotations
@@ -217,8 +215,7 @@ class ServiceResult:
     #: True when an open circuit breaker served this request through the
     #: resilient fallback engine (conservative, sound, possibly demoted)
     degraded: bool = False
-    #: the engine's per-request record (None when attribution was lost to
-    #: a faulted batch -- counts are still in ``Engine.stats``)
+    #: the compile's stage timings and cache counts (``program.record``)
     record: Optional[CompileRecord] = None
     #: cumulative store counters at completion (None without a store)
     store: Optional[Dict] = None
@@ -259,7 +256,9 @@ class CompileService:
     blocking engine work runs on the loop's default executor.  ``retry``
     / ``breaker`` default to the module policies; pass ``None`` to
     disable either mechanism.  ``clock`` injects a monotonic time source
-    (tests use a fake one to step breaker timeouts).
+    (tests use a fake one to step breaker timeouts).  ``max_workers`` is
+    accepted for compatibility and ignored: the engine plans on the
+    calling thread.
     """
 
     def __init__(
@@ -279,7 +278,6 @@ class CompileService:
     ):
         self.engine = Engine(
             validate_options(options),
-            max_workers=max_workers,
             resilient=resilient,
             store_path=store_path,
         )
@@ -517,7 +515,6 @@ class CompileService:
         if self._fallback is None:
             self._fallback = Engine(
                 self.engine.options,
-                max_workers=self.engine.max_workers,
                 resilient=True,
                 store_path=self.engine.store,
             )
@@ -551,12 +548,9 @@ class CompileService:
             self.stats.failed += 1
             raise
         self.stats.compiled += 1
-        record = (
-            engine.stats.records[-1] if engine.stats.records else None
-        )
         return ServiceResult(
             program=program, fingerprint=fp, degraded=True,
-            record=record, store=self.store_counters(),
+            record=program.record, store=self.store_counters(),
         )
 
     # -- the batch path -----------------------------------------------------
@@ -582,8 +576,6 @@ class CompileService:
 
     async def _run_group(self, group: List[_Pending]) -> None:
         self.stats.batches += 1
-        engine = self.engine
-        before = len(engine.stats.records)
         failure: Optional[BaseException] = None
         try:
             # cooperative cancellation: drop requests whose waiters have
@@ -605,19 +597,6 @@ class CompileService:
                 return
 
             results = await self._batch_with_retry(live)
-
-            # per-request records appear in request order when nothing
-            # faulted; on a faulted batch attribution is lost and results
-            # carry record=None (the counts remain in engine.stats)
-            new_records = engine.stats.records[before:]
-            successes = [
-                r for r in results if not isinstance(r, Exception)
-            ]
-            records: List[Optional[CompileRecord]] = (
-                list(new_records) if len(new_records) == len(successes)
-                else [None] * len(successes)
-            )
-            rec_iter = iter(records)
             store = self.store_counters()
             for p, res in zip(live, results):
                 self._inflight.pop(p.fingerprint, None)
@@ -640,7 +619,7 @@ class CompileService:
                         p.future.set_result(ServiceResult(
                             program=res,
                             fingerprint=p.fingerprint,
-                            record=next(rec_iter),
+                            record=res.record,
                             store=store,
                         ))
         except BaseException as exc:

@@ -319,6 +319,9 @@ def run_service_chaos(seed: int, config: str,
        still be bit-identical (fault-free resilient builds are); after
        ``reset_timeout`` a half-open probe on the now-healthy path
        closes the breaker again.
+
+    Every served result, degraded or not, must also carry the
+    :class:`~repro.engine.stats.CompileRecord` of its compile.
     """
     options = PAPER_CONFIGS[config]
     benches = load_benchmarks()
@@ -329,12 +332,21 @@ def run_service_chaos(seed: int, config: str,
         for name in selected
     }
 
-    def check_identical(phase: str, name: str, result) -> None:
+    served = 0
+
+    def check_served(phase: str, name: str, result) -> None:
+        nonlocal served
+        served += 1
         if _snapshot(result.program.executable) != \
                 _snapshot(refs[name].executable):
             violations.append(
                 f"{phase}: {name} response is not bit-identical to the "
                 "reference build"
+            )
+        if result.record is None or result.record.functions <= 0:
+            violations.append(
+                f"{phase}: {name} response carries no compile record "
+                f"({result.record!r})"
             )
 
     # phase 1: fault-free -- identity, breaker closed, nothing shed
@@ -349,7 +361,7 @@ def run_service_chaos(seed: int, config: str,
     try:
         svc, results = asyncio.run(fault_free())
         for name, res in zip(selected, results):
-            check_identical("service fault-free", name, res)
+            check_served("service fault-free", name, res)
             if res.degraded:
                 violations.append(
                     f"service fault-free: {name} served degraded"
@@ -391,7 +403,7 @@ def run_service_chaos(seed: int, config: str,
     try:
         svc, results = asyncio.run(retried())
         for name, res in zip(selected, results):
-            check_identical("service retry", name, res)
+            check_served("service retry", name, res)
         fired = len(retry_plan.fired)
         if not fired:
             violations.append(
@@ -453,7 +465,7 @@ def run_service_chaos(seed: int, config: str,
             )
         for name, res in zip(selected, results):
             if not isinstance(res, BaseException):
-                check_identical("service shed", name, res)
+                check_served("service shed", name, res)
         if verbose:
             print(f"svc-shed     shed={shed} "
                   f"served={len(results) - shed}")
@@ -506,13 +518,13 @@ def run_service_chaos(seed: int, config: str,
                 "service breaker phase: open breaker did not serve "
                 "degraded"
             )
-        check_identical("service breaker", breaker_name, degraded)
+        check_served("service breaker", breaker_name, degraded)
         if probed.degraded:
             violations.append(
                 "service breaker phase: healthy half-open probe still "
                 "served degraded"
             )
-        check_identical("service breaker", breaker_name, probed)
+        check_served("service breaker", breaker_name, probed)
         if svc.breaker_states():
             violations.append(
                 f"service breaker phase: breaker still "
@@ -528,7 +540,8 @@ def run_service_chaos(seed: int, config: str,
         )
 
     if verbose:
-        print(f"service total: {len(violations)} violations")
+        print(f"service total: {served} served results checked, "
+              f"{len(violations)} violations")
     return violations
 
 

@@ -10,12 +10,13 @@ halving and scores its fixed micro-space directly.
 
 Evaluation paths:
 
-* ``jobs == 1`` -- the suite compiles through one shared incremental
-  :class:`~repro.engine.core.Engine` via :meth:`Engine.compile_batch`:
-  the front-end caches hit across *every* candidate (the sources never
-  change), plan/codegen caches are keyed by the candidate's
-  ``Convention.key()`` so candidates never collide, and with
-  ``store_path=`` the artifact store warm-starts later tuning runs.
+* ``jobs == 1`` -- the suite compiles on the calling thread through one
+  shared incremental :class:`~repro.engine.core.Engine`, one
+  :meth:`Engine.compile_batch` per candidate: the front-end caches hit
+  across *every* candidate (the sources never change), plan/codegen
+  caches are keyed by the candidate's ``Convention.key()`` so
+  candidates never collide, and with ``store_path=`` the artifact store
+  warm-starts later tuning runs.
 * ``jobs > 1`` -- candidates run through
   :func:`repro.benchsuite.run_suite`'s supervised process pool; the
   convention crosses into workers as a plain spec dict.

@@ -84,16 +84,23 @@ def test_every_config_warm_equals_cold_across_edits():
             assert warm.run().output == cold.run().output, cname
 
 
-def test_parallel_schedule_is_bit_identical():
-    # force the thread pool even on single-core runners: the SCC-level
-    # schedule must not be able to change output
-    src = render(dict.fromkeys(KNOBS, 2))
-    for workers in (1, 4):
-        session = Compiler(PAPER_CONFIGS["C"], max_workers=workers)
-        session.add_source(("main", src))
-        warm = session.compile()
-        cold = _reference_compile_program(("main", src), PAPER_CONFIGS["C"])
-        assert_exe_identical(warm.executable, cold.executable)
+def test_batch_slots_equal_reference_compiles():
+    # one batch over the edit-sequence variants: every slot must match a
+    # from-scratch reference compile, though the requests share a session
+    knobs = dict.fromkeys(KNOBS, 1)
+    variants = []
+    for step, knob in enumerate(KNOBS):
+        knobs[knob] = step + 3
+        variants.append(render(knobs))
+    for cname in ("C", "E"):
+        options = PAPER_CONFIGS[cname]
+        session = Compiler(options)
+        batch = session.engine.compile_batch(
+            [("main", src) for src in variants]
+        )
+        for src, slot in zip(variants, batch):
+            cold = _reference_compile_program(("main", src), options)
+            assert_exe_identical(slot.executable, cold.executable)
 
 
 def test_option_flips_stay_identical():

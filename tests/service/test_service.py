@@ -112,6 +112,22 @@ def test_error_isolated_to_its_request():
     assert svc.stats.failed == 1
 
 
+@pytest.mark.parametrize("resilient", [False, True])
+def test_failed_batch_mate_keeps_the_good_record(resilient):
+    async def scenario():
+        svc = CompileService(O2, resilient=resilient, batch_window=0.02)
+        good = svc.compile(SRC.format(n=5))
+        bad = svc.compile("func main() { print nope; return 0; }")
+        results = await asyncio.gather(good, bad, return_exceptions=True)
+        return svc, results
+
+    svc, (good, bad) = go(scenario())
+    assert svc.stats.batches == 1
+    assert isinstance(bad, Exception)
+    assert good.record is not None
+    assert good.record.functions == len(good.program.ir.functions) == 3
+
+
 def test_store_counters_surface_in_results(tmp_path):
     async def scenario():
         svc = CompileService(O3_SW, store_path=tmp_path)

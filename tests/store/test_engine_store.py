@@ -195,6 +195,23 @@ def test_batch_isolates_per_request_failures(tmp_path):
     assert not isinstance(results[2], Exception)
 
 
+def test_failed_compile_closes_its_record(tmp_path):
+    other = "func twice(a) { return a * 2; }\n" \
+        "func main() { print twice(4); return 0; }"
+    engine = Engine(O3_SW, store_path=tmp_path / "shared")
+    plan = faults.FaultPlan([faults.FaultSpec(faults.SITE_CODEGEN)])
+    with faults.active(plan), pytest.raises(faults.InjectedFault):
+        engine.compile(SRC)
+    engine.compile(other)
+    failed, clean = engine.stats.records
+    assert failed.total_seconds > 0
+    solo = Engine(O3_SW, store_path=tmp_path / "solo")
+    solo.compile(other)
+    expected = solo.stats.records[-1].stages["store"]
+    assert (clean.stages["store"].hits, clean.stages["store"].misses) == \
+        (expected.hits, expected.misses)
+
+
 def test_store_disabled_engine_untouched(tmp_path):
     engine = Engine(O2)
     assert engine.store is None
