@@ -6,13 +6,12 @@ See :mod:`repro.engine.core` for the cache model,
 session.
 """
 
-from repro.engine.core import BatchCancelled, Engine
+from repro.engine.core import Engine
 from repro.engine.resilience import CompileReport, DegradationRecord
 from repro.engine.session import Compiler
 from repro.engine.stats import CompileRecord, EngineStats, StageStats
 
 __all__ = [
-    "BatchCancelled",
     "Compiler",
     "CompileRecord",
     "CompileReport",

@@ -25,8 +25,10 @@ Planning is one pass over the call graph's depth-first postorder, the
 order the reference ``plan_program`` uses, so every closed callee's
 summary is published before its callers are planned.
 :meth:`Engine.compile_batch` compiles several independent programs one
-after another through :meth:`Engine.compile`; identical procedures
-across the requests deduplicate through the shared caches.
+after another through :meth:`Engine.compile` (the convention tuner
+builds each candidate's program set this way); identical procedures
+across the requests deduplicate through the shared caches.  The compile
+service calls :meth:`Engine.compile` once per request.
 
 The plan and codegen caches are plain dicts: an in-memory entry changes
 only if the engine has a bug, and a checksum recomputed on every hit
@@ -162,15 +164,6 @@ def _first_rung(ladder: Sequence[str], was_closed: bool) -> int:
         if tag != "open":
             return i + 1
     return len(ladder)
-
-
-class BatchCancelled(RuntimeError):
-    """A :meth:`Engine.compile_batch` request was cooperatively cancelled
-    before its work started (every waiter abandoned it).  Placed in the
-    request's result slot; never raised out of the batch call."""
-
-    def __init__(self, message: str = "compile request cancelled"):
-        super().__init__(message)
 
 
 class _DemoteAtCodegen(Exception):
@@ -310,7 +303,6 @@ class Engine:
         self,
         requests: Sequence[Union[Source, Sequence[Source]]],
         options: Optional[CompilerOptions] = None,
-        should_cancel=None,
     ) -> List[Union[CompiledProgram, Exception]]:
         """Compile many independent programs, one :meth:`compile` each.
 
@@ -318,22 +310,12 @@ class Engine:
         the built program or the exception that request raised.
         Identical procedures across requests (near-duplicate requests,
         shared library code) deduplicate through the session caches.
-
-        ``should_cancel`` arms cooperative cancellation: a zero-argument
-        callable polled before each request.  Once it returns true, every
-        not-yet-started request gets a :class:`BatchCancelled` in its
-        result slot instead of being compiled -- the engine never
-        abandons work mid-procedure, so caches stay coherent, it just
-        stops starting new work.  :class:`~repro.service.CompileService`
-        uses this to stop burning planner time on a batch whose waiters
-        have all hit their deadlines.
+        The convention tuner builds each candidate convention's program
+        set with one call.
         """
         options = self.options if options is None else validate_options(options)
         results: List[Union[CompiledProgram, Exception]] = []
         for sources in requests:
-            if should_cancel is not None and should_cancel():
-                results.append(BatchCancelled())
-                continue
             try:
                 results.append(self.compile(sources, options))
             except Exception as exc:

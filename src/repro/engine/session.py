@@ -102,7 +102,7 @@ class Compiler:
     @property
     def engine(self):
         """The underlying :class:`~repro.engine.core.Engine` (exposed for
-        batch front ends such as :class:`repro.service.CompileService`)."""
+        front ends such as :class:`repro.service.CompileService`)."""
         return self._engine
 
     # -- sources ------------------------------------------------------------

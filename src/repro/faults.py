@@ -4,7 +4,7 @@ A :class:`FaultPlan` is an explicit, seedable list of faults to inject
 at named *sites* threaded through the toolchain (planning, coloring,
 shrink-wrapping, codegen, JIT translation, suite workers, the on-disk
 artifact store's reads, writes, lock acquisitions and scrubs, and the
-compile service's batch dispatch).  Components consult the harness with
+compile service's request dispatch).  Components consult the harness with
 
     faults.check(SITE_COLORING, fn.name)
 
@@ -90,8 +90,8 @@ SITE_STORE_WRITE = "store-write"     # store: entry write (raise = I/O error;
 #                                      write and rename -- the kill window)
 SITE_STORE_LOCK = "store-lock"       # store: advisory-lock acquisition
 SITE_STORE_SCRUB = "store-scrub"     # store: scrub per-entry re-verify
-SITE_SERVICE_DEADLINE = "service-deadline"  # service: batch dispatch on the
-#                                      executor (hang = stalled planner)
+SITE_SERVICE_DEADLINE = "service-deadline"  # service: request dispatch on
+#                                      the executor (hang = stalled planner)
 
 ALL_SITES: Tuple[str, ...] = (
     SITE_PLAN,

@@ -1,4 +1,4 @@
-"""Async compile service: a batching, deduplicating front end over
+"""Async compile service: a deduplicating front end over
 :class:`~repro.engine.core.Engine` with service-grade resilience --
 deadlines, bounded retry, per-fingerprint circuit breakers, admission
 control and graceful drain (see :mod:`repro.service.service`)."""

@@ -4,7 +4,13 @@
 (``await service.compile(sources)``) against one shared
 :class:`~repro.engine.core.Engine` -- and therefore one shared set of
 in-memory caches and, with ``store_path=...``, one shared persistent
-artifact store.  Two mechanisms keep concurrent load cheap:
+artifact store.
+
+**Serving.**  Distinct requests queue in arrival order and are served
+one at a time, each by its own :meth:`Engine.compile` call on the
+event loop's default executor; a result is delivered as soon as its own
+compile lands.  Requests that share procedures still deduplicate that
+work through the session caches.
 
 **Single-flight.**  Requests are keyed by
 :func:`~repro.engine.fingerprint.request_fingerprint` (source texts +
@@ -15,21 +21,16 @@ instead of compiling again; its :class:`ServiceResult` comes back with
 re-enters through the engine caches (which make it nearly free) --
 single-flight bounds duplicate *work in flight*, not duplicate lookups.
 
-**Batching.**  Distinct requests that arrive within ``batch_window``
-seconds are grouped (per options digest, up to ``max_batch``) and handed
-to :meth:`Engine.compile_batch` in one executor round trip; shared
-procedures deduplicate through the session caches.
-
 On top of those sits the **resilience layer** -- the service-grade
 guarantees a front end serving heavy traffic needs:
 
 **Deadlines.**  ``compile(..., deadline=s)`` (or a service-wide
 ``default_deadline``) bounds how long a waiter blocks: expiry raises a
-typed :class:`DeadlineExceeded`.  Cancellation is *cooperative*: a
-request whose waiters have all expired is dropped before dispatch, and
-a batch already running stops starting new per-request work
-(:class:`~repro.engine.core.BatchCancelled` via ``should_cancel``) --
-the engine never abandons work mid-procedure, so caches stay coherent.
+typed :class:`DeadlineExceeded`.  Cancellation is *cooperative* and
+per request: a request whose waiters have all expired is dropped before
+its next dispatch attempt, however long the requests ahead of it took
+-- the engine never abandons work mid-procedure, so caches stay
+coherent.
 
 **Bounded retry.**  Transient failures (anything that is not a
 deterministic :class:`~repro.frontend.errors.CompileError`) are retried
@@ -51,20 +52,19 @@ high-water mark, new requests are shed with a typed
 :class:`ServiceOverloaded` instead of growing the queue without bound.
 
 **Graceful drain.**  ``join(drain=True)`` (or :meth:`drain`) stops
-admitting (:class:`ServiceClosed`), flushes the in-flight groups, and
+admitting (:class:`ServiceClosed`), flushes the queued requests, and
 -- given a ``deadline`` -- fails the stragglers with
 :class:`DeadlineExceeded` rather than stalling shutdown forever.
 
 Fault-injection site (:mod:`repro.faults`): ``service-deadline``
-consults on the executor thread right before batch dispatch (a ``hang``
-models a stalled planner, a ``raise`` exercises the retry path).
+consults on the executor thread right before each request dispatch (a
+``hang`` models a stalled planner, a ``raise`` exercises the retry path).
 
-The engine itself runs on the event loop's default executor, one batch
-at a time -- the engine is a session object, not a thread-safe one; the
-service is the serialisation point.  Results carry the per-request
-:class:`~repro.engine.stats.CompileRecord` (stage seconds, cache and
-store hit/miss counts), plus a snapshot of the store's cumulative
-counters (hits/misses/evictions/corruptions).
+The engine runs one request at a time -- it is a session object, not a
+thread-safe one; the service is the serialisation point.  Results carry
+the per-request :class:`~repro.engine.stats.CompileRecord` (stage
+seconds, cache and store hit/miss counts), plus a snapshot of the
+store's cumulative counters (hits/misses/evictions/corruptions).
 """
 
 from __future__ import annotations
@@ -72,12 +72,12 @@ from __future__ import annotations
 import asyncio
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import faults
-from repro.engine.core import BatchCancelled, Engine, normalize_sources
-from repro.engine.fingerprint import options_fingerprint, request_fingerprint
+from repro.engine.core import Engine, normalize_sources
+from repro.engine.fingerprint import request_fingerprint
 from repro.engine.stats import CompileRecord
 from repro.frontend.errors import CompileError
 from repro.pipeline.driver import CompiledProgram, Source
@@ -134,9 +134,7 @@ class RetryPolicy:
             raise ValueError("backoff_multiplier must be >= 1")
 
     def retryable(self, exc: BaseException) -> bool:
-        return not isinstance(
-            exc, (CompileError, BatchCancelled, ServiceError)
-        )
+        return not isinstance(exc, (CompileError, ServiceError))
 
     def backoff(self, attempt: int, key: str = "") -> float:
         """Delay before re-attempt ``attempt`` (0-based) of ``key``."""
@@ -178,7 +176,6 @@ class ServiceStats:
 
     requests: int = 0
     deduped: int = 0         # requests served by an in-flight duplicate
-    batches: int = 0         # Engine.compile_batch round trips
     compiled: int = 0        # requests that produced a program
     failed: int = 0          # requests that raised
     shed: int = 0            # requests rejected by admission control
@@ -192,7 +189,6 @@ class ServiceStats:
         return {
             "requests": self.requests,
             "deduped": self.deduped,
-            "batches": self.batches,
             "compiled": self.compiled,
             "failed": self.failed,
             "shed": self.shed,
@@ -226,7 +222,6 @@ class _Pending:
     fingerprint: str
     sources: List[Tuple[str, str]]
     options: CompilerOptions
-    options_fp: str
     future: "asyncio.Future[ServiceResult]"
     #: monotonic instant after which every waiter has given up
     #: (``None`` = at least one waiter has no deadline: never cancel)
@@ -242,7 +237,10 @@ def _retrieve_exception(future: "asyncio.Future") -> None:
 
 
 class CompileService:
-    """Async, batching, deduplicating compile server over one engine.
+    """Async, deduplicating compile server over one engine.
+
+    Distinct requests are served one engine call each, in arrival order;
+    concurrent identical requests share one flight.
 
     Usage::
 
@@ -268,8 +266,6 @@ class CompileService:
         store_path=None,
         max_workers: Optional[int] = None,
         resilient: bool = False,
-        batch_window: float = 0.005,
-        max_batch: int = 16,
         default_deadline: Optional[float] = None,
         retry: Optional[RetryPolicy] = RetryPolicy(),
         breaker: Optional[BreakerPolicy] = BreakerPolicy(),
@@ -281,16 +277,10 @@ class CompileService:
             resilient=resilient,
             store_path=store_path,
         )
-        if batch_window < 0:
-            raise ValueError("batch_window must be >= 0")
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
         if max_queue < 1:
             raise ValueError("max_queue must be >= 1")
         if default_deadline is not None and default_deadline < 0:
             raise ValueError("default_deadline must be >= 0 or None")
-        self.batch_window = batch_window
-        self.max_batch = max_batch
         self.default_deadline = default_deadline
         self.retry = retry
         self.breaker = breaker
@@ -336,7 +326,7 @@ class CompileService:
         deadline: Optional[float] = None,
     ) -> ServiceResult:
         """Compile one request; concurrent identical requests share one
-        flight, concurrent distinct requests share one batch.
+        flight, distinct requests queue for the engine in arrival order.
 
         ``deadline`` (seconds, relative; defaults to the service's
         ``default_deadline``) bounds the wait with
@@ -383,7 +373,7 @@ class CompileService:
         )
         future.add_done_callback(_retrieve_exception)
         pend = _Pending(
-            fp, named, opts, options_fingerprint(opts), future,
+            fp, named, opts, future,
             expiry=None if deadline is None else self._clock() + deadline,
         )
         self._inflight[fp] = pend
@@ -399,7 +389,7 @@ class CompileService:
         deadline: Optional[float] = None,
         **run_kwargs,
     ):
-        """Compile (with dedup/batching) and execute on the simulator."""
+        """Compile (with dedup) and execute on the simulator."""
         result = await self.compile(sources, options, deadline)
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(
@@ -414,7 +404,7 @@ class CompileService:
         """Wait until every accepted request has resolved.
 
         ``drain=True`` first stops admitting (subsequent ``compile``
-        calls raise :class:`ServiceClosed`); in-flight groups still
+        calls raise :class:`ServiceClosed`); queued requests still
         flush.  With a ``deadline``, waiters still unresolved when it
         passes are failed with :class:`DeadlineExceeded` instead of
         stalling shutdown forever (their executor work finishes in the
@@ -553,154 +543,74 @@ class CompileService:
             record=program.record, store=self.store_counters(),
         )
 
-    # -- the batch path -----------------------------------------------------
+    # -- serving --------------------------------------------------------------
 
     async def _drain(self) -> None:
-        """Collect requests for one batch window, group them by options,
-        and run each group through the engine; repeats while new requests
-        keep arriving."""
+        """Serve pending requests one at a time, in arrival order, until
+        the queue is empty."""
         try:
             while self._pending:
-                await asyncio.sleep(self.batch_window)
-                pending, self._pending = self._pending, []
-                groups: Dict[str, List[_Pending]] = {}
-                for p in pending:
-                    groups.setdefault(p.options_fp, []).append(p)
-                for group in groups.values():
-                    for start in range(0, len(group), self.max_batch):
-                        await self._run_group(
-                            group[start:start + self.max_batch]
-                        )
+                await self._serve(self._pending.pop(0))
         finally:
             self._drain_task = None
 
-    async def _run_group(self, group: List[_Pending]) -> None:
-        self.stats.batches += 1
+    async def _serve(self, p: _Pending) -> None:
+        """Compile one request under the retry policy and resolve its
+        waiters."""
+        loop = asyncio.get_running_loop()
+        policy = self.retry
+
+        def dispatch() -> CompiledProgram:
+            faults.check(faults.SITE_SERVICE_DEADLINE, None)
+            return self.engine.compile(p.sources, p.options)
+
         failure: Optional[BaseException] = None
         try:
-            # cooperative cancellation: drop requests whose waiters have
-            # all expired before spending any engine time on them
-            live: List[_Pending] = []
-            now = self._clock()
-            for p in group:
-                if p.expiry is not None and now >= p.expiry:
-                    self._inflight.pop(p.fingerprint, None)
+            attempt = 0
+            while True:
+                # cooperative cancellation: spend no engine time on a
+                # request whose waiters have all given up
+                if p.expiry is not None and self._clock() >= p.expiry:
                     self.stats.cancelled += 1
                     if not p.future.done():
                         p.future.set_exception(DeadlineExceeded(
                             f"request {p.fingerprint[:12]} cancelled "
                             "before dispatch (every waiter expired)"
                         ))
-                else:
-                    live.append(p)
-            if not live:
-                return
-
-            results = await self._batch_with_retry(live)
-            store = self.store_counters()
-            for p, res in zip(live, results):
-                self._inflight.pop(p.fingerprint, None)
-                if isinstance(res, BatchCancelled):
-                    self.stats.cancelled += 1
-                    if not p.future.done():
-                        p.future.set_exception(DeadlineExceeded(
-                            f"request {p.fingerprint[:12]} cancelled "
-                            "mid-batch (every waiter expired)"
-                        ))
-                elif isinstance(res, Exception):
-                    self.stats.failed += 1
-                    self._breaker_failure(p.fingerprint)
-                    if not p.future.done():
-                        p.future.set_exception(res)
-                else:
-                    self.stats.compiled += 1
-                    self._breaker_success(p.fingerprint)
-                    if not p.future.done():
-                        p.future.set_result(ServiceResult(
-                            program=res,
-                            fingerprint=p.fingerprint,
-                            record=res.record,
-                            store=store,
-                        ))
+                    return
+                try:
+                    program = await loop.run_in_executor(None, dispatch)
+                    break
+                except Exception as exc:
+                    attempt += 1
+                    if policy is None or attempt >= policy.max_attempts \
+                            or not policy.retryable(exc):
+                        raise
+                    self.stats.retries += 1
+                    await asyncio.sleep(
+                        policy.backoff(attempt - 1, p.fingerprint)
+                    )
+            result = ServiceResult(
+                program=program,
+                fingerprint=p.fingerprint,
+                record=program.record,
+                store=self.store_counters(),
+            )
+            self.stats.compiled += 1
+            self._breaker_success(p.fingerprint)
+            if not p.future.done():
+                p.future.set_result(result)
         except BaseException as exc:
             failure = exc
             if not isinstance(exc, Exception):
                 raise  # cancellation etc. -- but resolve waiters first
         finally:
-            # single-flight leak fix: however the group failed, every
-            # waiter is resolved and the inflight table cleared --
+            # single-flight leak fix: however serving failed, the
+            # waiters are resolved and the inflight entry cleared --
             # otherwise deduplicated waiters deadlock forever
-            for p in group:
-                self._inflight.pop(p.fingerprint, None)
+            self._inflight.pop(p.fingerprint, None)
+            if failure is not None:
+                self.stats.failed += 1
+                self._breaker_failure(p.fingerprint)
                 if not p.future.done():
-                    self.stats.failed += 1
-                    self._breaker_failure(p.fingerprint)
-                    p.future.set_exception(
-                        failure if failure is not None else ServiceError(
-                            f"request {p.fingerprint[:12]} was dropped "
-                            "by its batch without a result"
-                        )
-                    )
-
-    async def _batch_with_retry(
-        self, group: List[_Pending]
-    ) -> List[Union[CompiledProgram, Exception]]:
-        """Dispatch one group to the engine with the retry policy:
-        whole-batch retry when the dispatch itself raises, then bounded
-        per-request retries for transient per-request failures."""
-        loop = asyncio.get_running_loop()
-        engine = self.engine
-        sources = [p.sources for p in group]
-        opts = group[0].options
-        clock = self._clock
-
-        def all_expired() -> bool:
-            now = clock()
-            return all(
-                p.expiry is not None and now >= p.expiry for p in group
-            )
-
-        def dispatch():
-            faults.check(faults.SITE_SERVICE_DEADLINE, None)
-            return engine.compile_batch(
-                sources, opts, should_cancel=all_expired
-            )
-
-        policy = self.retry
-        attempts = policy.max_attempts if policy is not None else 1
-        attempt = 0
-        while True:
-            try:
-                results = list(await loop.run_in_executor(None, dispatch))
-                break
-            except Exception as exc:
-                attempt += 1
-                if policy is None or attempt >= attempts \
-                        or not policy.retryable(exc):
-                    raise
-                self.stats.retries += 1
-                await asyncio.sleep(
-                    policy.backoff(attempt - 1, group[0].fingerprint)
-                )
-
-        if policy is None:
-            return results
-        for i, p in enumerate(group):
-            tries_used = attempt + 1
-            while isinstance(results[i], Exception) \
-                    and policy.retryable(results[i]) \
-                    and tries_used < attempts:
-                if p.expiry is not None and clock() >= p.expiry:
-                    break  # nobody is waiting: stop burning attempts
-                self.stats.retries += 1
-                await asyncio.sleep(
-                    policy.backoff(tries_used - 1, p.fingerprint)
-                )
-                tries_used += 1
-                try:
-                    results[i] = await loop.run_in_executor(
-                        None, engine.compile, p.sources, opts
-                    )
-                except Exception as exc:
-                    results[i] = exc
-        return results
+                    p.future.set_exception(failure)

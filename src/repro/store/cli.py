@@ -3,7 +3,7 @@
 Subcommands (all take the store directory as their first argument)::
 
     repro store stats  PATH            # entry/byte/shard counts
-    repro store verify PATH [--keep]   # re-checksum; drop corrupt entries
+    repro store verify PATH [--keep]   # re-checksum; quarantine corruption
     repro store gc     PATH --max-bytes N   # LRU-by-mtime eviction
     repro store scrub  PATH [--max-entries N] [--orphan-age S] [--restart]
                                        # quarantine corruption, reap temps
@@ -47,7 +47,7 @@ def store_main(argv: Optional[List[str]] = None) -> int:
     p_stats.add_argument("--json", action="store_true", dest="as_json")
 
     p_verify = sub.add_parser(
-        "verify", help="re-checksum every entry, dropping corrupt ones"
+        "verify", help="re-checksum every entry, quarantining corrupt ones"
     )
     p_verify.add_argument("path", help="store directory")
     p_verify.add_argument(

@@ -22,7 +22,7 @@ the old complete entry or the new complete entry, never a torn write,
 which is the whole concurrency model for readers and writers (no locks;
 last writer of identical content wins).  Reads recompute the checksum
 and treat any mismatch or unpickling failure as corruption: the entry
-is unlinked, counted, and the caller sees a miss and recomputes
+is quarantined, counted, and the caller sees a miss and recomputes
 (detect, invalidate, recompute).  Only the store checksums its
 entries: bytes on disk can rot or tear, objects in the engine's
 in-memory caches cannot.
@@ -32,11 +32,12 @@ under a best-effort advisory lock; a stale lock older than
 ``stale_lock_seconds`` is broken, and a lock that cannot be acquired
 within ``lock_timeout`` raises :class:`StoreLockTimeout`.
 
-**Self-healing.**  A corrupt entry is never silently destroyed: both the
-read path and :meth:`ArtifactStore.scrub` move it into a ``quarantine/``
-area next to the shards, preserving the evidence while vacating the
-content address -- the next lookup is a clean miss, the engine
-recomputes, and the re-``put`` repairs the store (recompute-on-next-miss).
+**Self-healing.**  A corrupt entry is never silently destroyed: the read
+path, :meth:`ArtifactStore.verify` and :meth:`ArtifactStore.scrub` move
+it into a ``quarantine/`` area next to the shards, preserving the
+evidence while vacating the content address -- the next lookup is a
+clean miss, the engine recomputes, and the re-``put`` repairs the store
+(recompute-on-next-miss).
 ``scrub`` additionally re-verifies checksums *incrementally* (a persisted
 shard cursor lets bounded passes cover the whole store across calls) and
 reaps orphaned ``*.tmp`` files left in the shards by writers that were
@@ -453,10 +454,11 @@ class ArtifactStore:
                 pass
 
     def verify(self, remove: bool = True) -> Dict:
-        """Re-checksum every entry; optionally unlink corrupt ones."""
+        """Re-checksum every entry; with ``remove``, move corrupt ones to
+        ``quarantine/`` (see :meth:`_quarantine`)."""
         lock = self._acquire_lock()
         try:
-            checked = 0
+            checked = removed = 0
             corrupt: List[str] = []
             for blob in self._entries():
                 try:
@@ -466,18 +468,15 @@ class ArtifactStore:
                 checked += 1
                 if self._decode(data) is _BAD:
                     corrupt.append(blob.name)
-                    if remove:
-                        try:
-                            blob.unlink()
-                        except OSError:
-                            pass
+                    if remove and self._quarantine(blob):
+                        removed += 1
             if corrupt:
                 with self._lock:
                     self.stats.corruptions += len(corrupt)
             return {
                 "checked": checked,
                 "corrupt": len(corrupt),
-                "removed": len(corrupt) if remove else 0,
+                "removed": removed,
                 "corrupt_entries": corrupt,
             }
         finally:

@@ -304,7 +304,8 @@ def run_service_chaos(seed: int, config: str,
     1. **fault-free identity** -- with no faults installed, every
        response must be bit-identical to a reference compile with the
        breaker closed, nothing shed, nothing degraded (the resilience
-       layer is free on the healthy path);
+       layer is free on the healthy path), and each distinct request
+       must cost exactly one engine compile;
     2. **transient dispatch faults** -- ``service-deadline`` raises on
        the first dispatch attempts; bounded retry must absorb them and
        still return bit-identical programs;
@@ -373,9 +374,16 @@ def run_service_chaos(seed: int, config: str,
                 f"service fault-free: resilience machinery engaged on a "
                 f"healthy path ({s.to_dict()})"
             )
+        if svc.engine.stats.compiles != s.compiled:
+            violations.append(
+                f"service fault-free: {svc.engine.stats.compiles} engine "
+                f"compiles for {s.compiled} distinct requests (each must "
+                "compile exactly once)"
+            )
         if verbose:
             print(f"svc-clean    compiled={s.compiled} "
-                  f"batches={s.batches} ok={not violations}")
+                  f"engine_compiles={svc.engine.stats.compiles} "
+                  f"ok={not violations}")
     except Exception as exc:
         violations.append(
             f"service fault-free phase: unhandled exception {exc!r}"

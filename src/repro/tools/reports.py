@@ -265,7 +265,7 @@ def service_report(service) -> str:
     s = service.stats
     lines = [
         f"service: {s.requests} requests "
-        f"({s.deduped} deduped, {s.batches} batches)",
+        f"({s.deduped} deduped)",
         f"  outcomes: {s.compiled} compiled, {s.failed} failed, "
         f"{s.degraded} degraded, {s.shed} shed",
         f"  deadlines: {s.deadline_expired} expired, "

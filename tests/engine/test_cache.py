@@ -3,9 +3,7 @@
 import json
 
 from repro import Compiler, O2, O3_SW
-from repro.engine.core import BatchCancelled, Engine
 from repro.engine.frontend import split_chunks
-from repro.pipeline.driver import CompiledProgram
 
 #: diamond call graph -- main -> {left, right}, left -> leaf, right -> leaf2
 PROGRAM = """
@@ -104,18 +102,6 @@ def test_stats_json_round_trip(tmp_path):
     out = tmp_path / "stats.json"
     session.stats.write_json(out)
     assert json.loads(out.read_text()) == payload
-
-
-def test_cancelled_batch_slots_add_no_record():
-    engine = Engine(O2)
-    sources = [PROGRAM.format(leaf_body=k) for k in ("1", "2", "3")]
-    # turns true once the first request has compiled
-    results = engine.compile_batch(
-        sources, should_cancel=lambda: engine.stats.compiles >= 1
-    )
-    assert [type(r) for r in results] == \
-        [CompiledProgram, BatchCancelled, BatchCancelled]
-    assert engine.stats.records == [results[0].record]
 
 
 def test_split_chunks_shapes():

@@ -6,7 +6,6 @@ import asyncio
 import pytest
 
 from repro import faults
-from repro.engine.core import BatchCancelled
 from repro.frontend.errors import OptionsError
 from repro.pipeline.options import O2
 from repro.service import (
@@ -54,7 +53,6 @@ def test_retry_policy_classifies_transience():
     p = RetryPolicy()
     assert p.retryable(RuntimeError("pool died"))
     assert not p.retryable(OptionsError("no main"))       # deterministic
-    assert not p.retryable(BatchCancelled())              # nobody waits
     assert not p.retryable(ServiceError("typed rejection"))
 
 
@@ -111,7 +109,7 @@ def test_dedup_waiter_without_deadline_keeps_request_alive():
     ])
 
     async def scenario():
-        svc = CompileService(O2, retry=None, batch_window=0.02)
+        svc = CompileService(O2, retry=None)
         src = SRC.format(n=2)
         with faults.active(plan):
             impatient = asyncio.ensure_future(
@@ -129,6 +127,33 @@ def test_dedup_waiter_without_deadline_keeps_request_alive():
     assert patient.program.run().output == [10]
     assert patient.deduped
     assert svc.stats.compiled == 1
+
+
+def test_request_behind_a_hung_one_is_cancelled_on_its_own_deadline():
+    # A has no deadline and hangs in dispatch; B, queued behind it,
+    # expires meanwhile and must never reach the engine
+    plan = faults.FaultPlan(specs=[
+        faults.FaultSpec(site=faults.SITE_SERVICE_DEADLINE, kind="hang",
+                         hang_seconds=0.3, count=1),
+    ])
+
+    async def scenario():
+        svc = CompileService(O2, retry=None)
+        with faults.active(plan):
+            results = await asyncio.gather(
+                svc.compile(SRC.format(n=1)),
+                svc.compile(SRC.format(n=2), deadline=0.05),
+                return_exceptions=True,
+            )
+            await svc.join()
+        return svc, results
+
+    svc, (a, b) = go(scenario())
+    assert a.program.run().output == [8]
+    assert isinstance(b, DeadlineExceeded)
+    assert svc.stats.cancelled == 1
+    assert svc.engine.stats.compiles == 1
+    assert not svc._inflight
 
 
 def test_default_deadline_applies():
@@ -300,7 +325,7 @@ def test_degraded_results_match_the_primary_path():
 
 def test_queue_high_water_mark_sheds_typed():
     async def scenario():
-        svc = CompileService(O2, max_queue=1, batch_window=0.05)
+        svc = CompileService(O2, max_queue=1)
         results = await asyncio.gather(
             *(svc.compile(SRC.format(n=n)) for n in range(3)),
             return_exceptions=True,
@@ -320,7 +345,7 @@ def test_queue_high_water_mark_sheds_typed():
 
 def test_drain_stops_admission_but_flushes_inflight():
     async def scenario():
-        svc = CompileService(O2, batch_window=0.02)
+        svc = CompileService(O2)
         inflight = asyncio.ensure_future(svc.compile(SRC.format(n=1)))
         await asyncio.sleep(0)            # let it enqueue
         await svc.drain()
@@ -341,12 +366,12 @@ def test_drain_deadline_fails_stragglers_instead_of_hanging():
     ])
 
     async def scenario():
-        svc = CompileService(O2, retry=None, batch_window=0.005)
+        svc = CompileService(O2, retry=None)
         with faults.active(plan):
             straggler = asyncio.ensure_future(
                 svc.compile(SRC.format(n=1))
             )
-            await asyncio.sleep(0.05)     # group dispatched, now hung
+            await asyncio.sleep(0.05)     # request dispatched, now hung
             await svc.join(drain=True, deadline=0.05)
             result = await asyncio.gather(
                 straggler, return_exceptions=True
@@ -368,7 +393,7 @@ def test_group_failure_resolves_every_waiter(monkeypatch):
     an abandoned in-flight future."""
 
     async def scenario():
-        svc = CompileService(O2, retry=None, batch_window=0.02)
+        svc = CompileService(O2, retry=None)
 
         def boom():
             raise RuntimeError("snapshot exploded")

@@ -1,7 +1,8 @@
-"""CompileService: single-flight dedup, batching, per-request stats."""
+"""CompileService: single-flight dedup, per-request serving and stats."""
 
 import asyncio
 import sys
+import time
 
 import pytest
 
@@ -45,9 +46,9 @@ def test_single_flight_dedup(tmp_path):
     assert len({id(r.program) for r in results}) == 1
 
 
-def test_batching_merges_distinct_requests():
+def test_distinct_concurrent_requests_each_compile_once():
     async def scenario():
-        svc = CompileService(O2, batch_window=0.02)
+        svc = CompileService(O2)
         sources = [SRC.format(n=n) for n in range(4)]
         results = await asyncio.gather(
             *(svc.compile(s) for s in sources)
@@ -57,12 +58,45 @@ def test_batching_merges_distinct_requests():
     svc, results = go(scenario())
     assert [r.program.run().output for r in results] == \
         [[10], [12], [14], [16]]
-    assert svc.stats.batches == 1       # one window caught all four
+    assert svc.engine.stats.compiles == 4   # one engine call each
     assert svc.stats.compiled == 4
     assert svc.stats.deduped == 0
     # per-request records with real stage data
     assert all(r.record is not None for r in results)
     assert all(r.record.functions == 3 for r in results)
+
+
+def test_result_does_not_wait_for_a_later_request(monkeypatch):
+    src_a, src_b = SRC.format(n=1), SRC.format(n=2)
+
+    async def scenario():
+        svc = CompileService(O2)
+        compile = svc.engine.compile
+        b_done = []
+
+        def stalling(sources, options=None):
+            if sources == [("main", src_b)]:
+                time.sleep(0.3)
+                program = compile(sources, options)
+                b_done.append(time.monotonic())
+                return program
+            return compile(sources, options)
+
+        monkeypatch.setattr(svc.engine, "compile", stalling)
+        a = asyncio.ensure_future(svc.compile(src_a))
+        b = asyncio.ensure_future(svc.compile(src_b))
+        await asyncio.wait(
+            [a, b], timeout=10.0, return_when=asyncio.FIRST_COMPLETED
+        )
+        assert a.done() and not b.done()
+        a_done = time.monotonic()
+        await b
+        return a.result(), b.result(), a_done, b_done[0]
+
+    a, b, a_done, b_done = go(scenario())
+    assert a.program.run().output == [12]
+    assert b.program.run().output == [14]
+    assert a_done < b_done
 
 
 def test_batched_output_matches_individual():
@@ -115,14 +149,14 @@ def test_error_isolated_to_its_request():
 @pytest.mark.parametrize("resilient", [False, True])
 def test_failed_batch_mate_keeps_the_good_record(resilient):
     async def scenario():
-        svc = CompileService(O2, resilient=resilient, batch_window=0.02)
+        svc = CompileService(O2, resilient=resilient)
         good = svc.compile(SRC.format(n=5))
         bad = svc.compile("func main() { print nope; return 0; }")
         results = await asyncio.gather(good, bad, return_exceptions=True)
         return svc, results
 
     svc, (good, bad) = go(scenario())
-    assert svc.stats.batches == 1
+    assert svc.engine.stats.compiles == 2
     assert isinstance(bad, Exception)
     assert good.record is not None
     assert good.record.functions == len(good.program.ir.functions) == 3
@@ -160,7 +194,7 @@ def test_service_run_and_join():
 
 def test_sequential_requests_restart_the_drain_loop():
     async def scenario():
-        svc = CompileService(O2, batch_window=0.001)
+        svc = CompileService(O2)
         a = await svc.compile(SRC.format(n=1))
         await asyncio.sleep(0.02)        # drain loop exits when idle
         b = await svc.compile(SRC.format(n=2))
@@ -169,7 +203,7 @@ def test_sequential_requests_restart_the_drain_loop():
     svc, a, b = go(scenario())
     assert a.program.run().output == [12]
     assert b.program.run().output == [14]
-    assert svc.stats.batches == 2
+    assert svc.engine.stats.compiles == 2
 
 
 STAGED = """

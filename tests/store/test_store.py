@@ -161,6 +161,9 @@ def test_verify_removes_corrupt_entries(store):
     report = store.verify(remove=True)
     assert report["removed"] == 1
     assert not bad.exists()
+    # the evidence is quarantined, not destroyed
+    assert store.quarantined_entries() == [bad.name]
+    assert store.stats.quarantined == 1
     assert store.get(NS_PLAN, ("v", 1)) == "good"
 
 
