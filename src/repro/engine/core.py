@@ -73,7 +73,7 @@ from repro.engine.invalidation import (
     effective_summaries,
     plan_key,
 )
-from repro.engine.resilience import CompileReport
+from repro.engine.resilience import LADDER, CompileReport
 from repro.engine.stats import CompileRecord, EngineStats
 from repro.frontend.errors import OptionsError
 from repro.interproc.allocator import (
@@ -120,15 +120,11 @@ def normalize_sources(
 
 
 # -- the open-demotion ladder ------------------------------------------------
-#
-# The ladder's rung order is convention data (``Convention.ladder``), so
-# an autotuner candidate may reorder it; rung ``k`` (1-based) applies the
-# strategy named by ``ladder[k - 1]``.
 
 def _demoted_options(popts: PlanOptions, level: int) -> PlanOptions:
-    """Plan options for demotion rung ``level`` of the convention's
-    ladder (see resilience module for the tag semantics)."""
-    tag = popts.convention.ladder[level - 1]
+    """Plan options for demotion rung ``level`` of :data:`LADDER` (see
+    the resilience module for the tag semantics)."""
+    tag = LADDER[level - 1]
     if tag == "open":
         return popts
     if tag == "open-noshrinkwrap":
@@ -154,16 +150,11 @@ def _plan_demoted(fn, popts, eff, arities, level: int) -> FnPlan:
     )
 
 
-def _first_rung(ladder: Sequence[str], was_closed: bool) -> int:
+def _first_rung(was_closed: bool) -> int:
     """A plain ``open`` rung (replan as open, same options) only helps
-    procedures that were closed; anything already open (or intra) skips
-    past the leading ``open`` rungs."""
-    if was_closed:
-        return 1
-    for i, tag in enumerate(ladder):
-        if tag != "open":
-            return i + 1
-    return len(ladder)
+    procedures that were closed; anything already open (or intra)
+    starts at ``open-noshrinkwrap``."""
+    return 1 if was_closed else 2
 
 
 class _DemoteAtCodegen(Exception):
@@ -391,8 +382,7 @@ class Engine:
         """
         forced: Dict[str, int] = {}
         no_store: Set[str] = set()
-        rungs = len(popts.convention.ladder)
-        bound = (rungs + 1) * len(program.functions) + 2
+        bound = (len(LADDER) + 1) * len(program.functions) + 2
         for _ in range(bound):
             with self.stats.timer(record, "plan"):
                 plan, keys = self._plan(
@@ -559,14 +549,13 @@ class Engine:
         """Walk the demotion ladder after a planning failure; returns the
         first plan that compiles, or re-raises the original error when
         even the reference convention cannot be planned."""
-        ladder = popts.convention.ladder
         was_closed = popts.ipra and not is_open
-        for level in range(_first_rung(ladder, was_closed), len(ladder) + 1):
+        for level in range(_first_rung(was_closed), len(LADDER) + 1):
             try:
                 plan = _plan_demoted(fn, popts, eff, arities, level)
             except Exception:
                 continue
-            report.record(fn.name, "plan", exc, ladder[level - 1])
+            report.record(fn.name, "plan", exc, LADDER[level - 1])
             return plan, level
         raise exc
 
@@ -619,15 +608,12 @@ class Engine:
                 except Exception as exc:
                     if report is None:
                         raise
-                    ladder = fnplan.convention.ladder
-                    next_level = max(
-                        demoted_level + 1,
-                        _first_rung(ladder, fnplan.mode == "closed"),
-                    ) if not demoted_level else demoted_level + 1
-                    if next_level > len(ladder):
+                    next_level = demoted_level + 1 if demoted_level \
+                        else _first_rung(fnplan.mode == "closed")
+                    if next_level > len(LADDER):
                         raise
                     report.record(
-                        name, "codegen", exc, ladder[next_level - 1]
+                        name, "codegen", exc, LADDER[next_level - 1]
                     )
                     raise _DemoteAtCodegen(name, next_level) from exc
                 preserved = _preserved_mask(fnplan)

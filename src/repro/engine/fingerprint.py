@@ -15,7 +15,7 @@ cold compile would have produced:
 * :class:`~repro.interproc.allocator.PlanOptions` reduce to the fields
   that can change an allocation, led by the convention's full functional
   key (*ordered* allocatable contents, save-class masks, argument-register
-  count, demotion ladder) so two conventions never collide in any cache.
+  count) so two conventions never collide in any cache.
 
 Fingerprints of IR functions are memoised on the function object itself;
 cached functions are immutable once published, so the memo is safe.

@@ -9,8 +9,8 @@ a per-procedure fault boundary catches failures in planning or codegen
 and *demotes* the procedure down an escalating ladder of ever more
 conservative strategies, every rung of which presents the default
 linkage (an open procedure, a callee-saved barrier) to callers.  The
-rungs are convention data (``Convention.ladder``, default
-:data:`~repro.target.registers.DEFAULT_LADDER`); each names a strategy:
+rungs are fixed, in escalation order (:data:`LADDER`); each names a
+strategy:
 
 =======================  ==================================================
 fallback tag             strategy
@@ -30,15 +30,22 @@ registers its closed subtree clobbers, otherwise the demotion would be
 unsound rather than conservative.  A procedure that fails every rung
 is genuinely uncompilable and the original error propagates.
 
-Demoted plans are never cached: a transient fault must not poison the
-session's plan or codegen caches, so the next fault-free compile of the
-same key recomputes the clean artifact.
+Demoted plans are never cached: a fault must not poison the session's
+plan or codegen caches, so the next fault-free compile of the same key
+recomputes the clean artifact.  This ladder is the one place a failing
+compile degrades: the compile service serves every request through a
+resilient engine, so a procedure whose planning or codegen raises is
+demoted on its first request, not retried.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import Dict, List, Set, Tuple
+
+#: the open-demotion ladder in escalation order: rung ``k`` (1-based)
+#: applies the strategy ``LADDER[k - 1]``
+LADDER: Tuple[str, ...] = ("open", "open-noshrinkwrap", "open-noregalloc")
 
 
 @dataclass

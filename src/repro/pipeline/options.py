@@ -53,8 +53,8 @@ class CompilerOptions:
     #: subtrees provably never touch them
     ipra_globals: bool = False
     #: the calling convention in force (save classes, argument registers,
-    #: allocatable pool, demotion ladder); the autotuner's search
-    #: variable.  ``None`` means :data:`DEFAULT_CONVENTION`.
+    #: allocatable pool); the autotuner's search variable.  ``None``
+    #: means :data:`DEFAULT_CONVENTION`.
     convention: Optional[Convention] = None
 
     def __post_init__(self) -> None:

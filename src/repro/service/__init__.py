@@ -1,13 +1,11 @@
-"""Async compile service: a deduplicating front end over
-:class:`~repro.engine.core.Engine` with service-grade resilience --
-deadlines, bounded retry, per-fingerprint circuit breakers, admission
-control and graceful drain (see :mod:`repro.service.service`)."""
+"""Async compile service: a deduplicating front end over a resilient
+:class:`~repro.engine.core.Engine` with service-grade guarantees --
+deadlines, degraded serving of procedures whose compile faults,
+admission control and graceful drain (see :mod:`repro.service.service`)."""
 
 from repro.service.service import (
-    BreakerPolicy,
     CompileService,
     DeadlineExceeded,
-    RetryPolicy,
     ServiceClosed,
     ServiceError,
     ServiceOverloaded,
@@ -16,10 +14,8 @@ from repro.service.service import (
 )
 
 __all__ = [
-    "BreakerPolicy",
     "CompileService",
     "DeadlineExceeded",
-    "RetryPolicy",
     "ServiceClosed",
     "ServiceError",
     "ServiceOverloaded",

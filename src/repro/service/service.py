@@ -28,24 +28,19 @@ guarantees a front end serving heavy traffic needs:
 ``default_deadline``) bounds how long a waiter blocks: expiry raises a
 typed :class:`DeadlineExceeded`.  Cancellation is *cooperative* and
 per request: a request whose waiters have all expired is dropped before
-its next dispatch attempt, however long the requests ahead of it took
--- the engine never abandons work mid-procedure, so caches stay
-coherent.
+dispatch, however long the requests ahead of it took -- the engine
+never abandons work mid-procedure, so caches stay coherent.
 
-**Bounded retry.**  Transient failures (anything that is not a
-deterministic :class:`~repro.frontend.errors.CompileError`) are retried
-up to ``RetryPolicy.max_attempts`` times with exponential backoff and
-*deterministic seeded jitter*, so two replicas of the service replaying
-the same log back off identically.
-
-**Circuit breaker.**  ``BreakerPolicy.failure_threshold`` consecutive
-failures of one fingerprint trip its breaker: while open, requests for
-that fingerprint bypass the primary engine entirely and are served
-*degraded* through a resilient fallback engine (the open-convention
-demotion ladder of :mod:`repro.engine.resilience`) -- a conservative
-but sound program beats an error page.  After ``reset_timeout`` the
-next request probes the primary path (half-open); success closes the
-breaker, failure re-opens it.
+**Degraded serving.**  The engine is resilient
+(``Engine(..., resilient=True)``): a procedure whose planning or
+codegen raises is demoted down the open-convention ladder of
+:mod:`repro.engine.resilience` on its first request, and the request
+is served a conservative but sound program -- ``ServiceResult.degraded``
+says so, and ``program.report`` names the procedure.  Nothing is
+retried: a deterministic :class:`~repro.frontend.errors.CompileError`
+or a crashing stage would fail identically every time, and demoted
+plans are never cached, so the next fault-free request compiles the
+clean program.
 
 **Admission control.**  Once the pending queue passes the ``max_queue``
 high-water mark, new requests are shed with a typed
@@ -58,7 +53,7 @@ admitting (:class:`ServiceClosed`), flushes the queued requests, and
 
 Fault-injection site (:mod:`repro.faults`): ``service-deadline``
 consults on the executor thread right before each request dispatch (a
-``hang`` models a stalled planner, a ``raise`` exercises the retry path).
+``hang`` models a stalled planner, a ``raise`` fails that request).
 
 The engine runs one request at a time -- it is a session object, not a
 thread-safe one; the service is the serialisation point.  Results carry
@@ -70,16 +65,14 @@ store's cumulative counters (hits/misses/evictions/corruptions).
 from __future__ import annotations
 
 import asyncio
-import random
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import faults
 from repro.engine.core import Engine, normalize_sources
 from repro.engine.fingerprint import request_fingerprint
 from repro.engine.stats import CompileRecord
-from repro.frontend.errors import CompileError
 from repro.pipeline.driver import CompiledProgram, Source
 from repro.pipeline.options import CompilerOptions, O2, validate_options
 
@@ -104,72 +97,6 @@ class DeadlineExceeded(ServiceError):
     *waiter* gives up."""
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry with exponential backoff and seeded jitter.
-
-    A failed request is re-attempted until ``max_attempts`` total
-    attempts are spent; attempt *k* (0-based) backs off
-    ``backoff_base * backoff_multiplier**k`` seconds, stretched by up to
-    ``jitter`` (a fraction) drawn deterministically from ``seed``, the
-    request fingerprint and the attempt number -- reproducible under
-    test and across replicas, yet decorrelated across requests.  Only
-    *transient* failures retry: a deterministic
-    :class:`~repro.frontend.errors.CompileError` (bad source, bad
-    options) would fail identically every time.
-    """
-
-    max_attempts: int = 3
-    backoff_base: float = 0.02
-    backoff_multiplier: float = 2.0
-    jitter: float = 0.5
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.backoff_base < 0 or self.jitter < 0:
-            raise ValueError("backoff_base and jitter must be >= 0")
-        if self.backoff_multiplier < 1.0:
-            raise ValueError("backoff_multiplier must be >= 1")
-
-    def retryable(self, exc: BaseException) -> bool:
-        return not isinstance(exc, (CompileError, ServiceError))
-
-    def backoff(self, attempt: int, key: str = "") -> float:
-        """Delay before re-attempt ``attempt`` (0-based) of ``key``."""
-        base = self.backoff_base * (self.backoff_multiplier ** attempt)
-        u = random.Random(f"{self.seed}:{key}:{attempt}").random()
-        return base * (1.0 + self.jitter * u)
-
-
-@dataclass(frozen=True)
-class BreakerPolicy:
-    """Per-fingerprint circuit-breaker knobs."""
-
-    #: consecutive primary-path failures that trip the breaker open
-    failure_threshold: int = 3
-    #: seconds an open breaker waits before letting a probe through
-    reset_timeout: float = 30.0
-
-    def __post_init__(self):
-        if self.failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if self.reset_timeout < 0:
-            raise ValueError("reset_timeout must be >= 0")
-
-
-class _Breaker:
-    """One fingerprint's breaker state (exists only after a failure)."""
-
-    __slots__ = ("state", "failures", "opened_at")
-
-    def __init__(self):
-        self.state = "closed"      # closed | open | half-open
-        self.failures = 0
-        self.opened_at = 0.0
-
-
 @dataclass
 class ServiceStats:
     """Cumulative counters for one :class:`CompileService`."""
@@ -179,11 +106,9 @@ class ServiceStats:
     compiled: int = 0        # requests that produced a program
     failed: int = 0          # requests that raised
     shed: int = 0            # requests rejected by admission control
-    retries: int = 0         # engine attempts re-run after transient faults
     deadline_expired: int = 0  # waiters that gave up at their deadline
     cancelled: int = 0       # requests cooperatively cancelled pre-result
-    breaker_trips: int = 0   # circuit breakers tripped open
-    degraded: int = 0        # requests served via the resilient fallback
+    degraded: int = 0        # compiled requests with a demoted procedure
 
     def to_dict(self) -> Dict[str, int]:
         return {
@@ -192,10 +117,8 @@ class ServiceStats:
             "compiled": self.compiled,
             "failed": self.failed,
             "shed": self.shed,
-            "retries": self.retries,
             "deadline_expired": self.deadline_expired,
             "cancelled": self.cancelled,
-            "breaker_trips": self.breaker_trips,
             "degraded": self.degraded,
         }
 
@@ -208,13 +131,17 @@ class ServiceResult:
     fingerprint: str
     #: True when this request awaited another request's in-flight compile
     deduped: bool = False
-    #: True when an open circuit breaker served this request through the
-    #: resilient fallback engine (conservative, sound, possibly demoted)
-    degraded: bool = False
     #: the compile's stage timings and cache counts (``program.record``)
     record: Optional[CompileRecord] = None
     #: cumulative store counters at completion (None without a store)
     store: Optional[Dict] = None
+
+    @property
+    def degraded(self) -> bool:
+        """True when a fault demoted a procedure of this program to the
+        open convention (conservative, sound); ``program.report`` names
+        it."""
+        return bool(self.program.report.degradations)
 
 
 @dataclass
@@ -237,7 +164,7 @@ def _retrieve_exception(future: "asyncio.Future") -> None:
 
 
 class CompileService:
-    """Async, deduplicating compile server over one engine.
+    """Async, deduplicating compile server over one resilient engine.
 
     Distinct requests are served one engine call each, in arrival order;
     concurrent identical requests share one flight.
@@ -251,12 +178,9 @@ class CompileService:
         await service.join(drain=True, deadline=30.0)
 
     All coroutine methods must be called from one event loop; the
-    blocking engine work runs on the loop's default executor.  ``retry``
-    / ``breaker`` default to the module policies; pass ``None`` to
-    disable either mechanism.  ``clock`` injects a monotonic time source
-    (tests use a fake one to step breaker timeouts).  ``max_workers`` is
-    accepted for compatibility and ignored: the engine plans on the
-    calling thread.
+    blocking engine work runs on the loop's default executor.
+    ``max_workers`` is accepted for compatibility and ignored: the
+    engine plans on the calling thread.
     """
 
     def __init__(
@@ -265,16 +189,12 @@ class CompileService:
         *,
         store_path=None,
         max_workers: Optional[int] = None,
-        resilient: bool = False,
         default_deadline: Optional[float] = None,
-        retry: Optional[RetryPolicy] = RetryPolicy(),
-        breaker: Optional[BreakerPolicy] = BreakerPolicy(),
         max_queue: int = 256,
-        clock: Callable[[], float] = time.monotonic,
     ):
         self.engine = Engine(
             validate_options(options),
-            resilient=resilient,
+            resilient=True,
             store_path=store_path,
         )
         if max_queue < 1:
@@ -282,18 +202,12 @@ class CompileService:
         if default_deadline is not None and default_deadline < 0:
             raise ValueError("default_deadline must be >= 0 or None")
         self.default_deadline = default_deadline
-        self.retry = retry
-        self.breaker = breaker
         self.max_queue = max_queue
         self.stats = ServiceStats()
-        self._clock = clock
         self._closed = False
         self._inflight: Dict[str, _Pending] = {}
         self._pending: List[_Pending] = []
         self._drain_task: Optional[asyncio.Task] = None
-        self._breakers: Dict[str, _Breaker] = {}
-        self._fallback: Optional[Engine] = None
-        self._fallback_lock = asyncio.Lock()
 
     @property
     def store(self):
@@ -309,13 +223,6 @@ class CompileService:
             self.engine.store.stats.to_dict()
             if self.engine.store is not None else None
         )
-
-    def breaker_states(self) -> Dict[str, str]:
-        """Current non-closed breaker states by fingerprint."""
-        return {
-            fp: b.state for fp, b in self._breakers.items()
-            if b.state != "closed"
-        }
 
     # -- the request path ---------------------------------------------------
 
@@ -348,16 +255,13 @@ class CompileService:
         if deadline is None:
             deadline = self.default_deadline
 
-        if self._breaker_is_open(fp):
-            return await self._compile_degraded(named, opts, fp, deadline)
-
         pend = self._inflight.get(fp)
         if pend is not None:
             self.stats.deduped += 1
             if deadline is None:
                 pend.expiry = None  # this waiter never gives up
             elif pend.expiry is not None:
-                pend.expiry = max(pend.expiry, self._clock() + deadline)
+                pend.expiry = max(pend.expiry, time.monotonic() + deadline)
             result = await self._await_result(pend.future, deadline, fp)
             return replace(result, deduped=True)
 
@@ -374,7 +278,7 @@ class CompileService:
         future.add_done_callback(_retrieve_exception)
         pend = _Pending(
             fp, named, opts, future,
-            expiry=None if deadline is None else self._clock() + deadline,
+            expiry=None if deadline is None else time.monotonic() + deadline,
         )
         self._inflight[fp] = pend
         self._pending.append(pend)
@@ -465,84 +369,6 @@ class CompileService:
                 f"request {fp[:12]} missed its {deadline:.3f}s deadline"
             ) from None
 
-    # -- circuit breaker ----------------------------------------------------
-
-    def _breaker_is_open(self, fp: str) -> bool:
-        policy = self.breaker
-        if policy is None:
-            return False
-        b = self._breakers.get(fp)
-        if b is None or b.state != "open":
-            return False
-        if self._clock() - b.opened_at >= policy.reset_timeout:
-            b.state = "half-open"  # this request probes the primary path
-            return False
-        return True
-
-    def _breaker_failure(self, fp: str) -> None:
-        policy = self.breaker
-        if policy is None:
-            return
-        b = self._breakers.setdefault(fp, _Breaker())
-        b.failures += 1
-        if b.state == "half-open" \
-                or b.failures >= policy.failure_threshold:
-            if b.state != "open":
-                b.state = "open"
-                self.stats.breaker_trips += 1
-            b.opened_at = self._clock()
-
-    def _breaker_success(self, fp: str) -> None:
-        if self.breaker is not None:
-            self._breakers.pop(fp, None)
-
-    # -- degraded serving ---------------------------------------------------
-
-    def _degraded_engine(self) -> Engine:
-        """The resilient fallback engine behind open breakers: its own
-        in-memory caches (a poisoned primary session must not leak in)
-        but the same persistent store handle."""
-        if self._fallback is None:
-            self._fallback = Engine(
-                self.engine.options,
-                resilient=True,
-                store_path=self.engine.store,
-            )
-        return self._fallback
-
-    async def _compile_degraded(
-        self,
-        named: List[Tuple[str, str]],
-        opts: CompilerOptions,
-        fp: str,
-        deadline: Optional[float],
-    ) -> ServiceResult:
-        self.stats.degraded += 1
-        loop = asyncio.get_running_loop()
-        engine = self._degraded_engine()
-
-        async def locked():
-            # the fallback engine is a session object too: serialise it
-            async with self._fallback_lock:
-                return await loop.run_in_executor(
-                    None, engine.compile, named, opts
-                )
-
-        task = asyncio.ensure_future(locked())
-        task.add_done_callback(_retrieve_exception)
-        try:
-            program = await self._await_result(task, deadline, fp)
-        except DeadlineExceeded:
-            raise
-        except Exception:
-            self.stats.failed += 1
-            raise
-        self.stats.compiled += 1
-        return ServiceResult(
-            program=program, fingerprint=fp, degraded=True,
-            record=program.record, store=self.store_counters(),
-        )
-
     # -- serving --------------------------------------------------------------
 
     async def _drain(self) -> None:
@@ -555,10 +381,8 @@ class CompileService:
             self._drain_task = None
 
     async def _serve(self, p: _Pending) -> None:
-        """Compile one request under the retry policy and resolve its
-        waiters."""
+        """Compile one request and resolve its waiters."""
         loop = asyncio.get_running_loop()
-        policy = self.retry
 
         def dispatch() -> CompiledProgram:
             faults.check(faults.SITE_SERVICE_DEADLINE, None)
@@ -566,30 +390,17 @@ class CompileService:
 
         failure: Optional[BaseException] = None
         try:
-            attempt = 0
-            while True:
-                # cooperative cancellation: spend no engine time on a
-                # request whose waiters have all given up
-                if p.expiry is not None and self._clock() >= p.expiry:
-                    self.stats.cancelled += 1
-                    if not p.future.done():
-                        p.future.set_exception(DeadlineExceeded(
-                            f"request {p.fingerprint[:12]} cancelled "
-                            "before dispatch (every waiter expired)"
-                        ))
-                    return
-                try:
-                    program = await loop.run_in_executor(None, dispatch)
-                    break
-                except Exception as exc:
-                    attempt += 1
-                    if policy is None or attempt >= policy.max_attempts \
-                            or not policy.retryable(exc):
-                        raise
-                    self.stats.retries += 1
-                    await asyncio.sleep(
-                        policy.backoff(attempt - 1, p.fingerprint)
-                    )
+            # cooperative cancellation: spend no engine time on a
+            # request whose waiters have all given up
+            if p.expiry is not None and time.monotonic() >= p.expiry:
+                self.stats.cancelled += 1
+                if not p.future.done():
+                    p.future.set_exception(DeadlineExceeded(
+                        f"request {p.fingerprint[:12]} cancelled "
+                        "before dispatch (every waiter expired)"
+                    ))
+                return
+            program = await loop.run_in_executor(None, dispatch)
             result = ServiceResult(
                 program=program,
                 fingerprint=p.fingerprint,
@@ -597,7 +408,8 @@ class CompileService:
                 store=self.store_counters(),
             )
             self.stats.compiled += 1
-            self._breaker_success(p.fingerprint)
+            if result.degraded:
+                self.stats.degraded += 1
             if not p.future.done():
                 p.future.set_result(result)
         except BaseException as exc:
@@ -611,6 +423,5 @@ class CompileService:
             self._inflight.pop(p.fingerprint, None)
             if failure is not None:
                 self.stats.failed += 1
-                self._breaker_failure(p.fingerprint)
                 if not p.future.done():
                     p.future.set_exception(failure)

@@ -32,8 +32,6 @@ _EXPORTS = {
     "ConventionError": "repro.target.registers",
     "DEFAULT_CLOBBER_MASK": "repro.target.registers",
     "DEFAULT_CONVENTION": "repro.target.registers",
-    "DEFAULT_LADDER": "repro.target.registers",
-    "LADDER_TAGS": "repro.target.registers",
     "NUM_PARAM_REGS": "repro.target.registers",
     "NUM_REGISTERS": "repro.target.registers",
     "PARAM_REGS": "repro.target.registers",

@@ -39,8 +39,6 @@ __all__ = [
     "CALLER_ONLY_7",
     "DEFAULT_CLOBBER_MASK",
     "DEFAULT_CONVENTION",
-    "DEFAULT_LADDER",
-    "LADDER_TAGS",
     "NUM_PARAM_REGS",
     "NUM_REGISTERS",
     "PARAM_REGS",
@@ -184,21 +182,10 @@ class ConventionError(ValueError):
     masks, argument registers outside the caller-saved set, ...)."""
 
 
-#: the open-demotion ladder of the resilient engine, in escalation
-#: order; every rung plans the procedure open, the last rung is the
-#: always-compilable reference strategy (no allocation at all)
-DEFAULT_LADDER: Tuple[str, ...] = (
-    "open", "open-noshrinkwrap", "open-noregalloc",
-)
-
-#: every rung tag a Convention ladder may carry
-LADDER_TAGS = frozenset(DEFAULT_LADDER)
-
-
 @dataclass(frozen=True)
 class Convention:
     """A first-class calling convention: the paper's fixed caller/callee
-    split, register-parameter count, and demotion ladder, as data.
+    split and register-parameter count, as data.
 
     ``caller_mask`` / ``callee_mask`` classify the *machine's* allocatable
     register classes (linkage is a whole-program agreement, independent
@@ -206,7 +193,7 @@ class Convention:
     the ordered subset the allocator may actually assign (allocation
     preference follows tuple order).  ``num_arg_regs`` says how many
     leading parameters travel in ``PARAM_REGS``; the rest go to the
-    stack.  ``ladder`` orders the resilient engine's open-demotion rungs.
+    stack.
 
     ``name`` is cosmetic (excluded from equality and fingerprints);
     everything else is functional and participates in every cache key
@@ -217,7 +204,6 @@ class Convention:
     caller_mask: int = CALLER_SAVED_MASK
     callee_mask: int = CALLEE_SAVED_MASK
     num_arg_regs: int = NUM_PARAM_REGS
-    ladder: Tuple[str, ...] = DEFAULT_LADDER
     name: str = field(default="custom", compare=False)
 
     # -- derived views ------------------------------------------------------
@@ -257,7 +243,6 @@ class Convention:
             caller_mask=self.caller_mask,
             callee_mask=self.callee_mask,
             num_arg_regs=self.num_arg_regs,
-            ladder=self.ladder,
             name=self.name,
         )
 
@@ -272,7 +257,6 @@ class Convention:
             self.caller_mask,
             self.callee_mask,
             self.num_arg_regs,
-            self.ladder,
         )
 
     def to_spec(self) -> Dict[str, object]:
@@ -284,7 +268,6 @@ class Convention:
             "caller_mask": self.caller_mask,
             "callee_mask": self.callee_mask,
             "num_arg_regs": self.num_arg_regs,
-            "ladder": list(self.ladder),
         }
 
     @staticmethod
@@ -296,7 +279,6 @@ class Convention:
             caller_mask=int(spec["caller_mask"]),
             callee_mask=int(spec["callee_mask"]),
             num_arg_regs=int(spec["num_arg_regs"]),
-            ladder=tuple(spec["ladder"]),
             name=str(spec.get("name", "custom")),
         )
 
@@ -306,8 +288,7 @@ class Convention:
         return (
             f"{self.name}: {len(self.allocatable)} allocatable "
             f"({callers} caller-saved / {callees} callee-saved), "
-            f"{self.num_arg_regs} register args, "
-            f"ladder {'>'.join(self.ladder)}"
+            f"{self.num_arg_regs} register args"
         )
 
 
@@ -353,17 +334,6 @@ def validate_convention(conv: Convention) -> Convention:
             + ", ".join(f"${r.name}" for r in bad)
             + " are callee-saved"
         )
-    if not conv.ladder or conv.ladder[-1] != "open-noregalloc":
-        raise ConventionError(
-            "demotion ladder must end with the reference rung "
-            f"'open-noregalloc', got {conv.ladder!r}"
-        )
-    if not set(conv.ladder) <= LADDER_TAGS:
-        raise ConventionError(
-            f"unknown ladder rungs {sorted(set(conv.ladder) - LADDER_TAGS)}"
-        )
-    if len(set(conv.ladder)) != len(conv.ladder):
-        raise ConventionError(f"duplicate ladder rungs in {conv.ladder!r}")
     seen = 0
     for r in conv.allocatable:
         if seen >> r.index & 1:
@@ -373,7 +343,7 @@ def validate_convention(conv: Convention) -> Convention:
 
 
 #: the paper's fixed convention: a0-a3/t0-t6 caller-saved, s0-s8
-#: callee-saved, four register parameters, the standard ladder
+#: callee-saved, four register parameters
 DEFAULT_CONVENTION = validate_convention(Convention(name="chow88"))
 
 #: paper config D re-expressed: IPRA restricted to 7 caller-saved regs
@@ -390,14 +360,13 @@ CALLEE_ONLY_7 = validate_convention(
 def split_convention(
     split: int,
     num_arg_regs: int = NUM_PARAM_REGS,
-    ladder: Tuple[str, ...] = DEFAULT_LADDER,
     name: Optional[str] = None,
 ) -> Convention:
     """Re-partition the 20 allocatable registers at ``split``: the first
     ``split`` registers of the canonical order (a0-a3, t0-t6, s0-s8)
     become caller-saved, the rest callee-saved.  This is the autotuner's
-    primary search axis; ``split=11`` with 4 argument registers and the
-    default ladder reproduces :data:`DEFAULT_CONVENTION` exactly."""
+    primary search axis; ``split=11`` with 4 argument registers
+    reproduces :data:`DEFAULT_CONVENTION` exactly."""
     if not 0 <= split <= len(ALLOCATABLE):
         raise ConventionError(
             f"split must be in 0..{len(ALLOCATABLE)}, got {split}"
@@ -412,15 +381,12 @@ def split_convention(
     callee = _mask_of(ALLOCATABLE[split:])
     if name is None:
         name = f"split-{split}-args-{num_arg_regs}"
-        if ladder != DEFAULT_LADDER:
-            name += "-alt-ladder"
     return validate_convention(
         Convention(
             allocatable=ALLOCATABLE,
             caller_mask=caller,
             callee_mask=callee,
             num_arg_regs=num_arg_regs,
-            ladder=ladder,
             name=name,
         )
     )

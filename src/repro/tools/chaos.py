@@ -42,12 +42,7 @@ from repro.engine.session import Compiler
 from repro.pipeline.driver import _reference_compile_program
 from repro.pipeline.options import PAPER_CONFIGS
 from repro.pipeline.profile import attach_profile, block_profile_of
-from repro.service import (
-    BreakerPolicy,
-    CompileService,
-    RetryPolicy,
-    ServiceOverloaded,
-)
+from repro.service import CompileService, ServiceOverloaded
 from repro.store.store import ArtifactStore, StoreLockTimeout
 
 #: the acceptance stages: one injected failure in each must be survived
@@ -299,27 +294,26 @@ def run_service_chaos(seed: int, config: str,
                       verbose: bool = True) -> List[str]:
     """Chaos sweep over the compile service's resilience layer.
 
-    Four phases, each against fresh :class:`CompileService` instances:
+    Three phases, each against fresh :class:`CompileService` instances:
 
     1. **fault-free identity** -- with no faults installed, every
-       response must be bit-identical to a reference compile with the
-       breaker closed, nothing shed, nothing degraded (the resilience
-       layer is free on the healthy path), and each distinct request
-       must cost exactly one engine compile;
-    2. **transient dispatch faults** -- ``service-deadline`` raises on
-       the first dispatch attempts; bounded retry must absorb them and
-       still return bit-identical programs;
+       response must be bit-identical to a reference compile with
+       nothing shed and nothing degraded (the resilience layer is free
+       on the healthy path), and each distinct request must cost
+       exactly one engine compile;
+    2. **procedure faults under the service** -- per program, a
+       persistent ``plan`` raise and a one-shot ``codegen`` raise
+       are pinned to one procedure; two concurrent requests must both
+       be served ``degraded``, with the report naming exactly that
+       procedure and the run output equal to the reference output.
+       Once the plan is cleared, the same request on the same service
+       must be bit-identical to the reference build (demoted plans
+       never reach the caches);
     3. **admission shedding** -- a service with ``max_queue=1`` receives
        every request at once; the requests past the high-water mark
        fail with the *typed* :class:`ServiceOverloaded` (never an
        unhandled crash), ``stats.shed`` counts exactly those, and the
-       rest compile normally;
-    4. **breaker + degraded serving** -- persistent dispatch failure
-       trips the per-fingerprint breaker; while open, requests are
-       served *degraded* through the resilient fallback engine and must
-       still be bit-identical (fault-free resilient builds are); after
-       ``reset_timeout`` a half-open probe on the now-healthy path
-       closes the breaker again.
+       rest compile normally.
 
     Every served result, degraded or not, must also carry the
     :class:`~repro.engine.stats.CompileRecord` of its compile.
@@ -335,22 +329,25 @@ def run_service_chaos(seed: int, config: str,
 
     served = 0
 
-    def check_served(phase: str, name: str, result) -> None:
+    def check_record(phase: str, name: str, result) -> None:
         nonlocal served
         served += 1
-        if _snapshot(result.program.executable) != \
-                _snapshot(refs[name].executable):
-            violations.append(
-                f"{phase}: {name} response is not bit-identical to the "
-                "reference build"
-            )
         if result.record is None or result.record.functions <= 0:
             violations.append(
                 f"{phase}: {name} response carries no compile record "
                 f"({result.record!r})"
             )
 
-    # phase 1: fault-free -- identity, breaker closed, nothing shed
+    def check_served(phase: str, name: str, result) -> None:
+        check_record(phase, name, result)
+        if _snapshot(result.program.executable) != \
+                _snapshot(refs[name].executable):
+            violations.append(
+                f"{phase}: {name} response is not bit-identical to the "
+                "reference build"
+            )
+
+    # phase 1: fault-free -- identity, nothing shed, nothing degraded
     async def fault_free():
         svc = CompileService(options)
         results = await asyncio.gather(
@@ -368,8 +365,7 @@ def run_service_chaos(seed: int, config: str,
                     f"service fault-free: {name} served degraded"
                 )
         s = svc.stats
-        if s.shed or s.degraded or s.retries or s.breaker_trips \
-                or svc.breaker_states():
+        if s.shed or s.degraded:
             violations.append(
                 f"service fault-free: resilience machinery engaged on a "
                 f"healthy path ({s.to_dict()})"
@@ -389,53 +385,66 @@ def run_service_chaos(seed: int, config: str,
             f"service fault-free phase: unhandled exception {exc!r}"
         )
 
-    # phase 2: transient dispatch faults absorbed by bounded retry
-    retry_plan = faults.FaultPlan(specs=[
-        faults.FaultSpec(site=faults.SITE_SERVICE_DEADLINE, kind="raise",
-                         count=2),
-    ])
+    # phase 2: a faulting procedure is demoted on its first request
+    async def procedure_faults(source, plan):
+        svc = CompileService(options)
+        with faults.active(plan):
+            faulted = await asyncio.gather(
+                svc.compile(source), svc.compile(source)
+            )
+        cleared = await svc.compile(source)
+        await svc.join()
+        return faulted, cleared
 
-    async def retried():
-        svc = CompileService(
-            options,
-            retry=RetryPolicy(max_attempts=3, backoff_base=0.005,
-                              seed=seed),
-        )
-        with faults.active(retry_plan):
-            results = await asyncio.gather(
-                *(svc.compile(benches[n].source) for n in selected)
+    demoted = 0
+    for i, name in enumerate(selected):
+        procs = sorted(refs[name].ir.functions)
+        proc = procs[(seed + i) % len(procs)]
+        plan = faults.FaultPlan(specs=[
+            faults.FaultSpec(site=faults.SITE_PLAN, kind="raise",
+                             match=proc, count=None),
+            faults.FaultSpec(site=faults.SITE_CODEGEN, kind="raise",
+                             match=proc, count=1),
+        ])
+        phase = f"service procedure-fault phase: {name}"
+        try:
+            faulted, cleared = asyncio.run(
+                procedure_faults(benches[name].source, plan)
             )
-            await svc.join()
-        return svc, results
-
-    try:
-        svc, results = asyncio.run(retried())
-        for name, res in zip(selected, results):
-            check_served("service retry", name, res)
-        fired = len(retry_plan.fired)
-        if not fired:
-            violations.append(
-                "service retry phase: no dispatch fault fired "
-                "(site unwired?)"
-            )
-        if svc.stats.retries < fired:
-            violations.append(
-                f"service retry phase: {fired} faults fired but only "
-                f"{svc.stats.retries} retries recorded"
-            )
-        if svc.stats.failed:
-            violations.append(
-                f"service retry phase: {svc.stats.failed} requests "
-                "failed despite retry budget"
-            )
-        if verbose:
-            print(f"svc-retry    fired={fired} "
-                  f"retries={svc.stats.retries} "
-                  f"failed={svc.stats.failed}")
-    except Exception as exc:
-        violations.append(
-            f"service retry phase: unhandled exception {exc!r}"
-        )
+            ref_out = refs[name].run().output
+            fired = sorted({site for site, _, _ in plan.fired})
+            if fired != sorted((faults.SITE_PLAN, faults.SITE_CODEGEN)):
+                violations.append(
+                    f"{phase}: faults fired at {fired}, expected plan "
+                    "and codegen (site unwired?)"
+                )
+            for res in faulted:
+                check_record("service procedure-fault", name, res)
+                named = res.program.report.degraded_procedures()
+                if not res.degraded or named != {proc}:
+                    violations.append(
+                        f"{phase}: served degraded={res.degraded} naming "
+                        f"{sorted(named)}, expected {proc!r}"
+                    )
+                out = res.program.run().output
+                if out != ref_out:
+                    violations.append(
+                        f"{phase}: degraded output {out} != reference "
+                        f"{ref_out}"
+                    )
+            if faulted[0].degraded:
+                demoted += 1
+            if cleared.degraded:
+                violations.append(
+                    f"{phase}: still degraded after the faults cleared"
+                )
+            check_served("service procedure-fault (cleared)", name,
+                         cleared)
+        except Exception as exc:
+            violations.append(f"{phase}: unhandled exception {exc!r}")
+    if verbose:
+        print(f"svc-faults   programs={len(selected)} "
+              f"degraded={demoted}")
 
     # phase 3: admission control sheds with the typed error
     async def shedding():
@@ -480,71 +489,6 @@ def run_service_chaos(seed: int, config: str,
     except Exception as exc:
         violations.append(
             f"service shed phase: unhandled exception {exc!r}"
-        )
-
-    # phase 4: breaker trips -> degraded serving -> probe closes it
-    breaker_name = selected[0]
-    breaker_source = benches[breaker_name].source
-    trip_plan = faults.FaultPlan(specs=[
-        faults.FaultSpec(site=faults.SITE_SERVICE_DEADLINE, kind="raise",
-                         count=2),
-    ])
-
-    async def breaker():
-        svc = CompileService(
-            options,
-            retry=None,
-            breaker=BreakerPolicy(failure_threshold=2,
-                                  reset_timeout=0.2),
-        )
-        with faults.active(trip_plan):
-            failures = 0
-            for _ in range(2):
-                try:
-                    await svc.compile(breaker_source)
-                except faults.InjectedFault:
-                    failures += 1
-            degraded = await svc.compile(breaker_source)
-            await asyncio.sleep(0.25)  # past reset_timeout: probe opens
-            probed = await svc.compile(breaker_source)
-            await svc.join()
-        return svc, failures, degraded, probed
-
-    try:
-        svc, failures, degraded, probed = asyncio.run(breaker())
-        if failures != 2:
-            violations.append(
-                f"service breaker phase: expected 2 primary failures, "
-                f"saw {failures}"
-            )
-        if not svc.stats.breaker_trips:
-            violations.append(
-                "service breaker phase: breaker never tripped"
-            )
-        if not degraded.degraded:
-            violations.append(
-                "service breaker phase: open breaker did not serve "
-                "degraded"
-            )
-        check_served("service breaker", breaker_name, degraded)
-        if probed.degraded:
-            violations.append(
-                "service breaker phase: healthy half-open probe still "
-                "served degraded"
-            )
-        check_served("service breaker", breaker_name, probed)
-        if svc.breaker_states():
-            violations.append(
-                f"service breaker phase: breaker still "
-                f"{svc.breaker_states()} after a successful probe"
-            )
-        if verbose:
-            print(f"svc-breaker  trips={svc.stats.breaker_trips} "
-                  f"degraded={svc.stats.degraded} "
-                  f"recovered={not probed.degraded}")
-    except Exception as exc:
-        violations.append(
-            f"service breaker phase: unhandled exception {exc!r}"
         )
 
     if verbose:

@@ -258,10 +258,9 @@ def store_report(store) -> str:
 
 def service_report(service) -> str:
     """One :class:`~repro.service.CompileService`'s operating picture:
-    request traffic, the resilience counters (retries, sheds, expired
-    deadlines, breaker trips, degraded serves) and any breakers
-    currently non-closed, plus the store report when a persistent store
-    is attached."""
+    request traffic and the resilience counters (sheds, expired
+    deadlines, degraded serves), plus the store report when a
+    persistent store is attached."""
     s = service.stats
     lines = [
         f"service: {s.requests} requests "
@@ -269,19 +268,8 @@ def service_report(service) -> str:
         f"  outcomes: {s.compiled} compiled, {s.failed} failed, "
         f"{s.degraded} degraded, {s.shed} shed",
         f"  deadlines: {s.deadline_expired} expired, "
-        f"{s.cancelled} cancelled; retries: {s.retries}",
+        f"{s.cancelled} cancelled",
     ]
-    open_states = service.breaker_states()
-    if open_states:
-        shown = ", ".join(
-            f"{fp[:12]}={state}"
-            for fp, state in sorted(open_states.items())
-        )
-        lines.append(
-            f"  breakers: {s.breaker_trips} trips; non-closed: {shown}"
-        )
-    else:
-        lines.append(f"  breakers: {s.breaker_trips} trips; all closed")
     if service.store is not None:
         lines.append(
             "  " + store_report(service.store).replace("\n", "\n  ")

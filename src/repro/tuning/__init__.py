@@ -15,7 +15,6 @@ Entry points: :func:`repro.tuning.tune` (library),
 """
 
 from repro.tuning.space import (
-    LADDER_ORDERS,
     budget_candidates,
     full_space,
     neighbors,
@@ -32,7 +31,6 @@ from repro.tuning.tuner import (
 )
 
 __all__ = [
-    "LADDER_ORDERS",
     "TUNE_SCHEMA_VERSION",
     "CandidateResult",
     "TuneResult",

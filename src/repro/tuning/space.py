@@ -1,14 +1,17 @@
 """The autotuner's candidate space.
 
 A candidate is a full :class:`~repro.target.registers.Convention` built
-by :func:`~repro.target.registers.split_convention` from three axes:
+by :func:`~repro.target.registers.split_convention` from two axes:
 
 * **split** -- where the canonical allocatable order (a0-a3, t0-t6,
   s0-s8) is cut into caller-saved and callee-saved halves (the paper's
   fixed convention cuts at 11);
 * **argument registers** -- how many leading parameters travel in
-  registers (0..4; the paper uses 4);
-* **ladder order** -- the resilient engine's open-demotion rung order.
+  registers (0..4; the paper uses 4).
+
+Both axes are functional: no two candidates in the full space share a
+:meth:`~repro.target.registers.Convention.key`, so any two of them may
+score differently.
 
 Everything here is deterministic: the same seed always yields the same
 candidate list in the same order, which is what makes a tuning run
@@ -18,37 +21,26 @@ replayable bit-for-bit.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.target.registers import (
     ALLOCATABLE,
     Convention,
     DEFAULT_CONVENTION,
-    DEFAULT_LADDER,
     NUM_PARAM_REGS,
     split_convention,
 )
 
-#: ladder orderings the tuner may choose between (the reference rung
-#: must stay last -- see ``validate_convention``)
-LADDER_ORDERS: Tuple[Tuple[str, ...], ...] = (
-    DEFAULT_LADDER,
-    ("open-noshrinkwrap", "open", "open-noregalloc"),
-)
-
 
 def full_space() -> List[Convention]:
-    """Every (ladder, num_arg_regs, split) combination, deterministic
-    order.  ``split >= num_arg_regs`` keeps argument registers
-    caller-saved (a convention invariant)."""
-    out: List[Convention] = []
-    for ladder in LADDER_ORDERS:
-        for num_arg_regs in range(NUM_PARAM_REGS + 1):
-            for split in range(num_arg_regs, len(ALLOCATABLE) + 1):
-                out.append(
-                    split_convention(split, num_arg_regs, ladder=ladder)
-                )
-    return out
+    """Every (num_arg_regs, split) combination, deterministic order.
+    ``split >= num_arg_regs`` keeps argument registers caller-saved (a
+    convention invariant)."""
+    return [
+        split_convention(split, num_arg_regs)
+        for num_arg_regs in range(NUM_PARAM_REGS + 1)
+        for split in range(num_arg_regs, len(ALLOCATABLE) + 1)
+    ]
 
 
 def small_space() -> List[Convention]:
@@ -75,19 +67,16 @@ def sample_space(k: int, seed: int) -> List[Convention]:
 
 
 def neighbors(conv: Convention) -> List[Convention]:
-    """Hill-climbing moves: shift the split by one, shift the argument
-    count by one, flip the ladder order."""
+    """Hill-climbing moves: shift the split by one, or shift the
+    argument count by one."""
     split = bin(conv.caller_mask).count("1")
     out: List[Convention] = []
     for s in (split - 1, split + 1):
         if conv.num_arg_regs <= s <= len(ALLOCATABLE):
-            out.append(split_convention(s, conv.num_arg_regs, conv.ladder))
+            out.append(split_convention(s, conv.num_arg_regs))
     for a in (conv.num_arg_regs - 1, conv.num_arg_regs + 1):
         if 0 <= a <= min(NUM_PARAM_REGS, split):
-            out.append(split_convention(split, a, conv.ladder))
-    for ladder in LADDER_ORDERS:
-        if ladder != conv.ladder:
-            out.append(split_convention(split, conv.num_arg_regs, ladder))
+            out.append(split_convention(split, a))
     return out
 
 

@@ -55,7 +55,7 @@ from repro.tuning.space import budget_candidates
 
 #: bump when the report layout changes; ``--check`` validates the
 #: committed ``benchmarks/TUNE_report.json`` against this
-TUNE_SCHEMA_VERSION = 1
+TUNE_SCHEMA_VERSION = 2
 
 #: metric keys every per-program cell carries
 METRICS = ("cycles", "save_restore_memops", "scalar_memops")
@@ -360,7 +360,7 @@ class Tuner:
         result: CandidateResult,
     ) -> None:
         suite = run_suite(
-            configs=(self.config,) if self.config != "base" else ("base",),
+            configs=(self.config,),
             names=names,
             sim_tier=self.sim_tier,
             jobs=self.jobs,

@@ -1,5 +1,5 @@
 """The service's resilience layer: deadlines, cooperative cancellation,
-bounded retry, circuit breaking, admission control, graceful drain."""
+degraded serving, admission control, graceful drain."""
 
 import asyncio
 
@@ -7,14 +7,11 @@ import pytest
 
 from repro import faults
 from repro.frontend.errors import OptionsError
-from repro.pipeline.options import O2
+from repro.pipeline.options import O2, O3_SW
 from repro.service import (
-    BreakerPolicy,
     CompileService,
     DeadlineExceeded,
-    RetryPolicy,
     ServiceClosed,
-    ServiceError,
     ServiceOverloaded,
 )
 
@@ -28,41 +25,13 @@ def go(coro):
     return asyncio.run(coro)
 
 
-class FakeClock:
-    def __init__(self):
-        self.t = 0.0
-
-    def advance(self, seconds: float):
-        self.t += seconds
-
-    def __call__(self) -> float:
-        return self.t
-
-
 # -- policies ----------------------------------------------------------------
-
-def test_retry_policy_backoff_is_deterministic_and_grows():
-    p = RetryPolicy(seed=7)
-    assert p.backoff(0, "k") == p.backoff(0, "k")
-    assert p.backoff(0, "k") != p.backoff(0, "other")
-    assert p.backoff(2, "k") > p.backoff(0, "k")
-    assert RetryPolicy(jitter=0.0).backoff(1, "k") == pytest.approx(0.04)
-
-
-def test_retry_policy_classifies_transience():
-    p = RetryPolicy()
-    assert p.retryable(RuntimeError("pool died"))
-    assert not p.retryable(OptionsError("no main"))       # deterministic
-    assert not p.retryable(ServiceError("typed rejection"))
-
 
 def test_policy_validation():
     with pytest.raises(ValueError):
-        RetryPolicy(max_attempts=0)
-    with pytest.raises(ValueError):
-        BreakerPolicy(failure_threshold=0)
-    with pytest.raises(ValueError):
         CompileService(O2, max_queue=0)
+    with pytest.raises(ValueError):
+        CompileService(O2, default_deadline=-1.0)
 
 
 # -- deadlines and cooperative cancellation ----------------------------------
@@ -90,7 +59,7 @@ def test_deadline_exceeded_while_dispatch_hangs():
     ])
 
     async def scenario():
-        svc = CompileService(O2, retry=None)
+        svc = CompileService(O2)
         with faults.active(plan):
             with pytest.raises(DeadlineExceeded):
                 await svc.compile(SRC.format(n=1), deadline=0.05)
@@ -109,7 +78,7 @@ def test_dedup_waiter_without_deadline_keeps_request_alive():
     ])
 
     async def scenario():
-        svc = CompileService(O2, retry=None)
+        svc = CompileService(O2)
         src = SRC.format(n=2)
         with faults.active(plan):
             impatient = asyncio.ensure_future(
@@ -138,7 +107,7 @@ def test_request_behind_a_hung_one_is_cancelled_on_its_own_deadline():
     ])
 
     async def scenario():
-        svc = CompileService(O2, retry=None)
+        svc = CompileService(O2)
         with faults.active(plan):
             results = await asyncio.gather(
                 svc.compile(SRC.format(n=1)),
@@ -167,51 +136,39 @@ def test_default_deadline_applies():
     assert go(scenario()).stats.deadline_expired == 1
 
 
-# -- bounded retry -----------------------------------------------------------
+# -- degraded serving ---------------------------------------------------------
 
-def test_transient_dispatch_fault_is_retried():
-    plan = faults.FaultPlan(specs=[
-        faults.FaultSpec(site=faults.SITE_SERVICE_DEADLINE, kind="raise",
-                         count=1),
+def _planner_crash():
+    """Planning raises for every procedure on every attempt -- a planner
+    bug, not a transient fault."""
+    return faults.FaultPlan(specs=[
+        faults.FaultSpec(site=faults.SITE_PLAN, kind="raise", count=None),
     ])
 
-    async def scenario():
-        svc = CompileService(
-            O2, retry=RetryPolicy(max_attempts=2, backoff_base=0.001)
-        )
-        with faults.active(plan):
-            result = await svc.compile(SRC.format(n=1))
-            await svc.join()
-        return svc, result
 
-    svc, result = go(scenario())
-    assert result.program.run().output == [8]
-    assert svc.stats.retries == 1
+def test_procedure_fault_is_served_degraded_on_first_request():
+    src = SRC.format(n=4)
+
+    async def scenario():
+        svc = CompileService(O3_SW)
+        with faults.active(_planner_crash()):
+            results = [await svc.compile(src) for _ in range(3)]
+        await svc.join()
+        return svc, results
+
+    svc, results = go(scenario())
+    clean = go(CompileService(O3_SW).compile(src))
+    assert all(r.degraded for r in results)
+    assert all(
+        r.program.report.degraded_procedures() == {"leaf", "main"}
+        for r in results
+    )
+    assert svc.engine.stats.compiles == 3     # one compile per request
+    assert svc.stats.degraded == svc.stats.compiled == 3
     assert svc.stats.failed == 0
-    assert svc.stats.compiled == 1
-
-
-def test_retry_budget_exhaustion_surfaces_the_fault():
-    plan = faults.FaultPlan(specs=[
-        faults.FaultSpec(site=faults.SITE_SERVICE_DEADLINE, kind="raise",
-                         count=None),
-    ])
-
-    async def scenario():
-        svc = CompileService(
-            O2, retry=RetryPolicy(max_attempts=2, backoff_base=0.001),
-            breaker=None,
-        )
-        with faults.active(plan):
-            with pytest.raises(faults.InjectedFault):
-                await svc.compile(SRC.format(n=1))
-            await svc.join()
-        return svc
-
-    svc = go(scenario())
-    assert svc.stats.retries == 1
-    assert svc.stats.failed == 1
-    assert not svc._inflight
+    assert not clean.degraded
+    for r in results:
+        assert r.program.run().output == clean.program.run().output == [14]
 
 
 def test_deterministic_compile_errors_never_retry():
@@ -223,101 +180,33 @@ def test_deterministic_compile_errors_never_retry():
         return svc
 
     svc = go(scenario())
-    assert svc.stats.retries == 0
+    assert svc.engine.stats.compiles == 1
     assert svc.stats.failed == 1
 
 
-# -- circuit breaker and degraded serving ------------------------------------
-
-def _failing_plan(count=None):
-    return faults.FaultPlan(specs=[
-        faults.FaultSpec(site=faults.SITE_SERVICE_DEADLINE, kind="raise",
-                         count=count),
-    ])
-
-
-def test_breaker_trips_serves_degraded_and_recovers():
-    clock = FakeClock()
-    src = SRC.format(n=4)
-
-    async def scenario():
-        svc = CompileService(
-            O2, retry=None,
-            breaker=BreakerPolicy(failure_threshold=2, reset_timeout=10.0),
-            clock=clock,
-        )
-        with faults.active(_failing_plan()):
-            for _ in range(2):
-                with pytest.raises(faults.InjectedFault):
-                    await svc.compile(src)
-            assert svc.breaker_states() == {
-                next(iter(svc.breaker_states())): "open"
-            }
-            degraded = await svc.compile(src)  # open: fallback serves
-        clock.advance(10.0)                    # past reset: probe
-        probed = await svc.compile(src)        # faults gone: heals
-        await svc.join()
-        return svc, degraded, probed
-
-    svc, degraded, probed = go(scenario())
-    assert svc.stats.breaker_trips == 1
-    assert degraded.degraded
-    assert degraded.program.run().output == [14]
-    assert svc.stats.degraded == 1
-    assert not probed.degraded
-    assert probed.program.run().output == [14]
-    assert svc.breaker_states() == {}          # closed again
-
-
-def test_failed_halfopen_probe_reopens_the_breaker():
-    clock = FakeClock()
-    src = SRC.format(n=5)
-
-    async def scenario():
-        svc = CompileService(
-            O2, retry=None,
-            breaker=BreakerPolicy(failure_threshold=1, reset_timeout=5.0),
-            clock=clock,
-        )
-        with faults.active(_failing_plan()):
-            with pytest.raises(faults.InjectedFault):
-                await svc.compile(src)         # trips
-            clock.advance(5.0)
-            with pytest.raises(faults.InjectedFault):
-                await svc.compile(src)         # probe fails: reopens
-            again = await svc.compile(src)     # open again: degraded
-            await svc.join()
-        return svc, again
-
-    svc, again = go(scenario())
-    assert svc.stats.breaker_trips == 2
-    assert again.degraded
-    assert list(svc.breaker_states().values()) == ["open"]
-
-
 def test_degraded_results_match_the_primary_path():
+    """A degraded program runs like the primary build, and once the
+    fault clears the same service serves the primary build again:
+    demoted plans never reach its caches."""
     from repro.tools.warmstart import executable_digest
 
-    clock = FakeClock()
     src = SRC.format(n=6)
 
     async def scenario():
-        svc = CompileService(
-            O2, retry=None,
-            breaker=BreakerPolicy(failure_threshold=1, reset_timeout=99.0),
-            clock=clock,
-        )
-        with faults.active(_failing_plan(count=1)):
-            with pytest.raises(faults.InjectedFault):
-                await svc.compile(src)
-        degraded = await svc.compile(src)
+        svc = CompileService(O3_SW)
+        with faults.active(_planner_crash()):
+            degraded = await svc.compile(src)
+        healed = await svc.compile(src)
         await svc.join()
-        return degraded
+        return degraded, healed
 
-    degraded = go(scenario())
-    reference = go(CompileService(O2).compile(SRC.format(n=6)))
-    assert degraded.degraded and not reference.degraded
-    assert executable_digest(degraded.program.executable) == \
+    degraded, healed = go(scenario())
+    reference = go(CompileService(O3_SW).compile(src))
+    assert degraded.degraded
+    assert not healed.degraded and not reference.degraded
+    assert degraded.program.run().output == \
+        reference.program.run().output == [18]
+    assert executable_digest(healed.program.executable) == \
         executable_digest(reference.program.executable)
 
 
@@ -366,7 +255,7 @@ def test_drain_deadline_fails_stragglers_instead_of_hanging():
     ])
 
     async def scenario():
-        svc = CompileService(O2, retry=None)
+        svc = CompileService(O2)
         with faults.active(plan):
             straggler = asyncio.ensure_future(
                 svc.compile(SRC.format(n=1))
@@ -393,7 +282,7 @@ def test_group_failure_resolves_every_waiter(monkeypatch):
     an abandoned in-flight future."""
 
     async def scenario():
-        svc = CompileService(O2, retry=None)
+        svc = CompileService(O2)
 
         def boom():
             raise RuntimeError("snapshot exploded")

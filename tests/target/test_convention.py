@@ -11,7 +11,6 @@ from repro.target.registers import (
     Convention,
     ConventionError,
     DEFAULT_CONVENTION,
-    DEFAULT_LADDER,
     PARAM_REGS,
     split_convention,
     validate_convention,
@@ -25,7 +24,6 @@ def test_default_convention_matches_the_paper():
     assert c.callee_mask == CALLEE_SAVED_MASK
     assert c.num_arg_regs == 4
     assert c.param_regs == PARAM_REGS
-    assert c.ladder == DEFAULT_LADDER
     assert len(c.allocatable) == 20
     validate_convention(c)
 
@@ -57,8 +55,7 @@ def test_spec_round_trip():
         DEFAULT_CONVENTION,
         CALLER_ONLY_7,
         CALLEE_ONLY_7,
-        split_convention(9, 2, ladder=("open-noshrinkwrap", "open",
-                                       "open-noregalloc")),
+        split_convention(9, 2),
     ):
         back = Convention.from_spec(c.to_spec())
         assert back == c
@@ -74,12 +71,6 @@ def test_validation_rejects_ill_formed_conventions():
         )  # overlapping classes
     with pytest.raises(ConventionError):
         validate_convention(Convention(num_arg_regs=7))
-    with pytest.raises(ConventionError):
-        validate_convention(Convention(ladder=("open",)))
-    with pytest.raises(ConventionError):
-        validate_convention(
-            Convention(ladder=("bogus", "open-noregalloc"))
-        )
 
 
 def test_paper_table2_presets():

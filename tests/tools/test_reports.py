@@ -121,5 +121,5 @@ def test_service_report_counters(tmp_path):
     text = service_report(svc)
     assert "service: 1 requests" in text
     assert "1 compiled" in text
-    assert "0 trips; all closed" in text
+    assert "0 degraded" in text
     assert "store:" in text          # attached store rolls up too

@@ -54,6 +54,14 @@ def test_candidate_spaces_are_deterministic():
         budget_candidates("enormous", 0)
 
 
+def test_full_space_has_no_functional_twins():
+    # 5 argument-register counts x the splits that keep them
+    # caller-saved: sum(21 - a for a in 0..4)
+    space = full_space()
+    assert len(space) == 95
+    assert len({c.key() for c in space}) == 95
+
+
 def test_neighbors_move_one_axis():
     for n in neighbors(DEFAULT_CONVENTION):
         assert n.key() != DEFAULT_CONVENTION.key()
@@ -128,7 +136,7 @@ def test_check_report_flags_violations():
     )
     assert any("worse than the baseline" in e for e in check_report(bad))
     broken = json.loads(json.dumps(good))
-    broken["baseline"]["convention"]["ladder"] = ["open"]
+    broken["baseline"]["convention"]["num_arg_regs"] = 7
     assert any("convention spec invalid" in e
                for e in check_report(broken))
 
