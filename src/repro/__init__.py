@@ -25,7 +25,7 @@ invalidates, producing bit-identical executables either way.
 
 from repro.engine import (
     Compiler,
-    CompileReport,
+    CompileRecord,
     DegradationRecord,
     Engine,
     EngineStats,
@@ -75,7 +75,7 @@ __all__ = [
     "CompiledModule",
     "CompiledProgram",
     "CompilerOptions",
-    "CompileReport",
+    "CompileRecord",
     "DegradationRecord",
     "Engine",
     "EngineStats",

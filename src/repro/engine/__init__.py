@@ -7,14 +7,13 @@ session.
 """
 
 from repro.engine.core import Engine
-from repro.engine.resilience import CompileReport, DegradationRecord
+from repro.engine.resilience import DegradationRecord
 from repro.engine.session import Compiler
 from repro.engine.stats import CompileRecord, EngineStats, StageStats
 
 __all__ = [
     "Compiler",
     "CompileRecord",
-    "CompileReport",
     "DegradationRecord",
     "Engine",
     "EngineStats",

@@ -55,8 +55,8 @@ recompiles it with the default linkage convention down the ladder in
 :mod:`repro.engine.resilience`.  Callers then see the callee-saved
 barrier summary of an open procedure, so the program stays sound,
 merely conservative, and the session stays usable; each demotion is
-recorded in the compile's :class:`CompileReport`.  The fault-free path
-is bit-identical to a non-resilient compile.
+recorded on the compile's :class:`~repro.engine.stats.CompileRecord`.
+The fault-free path is bit-identical to a non-resilient compile.
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ from repro.engine.invalidation import (
     effective_summaries,
     plan_key,
 )
-from repro.engine.resilience import LADDER, CompileReport
-from repro.engine.stats import CompileRecord, EngineStats
+from repro.engine.resilience import LADDER
+from repro.engine.stats import PIPELINE_STAGES, CompileRecord, EngineStats
 from repro.frontend.errors import OptionsError
 from repro.interproc.allocator import (
     FnPlan,
@@ -182,7 +182,7 @@ class _PlanContext:
 
     program: IRModule
     popts: PlanOptions
-    report: Optional[CompileReport]
+    record: CompileRecord
     forced: Dict[str, int]
     no_store: Set[str]
     arities: Dict[str, int]
@@ -238,7 +238,6 @@ class Engine:
         """
         options = self.options if options is None else validate_options(options)
         record = self.stats.begin("program")
-        report = CompileReport() if self.resilient else None
         try:
             with self.stats.timer(record, "frontend"):
                 program = self._lower_and_link(
@@ -251,9 +250,7 @@ class Engine:
                 )
 
             popts = _plan_options(options)
-            plan, keys, obj = self._plan_and_codegen(
-                program, popts, record, report
-            )
+            plan, keys, obj = self._plan_and_codegen(program, popts, record)
             record.invalidated = count_changed(self._last_keys, keys)
             self._last_keys = keys
 
@@ -261,10 +258,10 @@ class Engine:
                 exe = link_executable([obj], entry=options.entry)
             record.functions = len(program.functions)
         finally:
-            self._finish_record(record, report)
+            self._finish_record(record)
         return CompiledProgram(
             executable=exe, ir=program, plan=plan, options=options,
-            report=report, engine_stats=self.stats, record=record,
+            record=record,
         )
 
     def compile_module(
@@ -273,7 +270,6 @@ class Engine:
         """Separate compilation of one unit: every procedure open."""
         options = self.options if options is None else validate_options(options)
         record = self.stats.begin("module")
-        report = CompileReport() if self.resilient else None
         ((name, text),) = normalize_sources([source])
         try:
             with self.stats.timer(record, "frontend"):
@@ -282,12 +278,10 @@ class Engine:
                 )
                 self._drain_frontend_counters(record)
             popts = _plan_options(options.with_(externally_visible=True))
-            plan, keys, obj = self._plan_and_codegen(
-                module, popts, record, report
-            )
+            plan, keys, obj = self._plan_and_codegen(module, popts, record)
             record.functions = len(module.functions)
         finally:
-            self._finish_record(record, report)
+            self._finish_record(record)
         return CompiledModule(object_code=obj, ir=module, plan=plan)
 
     def compile_batch(
@@ -322,9 +316,7 @@ class Engine:
         st = self.store.stats
         return (st.hits, st.misses, st.seconds, st.corruptions)
 
-    def _finish_record(
-        self, record: CompileRecord, report: Optional[CompileReport]
-    ) -> None:
+    def _finish_record(self, record: CompileRecord) -> None:
         if self.store is not None:
             now = self._store_counters()
             hits, misses, seconds, corruptions = (
@@ -336,11 +328,8 @@ class Engine:
             stage.misses += misses
             stage.seconds += seconds
             record.cache_corruptions = corruptions
-        if report is not None:
-            report.cache_corruptions = record.cache_corruptions
-            record.degraded = len(report.degradations)
         record.total_seconds = sum(
-            s.seconds for s in record.stages.values()
+            record.stages[s].seconds for s in PIPELINE_STAGES
         )
 
     def _drain_frontend_counters(self, record: CompileRecord) -> None:
@@ -368,7 +357,6 @@ class Engine:
         program: IRModule,
         popts: PlanOptions,
         record: CompileRecord,
-        report: Optional[CompileReport],
     ) -> Tuple[ProgramPlan, Dict[str, PlanKey], ObjectCode]:
         """Plan then codegen, restarting planning when a resilient
         codegen failure requires a procedure to change convention (its
@@ -386,12 +374,12 @@ class Engine:
         for _ in range(bound):
             with self.stats.timer(record, "plan"):
                 plan, keys = self._plan(
-                    program, popts, record, report, forced, no_store
+                    program, popts, record, forced, no_store
                 )
             try:
                 with self.stats.timer(record, "codegen"):
                     obj = self._codegen_module(
-                        program, plan, keys, record, report, no_store
+                        program, plan, keys, record, no_store
                     )
             except _ReplanWithoutStore as replan:
                 self._plans.pop(keys[replan.name], None)
@@ -399,7 +387,7 @@ class Engine:
                 continue
             except _DemoteAtCodegen as demote:
                 # plan-stage demotions stick across the restart so the
-                # report and the artifact stay consistent
+                # record and the artifact stay consistent
                 for name, key in keys.items():
                     if key[0] is _DEMOTED:
                         forced.setdefault(name, key[2])
@@ -439,11 +427,11 @@ class Engine:
                     allowed_globals=allowed,
                 )
             except Exception as exc:
-                if ctx.report is None:
+                if not self.resilient:
                     raise
                 plan, level = self._demote(
                     fn, ctx.popts, eff, ctx.arities, is_open, exc,
-                    ctx.report,
+                    ctx.record,
                 )
                 ctx.demoted[name] = level
                 return (_DEMOTED, name, level), plan, False
@@ -476,7 +464,6 @@ class Engine:
         program: IRModule,
         popts: PlanOptions,
         record: CompileRecord,
-        report: Optional[CompileReport],
         forced: Dict[str, int],
         no_store: Set[str],
     ) -> Tuple[ProgramPlan, Dict[str, PlanKey]]:
@@ -520,7 +507,7 @@ class Engine:
         ctx = _PlanContext(
             program=program,
             popts=popts,
-            report=report,
+            record=record,
             forced=forced,
             no_store=no_store,
             arities=arities,
@@ -544,7 +531,7 @@ class Engine:
         return result, keys
 
     def _demote(
-        self, fn, popts, eff, arities, is_open, exc, report
+        self, fn, popts, eff, arities, is_open, exc, record
     ) -> Tuple[FnPlan, int]:
         """Walk the demotion ladder after a planning failure; returns the
         first plan that compiles, or re-raises the original error when
@@ -555,7 +542,7 @@ class Engine:
                 plan = _plan_demoted(fn, popts, eff, arities, level)
             except Exception:
                 continue
-            report.record(fn.name, "plan", exc, LADDER[level - 1])
+            record.record(fn.name, "plan", exc, LADDER[level - 1])
             return plan, level
         raise exc
 
@@ -565,7 +552,6 @@ class Engine:
         plan: ProgramPlan,
         keys: Dict[str, PlanKey],
         record: CompileRecord,
-        report: Optional[CompileReport] = None,
         no_store: Optional[Set[str]] = None,
     ) -> ObjectCode:
         arrays_fp = tuple(sorted(program.arrays.items()))
@@ -606,13 +592,13 @@ class Engine:
                     faults.check(faults.SITE_CODEGEN, name)
                     asm = generate_function(fnplan, program.arrays)
                 except Exception as exc:
-                    if report is None:
+                    if not self.resilient:
                         raise
                     next_level = demoted_level + 1 if demoted_level \
                         else _first_rung(fnplan.mode == "closed")
                     if next_level > len(LADDER):
                         raise
-                    report.record(
+                    record.record(
                         name, "codegen", exc, LADDER[next_level - 1]
                     )
                     raise _DemoteAtCodegen(name, next_level) from exc

@@ -1,4 +1,4 @@
-"""Per-compile fault reporting for the resilient engine.
+"""The resilient engine's open-demotion ladder.
 
 Chow's *open* classification is itself a graceful-degradation device:
 any procedure the allocator cannot fully analyse falls back to the
@@ -28,7 +28,9 @@ Every rung keeps the *true* summaries of closed callees in view: a
 demoted caller must still act as a save barrier for callee-saved
 registers its closed subtree clobbers, otherwise the demotion would be
 unsound rather than conservative.  A procedure that fails every rung
-is genuinely uncompilable and the original error propagates.
+is genuinely uncompilable and the original error propagates.  Each
+demotion is one :class:`DegradationRecord` on the compile's
+:class:`~repro.engine.stats.CompileRecord`.
 
 Demoted plans are never cached: a fault must not poison the session's
 plan or codegen caches, so the next fault-free compile of the same key
@@ -40,8 +42,8 @@ demoted on its first request, not retried.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 #: the open-demotion ladder in escalation order: rung ``k`` (1-based)
 #: applies the strategy ``LADDER[k - 1]``
@@ -63,38 +65,4 @@ class DegradationRecord:
             "stage": self.stage,
             "error": self.error,
             "fallback": self.fallback,
-        }
-
-
-@dataclass
-class CompileReport:
-    """Resilience outcome of one :meth:`Engine.compile` call."""
-
-    degradations: List[DegradationRecord] = field(default_factory=list)
-    #: store entries detected corrupt, invalidated and recomputed
-    cache_corruptions: int = 0
-    #: JIT translations that fell back to the interpreter tier
-    jit_fallbacks: int = 0
-
-    def degraded_procedures(self) -> Set[str]:
-        return {d.procedure for d in self.degradations}
-
-    def record(
-        self, procedure: str, stage: str, error: BaseException, fallback: str
-    ) -> None:
-        """Record one degradation, deduplicating by (procedure, stage)."""
-        for d in self.degradations:
-            if d.procedure == procedure and d.stage == stage:
-                d.error = repr(error)
-                d.fallback = fallback
-                return
-        self.degradations.append(
-            DegradationRecord(procedure, stage, repr(error), fallback)
-        )
-
-    def to_dict(self) -> Dict:
-        return {
-            "degradations": [d.to_dict() for d in self.degradations],
-            "cache_corruptions": self.cache_corruptions,
-            "jit_fallbacks": self.jit_fallbacks,
         }

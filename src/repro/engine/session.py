@@ -46,7 +46,7 @@ class Compiler:
     ``resilient=True`` arms the engine's per-procedure fault boundary:
     a procedure whose planning or codegen fails is demoted to the open
     classification (default linkage convention) instead of aborting the
-    session, and ``compile().report.degradations`` lists what happened
+    session, and ``compile().record.degradations`` lists what happened
     (see :mod:`repro.engine.resilience`).  The fault-free path is
     bit-identical either way.
 

@@ -1,9 +1,12 @@
 """Observability for the incremental engine.
 
-Every :meth:`Engine.compile` appends one :class:`CompileRecord` carrying
-per-stage wall time and cache hit/miss counts; :class:`EngineStats`
-aggregates them and serialises to JSON (the speed benchmark writes the
-result next to ``BENCH_speed.json``).
+Every :meth:`Engine.compile` / :meth:`Engine.compile_module` appends
+one :class:`CompileRecord`, the compile's only outcome object: per-stage
+wall time and cache hit/miss counts, the procedures a resilient engine
+demoted, and the store entries found corrupt.  :class:`EngineStats`
+aggregates the records and serialises to JSON (the speed benchmark
+writes the result next to ``BENCH_speed.json``).  What happens when a
+program *runs* is the run's own :class:`~repro.sim.stats.RunStats`.
 
 The *invalidation cascade* of a compile is the number of procedures whose
 plan key changed since the previous compile of the session -- the edited
@@ -15,13 +18,18 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Set
 
+from repro.engine.resilience import DegradationRecord
+
+#: the stages whose timers partition a compile's wall time
+PIPELINE_STAGES = ("frontend", "plan", "codegen", "link")
 #: the ``store`` stage has no pipeline work of its own: its seconds are
-#: time spent in on-disk artifact-store I/O and its hits/misses are
-#: store-level lookups (a store hit surfaces as a hit in the stage that
-#: skipped work *and* here)
-STAGES = ("frontend", "plan", "codegen", "link", "store")
+#: time spent in on-disk artifact-store I/O -- already inside the
+#: pipeline stages' timers -- and its hits/misses are store-level
+#: lookups (a store hit surfaces as a hit in the stage that skipped
+#: work *and* here)
+STAGES = PIPELINE_STAGES + ("store",)
 
 
 @dataclass
@@ -64,10 +72,33 @@ class CompileRecord:
     )
     #: procedures whose plan key changed since the previous compile
     invalidated: int = 0
+    #: wall time of the pipeline stages (store I/O runs inside them)
     total_seconds: float = 0.0
-    #: resilience counters (see :mod:`repro.engine.resilience`)
-    degraded: int = 0            # procedures demoted to the open convention
-    cache_corruptions: int = 0   # store entries detected corrupt and redone
+    #: procedures a resilient engine demoted to the open convention
+    #: (see :mod:`repro.engine.resilience`); always empty otherwise
+    degradations: List[DegradationRecord] = field(default_factory=list)
+    #: store entries detected corrupt, invalidated and recomputed
+    cache_corruptions: int = 0
+
+    @property
+    def degraded(self) -> int:
+        return len(self.degradations)
+
+    def degraded_procedures(self) -> Set[str]:
+        return {d.procedure for d in self.degradations}
+
+    def record(
+        self, procedure: str, stage: str, error: BaseException, fallback: str
+    ) -> None:
+        """Record one degradation, deduplicating by (procedure, stage)."""
+        for d in self.degradations:
+            if d.procedure == procedure and d.stage == stage:
+                d.error = repr(error)
+                d.fallback = fallback
+                return
+        self.degradations.append(
+            DegradationRecord(procedure, stage, repr(error), fallback)
+        )
 
     def to_dict(self) -> Dict:
         return {
@@ -76,6 +107,7 @@ class CompileRecord:
             "invalidated": self.invalidated,
             "total_seconds": round(self.total_seconds, 6),
             "degraded": self.degraded,
+            "degradations": [d.to_dict() for d in self.degradations],
             "cache_corruptions": self.cache_corruptions,
             "stages": {k: v.to_dict() for k, v in self.stages.items()},
         }
@@ -99,25 +131,11 @@ class EngineStats:
     """Aggregated observability across a session's compiles."""
 
     records: List[CompileRecord] = field(default_factory=list)
-    #: tier-3 JIT translation decision summaries, one per jit3 run of a
-    #: program this engine compiled (see :attr:`RunStats.jit3`)
-    jit3_runs: List[Dict] = field(default_factory=list)
-    #: convention-autotuner search progress, one event dict per search
-    #: step (start / evaluate / halve / done; see :mod:`repro.tuning`)
-    tune_events: List[Dict] = field(default_factory=list)
 
     def begin(self, kind: str = "program") -> CompileRecord:
         record = CompileRecord(kind=kind)
         self.records.append(record)
         return record
-
-    def record_jit3(self, info: Dict) -> None:
-        """Record one tier-3 run's translation decisions."""
-        self.jit3_runs.append(dict(info))
-
-    def record_tune(self, event: Dict) -> None:
-        """Record one autotuner search event."""
-        self.tune_events.append(dict(event))
 
     def timer(self, record: CompileRecord, stage: str) -> _StageTimer:
         return _StageTimer(record.stages[stage])
@@ -154,8 +172,6 @@ class EngineStats:
             "stages": {k: v.to_dict() for k, v in self.stage_totals().items()},
             "invalidation_cascades": self.cascade_sizes(),
             "faults": self.fault_totals(),
-            "jit3_runs": [dict(r) for r in self.jit3_runs],
-            "tune_events": [dict(e) for e in self.tune_events],
             "records": [r.to_dict() for r in self.records],
         }
 

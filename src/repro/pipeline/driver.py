@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle with the engine
-    from repro.engine.resilience import CompileReport
     from repro.engine.stats import CompileRecord
 
 from repro.frontend import analyze, parse
@@ -54,27 +53,18 @@ class CompiledProgram:
     ir: IRModule
     plan: ProgramPlan
     options: CompilerOptions
-    #: resilience outcome of the compile; ``None`` unless the program was
-    #: built by a resilient session (``Compiler(resilient=True)``)
-    report: Optional["CompileReport"] = None
-    #: the building engine's stats sink; tier-3 runs of this program
-    #: report their translation decisions into it
-    engine_stats: Optional[object] = None
-    #: the building compile's stage timings and cache counts; ``None``
-    #: unless the program was built by an engine
+    #: the building compile's outcome -- stage timings, cache counts,
+    #: demoted procedures, store corruptions; ``None`` when the program
+    #: was built by the reference pipeline rather than an engine
     record: Optional["CompileRecord"] = None
 
     def run(self, **kwargs) -> RunStats:
         """Simulate the program; ``sim_tier`` selects the engine
         ("auto" picks a translated tier -- tier 3 when a profile is
         attached -- unless contract checking or block profiling needs
-        the interpreter)."""
-        stats = self.executable.run(**kwargs)
-        if self.report is not None and getattr(stats, "sim_fallback", None):
-            self.report.jit_fallbacks += 1
-        if self.engine_stats is not None and stats.jit3 is not None:
-            self.engine_stats.record_jit3(stats.jit3)
-        return stats
+        the interpreter).  The returned :class:`RunStats` carries the
+        run's own outcome (``sim_fallback``, ``jit3``)."""
+        return self.executable.run(**kwargs)
 
 
 def _parse_sources(sources: Union[Source, Sequence[Source]]) -> List[IRModule]:

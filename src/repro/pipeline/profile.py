@@ -120,13 +120,15 @@ def attach_profile(
 
 
 def block_profile_of(
-    prog: CompiledProgram, attach: bool = True, **run_kwargs
+    target: Union[CompiledProgram, Executable],
+    attach: bool = True,
+    **run_kwargs,
 ) -> BlockProfile:
-    """Run ``prog`` once with block counting and call-argument
-    observation; returns the :class:`BlockProfile`, attached to the
-    program's executable (see :func:`attach_profile`) unless
+    """Run ``target`` once on the interpreter with block counting and
+    call-argument observation; returns the :class:`BlockProfile`,
+    attached to the executable (see :func:`attach_profile`) unless
     ``attach=False``."""
-    exe = prog.executable
+    exe = getattr(target, "executable", target)
     starts: Dict[int, int] = {}
     where: Dict[int, Tuple[str, str]] = {}
     for label, pc in exe.labels.items():

@@ -36,7 +36,7 @@ never abandons work mid-procedure, so caches stay coherent.
 codegen raises is demoted down the open-convention ladder of
 :mod:`repro.engine.resilience` on its first request, and the request
 is served a conservative but sound program -- ``ServiceResult.degraded``
-says so, and ``program.report`` names the procedure.  Nothing is
+says so, and ``program.record`` names the procedure.  Nothing is
 retried: a deterministic :class:`~repro.frontend.errors.CompileError`
 or a crashing stage would fail identically every time, and demoted
 plans are never cached, so the next fault-free request compiles the
@@ -56,10 +56,11 @@ consults on the executor thread right before each request dispatch (a
 ``hang`` models a stalled planner, a ``raise`` fails that request).
 
 The engine runs one request at a time -- it is a session object, not a
-thread-safe one; the service is the serialisation point.  Results carry
-the per-request :class:`~repro.engine.stats.CompileRecord` (stage
-seconds, cache and store hit/miss counts), plus a snapshot of the
-store's cumulative counters (hits/misses/evictions/corruptions).
+thread-safe one; the service is the serialisation point.  Each result's
+``program.record`` is the request's
+:class:`~repro.engine.stats.CompileRecord` (stage seconds, cache and
+store hit/miss counts, demoted procedures); the result adds a snapshot
+of the store's cumulative counters (hits/misses/evictions/corruptions).
 """
 
 from __future__ import annotations
@@ -72,7 +73,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro import faults
 from repro.engine.core import Engine, normalize_sources
 from repro.engine.fingerprint import request_fingerprint
-from repro.engine.stats import CompileRecord
 from repro.pipeline.driver import CompiledProgram, Source
 from repro.pipeline.options import CompilerOptions, O2, validate_options
 
@@ -131,17 +131,15 @@ class ServiceResult:
     fingerprint: str
     #: True when this request awaited another request's in-flight compile
     deduped: bool = False
-    #: the compile's stage timings and cache counts (``program.record``)
-    record: Optional[CompileRecord] = None
     #: cumulative store counters at completion (None without a store)
     store: Optional[Dict] = None
 
     @property
     def degraded(self) -> bool:
         """True when a fault demoted a procedure of this program to the
-        open convention (conservative, sound); ``program.report`` names
+        open convention (conservative, sound); ``program.record`` names
         it."""
-        return bool(self.program.report.degradations)
+        return bool(self.program.record.degradations)
 
 
 @dataclass
@@ -404,7 +402,6 @@ class CompileService:
             result = ServiceResult(
                 program=program,
                 fingerprint=p.fingerprint,
-                record=program.record,
                 store=self.store_counters(),
             )
             self.stats.compiled += 1

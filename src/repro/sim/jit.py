@@ -1023,31 +1023,9 @@ def _self_profile(exe: Executable):
     """Collect (and attach) a profile of ``exe`` by one interpreter run
     -- the explicit ``sim_tier="jit3"`` path when no profile was
     attached beforehand.  Deferred import: profile.py imports us."""
-    from repro.pipeline.profile import BlockProfile, attach_profile
+    from repro.pipeline.profile import block_profile_of
 
-    starts: Dict[int, int] = {}
-    where: Dict[int, tuple] = {}
-    for label, pc in exe.labels.items():
-        if "." not in label:
-            continue
-        fn, _, block = label.partition(".")
-        if fn in exe.func_entries:
-            starts[pc] = 0
-            where[pc] = (fn, block)
-    observed: Dict[int, list] = {}
-    run_program(exe, block_counts=starts, call_args=observed)
-    counts: Dict[str, Dict[str, int]] = {}
-    for pc, count in starts.items():
-        fn, block = where[pc]
-        counts.setdefault(fn, {})[block] = count
-    call_args = {
-        exe.func_at_pc[pc]: tuple(args)
-        for pc, args in observed.items()
-        if pc in exe.func_at_pc
-    }
-    profile = BlockProfile(counts, call_args)
-    attach_profile(exe, profile)
-    return profile
+    return block_profile_of(exe)
 
 
 def simulate(

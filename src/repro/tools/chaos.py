@@ -13,7 +13,7 @@ contract:
 * its program produces the **same output** as the reference build
   (degradation is conservative, never wrong);
 * every procedure a ``raise`` fault actually hit is reported
-  **degraded to the open convention** in ``CompileReport``;
+  **degraded to the open convention** on the compile's ``CompileRecord``;
 * a compile in which **no fault fired** is **bit-identical** to the
   reference build (the resilience layer is free on the fault-free
   path).
@@ -92,15 +92,15 @@ def run_chaos(seed: int, config: str, names: Optional[List[str]] = None,
             violations.append(f"{name}: unhandled exception {exc!r}")
             continue
 
-        report = built.report
+        record = built.record
         fired_total += len(plan.fired)
-        degraded_total += len(report.degradations)
+        degraded_total += record.degraded
 
         if out != ref_out:
             violations.append(
                 f"{name}: degraded output {out} != reference {ref_out}"
             )
-        degraded = report.degraded_procedures()
+        degraded = record.degraded_procedures()
         for site, key, kind in plan.fired:
             if site in _PROCEDURE_SITES and kind == "raise" \
                     and key not in degraded:
@@ -108,7 +108,7 @@ def run_chaos(seed: int, config: str, names: Optional[List[str]] = None,
                     f"{name}: fault at {site}:{key} fired but {key} "
                     "is not reported degraded"
                 )
-        if not plan.fired and not report.degradations:
+        if not plan.fired and not record.degradations:
             if _snapshot(built.executable) != _snapshot(reference.executable):
                 violations.append(
                     f"{name}: fault-free resilient build is not "
@@ -117,7 +117,7 @@ def run_chaos(seed: int, config: str, names: Optional[List[str]] = None,
         if verbose:
             print(
                 f"{name:<10s} fired={len(plan.fired):d} "
-                f"degraded={len(report.degradations):d} output-ok="
+                f"degraded={record.degraded:d} output-ok="
                 f"{out == ref_out}"
             )
 
@@ -304,7 +304,7 @@ def run_service_chaos(seed: int, config: str,
     2. **procedure faults under the service** -- per program, a
        persistent ``plan`` raise and a one-shot ``codegen`` raise
        are pinned to one procedure; two concurrent requests must both
-       be served ``degraded``, with the report naming exactly that
+       be served ``degraded``, with the record naming exactly that
        procedure and the run output equal to the reference output.
        Once the plan is cleared, the same request on the same service
        must be bit-identical to the reference build (demoted plans
@@ -332,10 +332,11 @@ def run_service_chaos(seed: int, config: str,
     def check_record(phase: str, name: str, result) -> None:
         nonlocal served
         served += 1
-        if result.record is None or result.record.functions <= 0:
+        record = result.program.record
+        if record is None or record.functions <= 0:
             violations.append(
                 f"{phase}: {name} response carries no compile record "
-                f"({result.record!r})"
+                f"({record!r})"
             )
 
     def check_served(phase: str, name: str, result) -> None:
@@ -420,7 +421,7 @@ def run_service_chaos(seed: int, config: str,
                 )
             for res in faulted:
                 check_record("service procedure-fault", name, res)
-                named = res.program.report.degraded_procedures()
+                named = res.program.record.degraded_procedures()
                 if not res.degraded or named != {proc}:
                     violations.append(
                         f"{phase}: served degraded={res.degraded} naming "

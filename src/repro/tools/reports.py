@@ -191,29 +191,28 @@ def disassemble(exe: Executable, function: Optional[str] = None) -> str:
 
 
 def resilience_report(prog: CompiledProgram) -> str:
-    """The fault-boundary outcome of a resilient compile: every
-    degradation (procedure, stage, fallback rung, error) plus the store
-    corruption and JIT fallback counters.  Programs compiled without
-    ``resilient=True`` carry no report."""
-    report = prog.report
-    if report is None:
-        return "no resilience report (compiled without resilient=True)"
+    """The fault-boundary outcome of a compile: every degradation
+    (procedure, stage, fallback rung, error) plus the store corruption
+    count.  Programs built by the reference pipeline carry no record."""
+    record = prog.record
+    if record is None:
+        return "no compile record (built by the reference pipeline)"
     lines = [
-        f"degraded procedures: {len(report.degradations)}  "
-        f"cache corruptions: {report.cache_corruptions}  "
-        f"jit fallbacks: {report.jit_fallbacks}"
+        f"degraded procedures: {record.degraded}  "
+        f"cache corruptions: {record.cache_corruptions}"
     ]
-    for d in report.degradations:
+    for d in record.degradations:
         lines.append(
             f"  {d.procedure}: {d.stage} failed -> {d.fallback} ({d.error})"
         )
     return "\n".join(lines)
 
 
-def suite_fault_summary(results, engine_stats=None) -> str:
+def suite_fault_summary(results, stats=None) -> str:
     """Per-run fault totals for a benchmark-suite report: worker
     retries and errored cells per benchmark, plus the engine's
-    session-wide resilience counters when its stats are given."""
+    session-wide resilience counters when its
+    :class:`~repro.engine.stats.EngineStats` are given."""
     retries = sum(r.retries for r in results)
     errors = sum(len(r.errors) for r in results)
     lines = [f"suite faults: {retries} worker retries, {errors} failed cells"]
@@ -226,8 +225,8 @@ def suite_fault_summary(results, engine_stats=None) -> str:
                 f"  {r.benchmark.name}: {r.retries} retries"
                 + (f"; failed [{failed}]" if failed else "")
             )
-    if engine_stats is not None:
-        totals = engine_stats.fault_totals()
+    if stats is not None:
+        totals = stats.fault_totals()
         lines.append(
             "engine faults: "
             f"{totals['degraded']} degraded, "

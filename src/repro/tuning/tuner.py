@@ -282,9 +282,6 @@ class Tuner:
         if self.on_progress is not None:
             self.on_progress(msg)
 
-    def _record_event(self, kind: str, **payload) -> None:
-        self.stats.record_tune({"event": kind, **payload})
-
     def evaluate(
         self, convention: Convention, names: Sequence[str], round_no: int = 1
     ) -> CandidateResult:
@@ -298,17 +295,6 @@ class Tuner:
             self._evaluate_pooled(convention, names, result)
         result.wall_seconds = time.perf_counter() - t0
         totals = result.totals()
-        self._record_event(
-            "evaluate",
-            candidate=convention.name,
-            key=repr(convention.key()),
-            round=round_no,
-            programs=len(result.programs),
-            errors=len(result.errors),
-            cycles=totals["cycles"],
-            save_restore_memops=totals["save_restore_memops"],
-            wall_seconds=round(result.wall_seconds, 4),
-        )
         self._log(
             f"  {convention.name:<24s} cycles={totals['cycles']:>12,d} "
             f"save/restore={totals['save_restore_memops']:>9,d} "
@@ -429,10 +415,6 @@ class Tuner:
             baseline=None,  # type: ignore[arg-type]  # set below
             stats=self.stats,
         )
-        self._record_event(
-            "start", budget=budget, candidates=len(cands),
-            rounds=len(rounds), programs=len(self.names),
-        )
 
         # The baseline anchors every comparison (and seeds the reference
         # outputs), so it is always scored first, on the full suite.
@@ -470,10 +452,6 @@ class Tuner:
                 break
             keep = max(2, len(scored) // 2)
             survivors = [c.convention for c in scored[:keep]]
-            self._record_event(
-                "halve", round=round_no, kept=len(survivors),
-                dropped=len(scored) - len(survivors),
-            )
 
         # rank the baseline among the finalists: the winner is whichever
         # full-suite evaluation scores best, the paper's convention
@@ -483,13 +461,6 @@ class Tuner:
         result.finalists = final
         result.wall_seconds = time.perf_counter() - t0
         win = result.winner
-        self._record_event(
-            "done",
-            winner=win.convention.name,
-            winner_key=repr(win.convention.key()),
-            evaluations=len(result.evaluations),
-            wall_seconds=round(result.wall_seconds, 4),
-        )
         self._log(
             f"winner: {win.convention.describe()} "
             f"({result.wall_seconds:.2f}s, "

@@ -14,8 +14,8 @@ import pytest
 
 import repro
 from repro import faults
-from repro.engine.resilience import CompileReport
 from repro.engine.session import Compiler
+from repro.engine.stats import CompileRecord
 from repro.pipeline.driver import _reference_compile_program
 from repro.pipeline.options import O3_SW
 
@@ -56,8 +56,8 @@ def resilient_compile(plan=None):
 
 def test_fault_free_resilient_build_is_bit_identical():
     built = resilient_compile()
-    assert built.report is not None
-    assert not built.report.degradations
+    assert built.record is not None
+    assert not built.record.degradations
     assert snap(built.executable) == snap(reference().executable)
 
 
@@ -67,7 +67,7 @@ def test_plan_fault_demotes_to_open_and_stays_sound():
     )
     built = resilient_compile(plan)
     assert plan.fired == [("plan", "leaf", "raise")]
-    (d,) = built.report.degradations
+    (d,) = built.record.degradations
     assert d.procedure == "leaf"
     assert d.stage == "plan"
     assert d.fallback == "open"
@@ -84,7 +84,7 @@ def test_codegen_fault_restarts_and_demotes():
         specs=[faults.FaultSpec(site=faults.SITE_CODEGEN, match="mid")]
     )
     built = resilient_compile(plan)
-    (d,) = built.report.degradations
+    (d,) = built.record.degradations
     assert (d.procedure, d.stage) == ("mid", "codegen")
     assert built.run().output == reference().run().output
 
@@ -94,7 +94,7 @@ def test_coloring_fault_is_caught_by_the_plan_boundary():
         specs=[faults.FaultSpec(site=faults.SITE_COLORING, match="main")]
     )
     built = resilient_compile(plan)
-    (d,) = built.report.degradations
+    (d,) = built.record.degradations
     assert d.procedure == "main"
     # rung 1 replans open, which still runs coloring; the fault is
     # consumed by then (count=1), so either rung may have succeeded
@@ -109,10 +109,10 @@ def test_session_caches_are_not_poisoned_by_a_fault():
     )
     with faults.active(plan):
         faulted = session.compile()
-    assert faulted.report.degradations
+    assert faulted.record.degradations
     # same session, no faults: clean bit-identical artifact
     clean = session.compile()
-    assert not clean.report.degradations
+    assert not clean.record.degradations
     assert snap(clean.executable) == snap(reference().executable)
 
 
@@ -139,7 +139,7 @@ def test_demotion_exhaustion_reraises_the_original_error():
             session.compile()
 
 
-def test_degradations_surface_in_engine_stats():
+def test_degradations_surface_in_session_stats():
     plan = faults.FaultPlan(
         specs=[faults.FaultSpec(site=faults.SITE_PLAN, match="leaf")]
     )
@@ -154,13 +154,26 @@ def test_degradations_surface_in_engine_stats():
 
 
 def test_report_dedups_by_procedure_and_stage():
-    report = CompileReport()
-    report.record("f", "plan", ValueError("a"), "open")
-    report.record("f", "plan", ValueError("b"), "open-noshrinkwrap")
-    report.record("f", "codegen", ValueError("c"), "open")
-    assert len(report.degradations) == 2
-    assert report.degradations[0].fallback == "open-noshrinkwrap"
-    assert report.degraded_procedures() == {"f"}
+    record = CompileRecord()
+    record.record("f", "plan", ValueError("a"), "open")
+    record.record("f", "plan", ValueError("b"), "open-noshrinkwrap")
+    record.record("f", "codegen", ValueError("c"), "open")
+    assert len(record.degradations) == 2
+    assert record.degraded == 2
+    assert record.degradations[0].fallback == "open-noshrinkwrap"
+    assert record.degraded_procedures() == {"f"}
+
+
+def test_module_compile_keeps_the_demoted_names():
+    plan = faults.FaultPlan(
+        specs=[faults.FaultSpec(site=faults.SITE_PLAN, match="leaf")]
+    )
+    session = Compiler(O3_SW, resilient=True)
+    with faults.active(plan):
+        session.compile_module(SRC)
+    record = session.stats.records[-1]
+    assert record.kind == "module"
+    assert record.degraded_procedures() == {"leaf"}
 
 
 def test_fault_plan_pickles_with_independent_counters():

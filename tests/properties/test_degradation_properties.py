@@ -29,16 +29,16 @@ def test_all_procedures_demoted_still_computes_the_same_answer(src):
             with faults.active(plan):
                 degraded = session.compile()
 
-            report = degraded.report
+            record = degraded.record
             # every procedure hit the fault, so every procedure must be
             # on record as demoted somewhere on the open ladder (a
             # procedure that is already open under these options skips
             # straight to the stricter rungs)
-            assert report.degraded_procedures() == set(
+            assert record.degraded_procedures() == set(
                 degraded.plan.plans
             ), config
             assert all(
-                d.fallback.startswith("open") for d in report.degradations
+                d.fallback.startswith("open") for d in record.degradations
             ), config
             assert degraded.run().output == expected, config
     finally:

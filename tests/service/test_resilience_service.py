@@ -160,7 +160,7 @@ def test_procedure_fault_is_served_degraded_on_first_request():
     clean = go(CompileService(O3_SW).compile(src))
     assert all(r.degraded for r in results)
     assert all(
-        r.program.report.degraded_procedures() == {"leaf", "main"}
+        r.program.record.degraded_procedures() == {"leaf", "main"}
         for r in results
     )
     assert svc.engine.stats.compiles == 3     # one compile per request

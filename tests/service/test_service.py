@@ -62,8 +62,8 @@ def test_distinct_concurrent_requests_each_compile_once():
     assert svc.stats.compiled == 4
     assert svc.stats.deduped == 0
     # per-request records with real stage data
-    assert all(r.record is not None for r in results)
-    assert all(r.record.functions == 3 for r in results)
+    assert all(r.program.record is not None for r in results)
+    assert all(r.program.record.functions == 3 for r in results)
 
 
 def test_result_does_not_wait_for_a_later_request(monkeypatch):
@@ -162,8 +162,8 @@ def test_failed_batch_mate_keeps_the_good_record(bad_first):
     svc, (good, bad) = go(scenario())
     assert svc.engine.stats.compiles == 2
     assert isinstance(bad, Exception)
-    assert good.record is not None
-    assert good.record.functions == len(good.program.ir.functions) == 3
+    assert good.program.record is not None
+    assert good.program.record.functions == len(good.program.ir.functions) == 3
 
 
 def test_store_counters_surface_in_results(tmp_path):

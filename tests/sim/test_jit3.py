@@ -368,14 +368,3 @@ def test_jit3_report_renders_decisions():
     assert jit3_report(stats.jit3) == text
     assert "no tier-3 data" in jit3_report(run_program(exe))
 
-
-def test_engine_stats_collect_jit3_runs():
-    from repro.engine.session import Compiler
-
-    session = Compiler(O3_SW)
-    prog = session.add_sources(HOT_CALL).compile()
-    block_profile_of(prog)
-    prog.run()
-    assert len(session.stats.jit3_runs) == 1
-    assert session.stats.jit3_runs[0]["traces"] >= 1
-    assert session.stats.to_dict()["jit3_runs"]

@@ -47,7 +47,7 @@ def test_translation_failure_falls_back_to_interpreter():
     assert stats == run_program(fresh_exe())
 
 
-def test_fallback_reason_counts_on_the_compile_report():
+def test_fallback_reason_is_on_the_program_run_stats():
     plan = faults.FaultPlan(
         specs=[faults.FaultSpec(site=faults.SITE_JIT, count=None)]
     )
@@ -55,8 +55,8 @@ def test_fallback_reason_counts_on_the_compile_report():
 
     prog = Compiler(O3_SW, resilient=True).add_sources(SRC).compile()
     with faults.active(plan):
-        prog.run(sim_tier="auto")
-    assert prog.report.jit_fallbacks == 1
+        stats = prog.run(sim_tier="auto")
+    assert "InjectedFault" in stats.sim_fallback
 
 
 def test_explicit_jit_tier_propagates_the_failure():

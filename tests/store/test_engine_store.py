@@ -1,6 +1,8 @@
 """Engine + persistent store integration: warm starts are bit-identical
 and every store failure mode is invisible in the output."""
 
+import time
+
 import pytest
 
 from repro import faults
@@ -210,6 +212,23 @@ def test_failed_compile_closes_its_record(tmp_path):
     expected = solo.stats.records[-1].stages["store"]
     assert (clean.stages["store"].hits, clean.stages["store"].misses) == \
         (expected.hits, expected.misses)
+
+
+def test_total_seconds_counts_store_io_once(tmp_path):
+    # store I/O runs inside the frontend, plan and codegen timers, so
+    # the total is the four pipeline stages, never more than the call
+    engine = Engine(O3_SW, store_path=tmp_path)
+    t0 = time.perf_counter()
+    engine.compile(SRC)
+    wall = time.perf_counter() - t0
+    rec = engine.stats.records[-1]
+    assert rec.stages["store"].seconds > 0
+    pipeline = sum(
+        rec.stages[s].seconds
+        for s in ("frontend", "plan", "codegen", "link")
+    )
+    assert rec.total_seconds == pytest.approx(pipeline)
+    assert rec.total_seconds <= wall
 
 
 def test_store_disabled_engine_untouched(tmp_path):
