@@ -22,7 +22,7 @@ from typing import Dict, List, Set
 
 from repro.engine.resilience import DegradationRecord
 
-#: the stages whose timers partition a compile's wall time
+#: the pipeline stages; their timers never overlap, so their seconds add
 PIPELINE_STAGES = ("frontend", "plan", "codegen", "link")
 #: the ``store`` stage has no pipeline work of its own: its seconds are
 #: time spent in on-disk artifact-store I/O -- already inside the
