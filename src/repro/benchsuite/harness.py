@@ -8,17 +8,14 @@ that baseline, in executed cycles (columns I) and in scalar loads/stores
 
 from __future__ import annotations
 
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
-from repro import faults
 from repro.benchsuite.registry import Benchmark, load_benchmarks
 from repro.pipeline.driver import compile_program
 from repro.pipeline.options import CompilerOptions, PAPER_CONFIGS
 from repro.sim.stats import RunStats, percent_reduction
-from repro.target.registers import Convention, validate_convention
 
 TABLE1_CONFIGS = ("A", "B", "C")
 TABLE2_CONFIGS = ("D", "E")
@@ -30,11 +27,6 @@ class BenchResult:
 
     benchmark: Benchmark
     stats: Dict[str, RunStats] = field(default_factory=dict)
-    #: config -> repr of the error that survived every retry (parallel
-    #: suite only; a cell listed here has no entry in ``stats``)
-    errors: Dict[str, str] = field(default_factory=dict)
-    #: cells of this benchmark re-run after a worker crash/hang/timeout
-    retries: int = 0
 
     @property
     def base(self) -> RunStats:
@@ -59,7 +51,6 @@ def run_benchmark(
     overrides: Optional[Dict[str, CompilerOptions]] = None,
     compile_fn=None,
     sim_tier: str = "auto",
-    convention: Optional[Convention] = None,
 ) -> BenchResult:
     """Compile and run one benchmark under the named paper configs
     (plus the baseline, always).  Verifies output equivalence across all
@@ -70,20 +61,12 @@ def run_benchmark(
     so repeated table regenerations share the baseline compiles.
     ``sim_tier`` selects the simulator tier for every run (both tiers
     produce identical statistics; see :func:`repro.sim.simulate`).
-    ``convention`` overrides the calling convention of *every* requested
-    config (the autotuner's evaluation path); the output-equivalence
-    check then also guards the candidate against miscompiles.
     """
     if compile_fn is None:
         compile_fn = compile_program
-    if convention is not None:
-        validate_convention(convention)
     result = BenchResult(benchmark=benchmark)
-    wanted = ["base"] + [c for c in configs if c != "base"]
-    for config in wanted:
+    for config in _with_base(configs):
         options = (overrides or {}).get(config) or PAPER_CONFIGS[config]
-        if convention is not None:
-            options = options.with_(convention=convention)
         program = compile_fn(benchmark.source, options)
         result.stats[config] = program.run(
             check_contracts=check_contracts, sim_tier=sim_tier
@@ -92,9 +75,12 @@ def run_benchmark(
     return result
 
 
+def _with_base(configs: Iterable[str]) -> List[str]:
+    return ["base"] + [c for c in configs if c != "base"]
+
+
 def _check_output_equivalence(result: BenchResult) -> None:
-    """Outputs of every *successful* configuration run must agree;
-    errored cells (recorded in ``result.errors``) are excluded."""
+    """Outputs of every configuration run must agree."""
     outputs = {tuple(s.output) for s in result.stats.values()}
     if len(outputs) > 1:
         raise AssertionError(
@@ -103,55 +89,13 @@ def _check_output_equivalence(result: BenchResult) -> None:
 
 
 def _run_one(
-    bench_name: str,
-    config: str,
-    check_contracts: bool,
-    sim_tier: str,
-    convention_spec: Optional[Dict] = None,
-) -> Tuple[str, str, RunStats]:
-    """Compile and run one (benchmark, config) cell.  Module-level, and
-    handed only strings/plain dicts (``convention_spec`` is a
-    :meth:`Convention.to_spec` dict), so it pickles cleanly into worker
-    processes."""
+    bench_name: str, config: str, check_contracts: bool, sim_tier: str
+) -> RunStats:
+    """Compile and run one (benchmark, config) cell.  Module-level and
+    handed only strings, so it pickles cleanly into worker processes."""
     benchmark = load_benchmarks()[bench_name]
-    options = PAPER_CONFIGS[config]
-    if convention_spec is not None:
-        options = options.with_(
-            convention=validate_convention(
-                Convention.from_spec(convention_spec)
-            )
-        )
-    program = compile_program(benchmark.source, options)
-    stats = program.run(check_contracts=check_contracts, sim_tier=sim_tier)
-    return bench_name, config, stats
-
-
-def _run_one_worker(
-    bench_name: str,
-    config: str,
-    check_contracts: bool,
-    sim_tier: str,
-    plan: Optional[faults.FaultPlan],
-    convention_spec: Optional[Dict] = None,
-) -> Tuple[str, str, RunStats]:
-    """Pool-worker wrapper around :func:`_run_one`: installs the
-    caller's fault plan (a pickled copy with its own counters -- pin
-    cross-process specs with ``match='bench:config'``) and marks the
-    process as a worker so ``kill`` faults may fire."""
-    with faults.worker_context():
-        if plan is not None:
-            faults.install(plan)
-        try:
-            faults.check(
-                faults.SITE_SUITE_WORKER, f"{bench_name}:{config}"
-            )
-            return _run_one(
-                bench_name, config, check_contracts, sim_tier,
-                convention_spec,
-            )
-        finally:
-            if plan is not None:
-                faults.clear()
+    program = compile_program(benchmark.source, PAPER_CONFIGS[config])
+    return program.run(check_contracts=check_contracts, sim_tier=sim_tier)
 
 
 def run_suite(
@@ -160,29 +104,22 @@ def run_suite(
     check_contracts: bool = False,
     sim_tier: str = "auto",
     jobs: int = 1,
-    task_timeout: Optional[float] = 120.0,
-    max_retries: int = 2,
-    convention: Optional[Convention] = None,
 ) -> List[BenchResult]:
     """Run every selected benchmark under the named configs.
-
-    ``convention`` (a :class:`~repro.target.registers.Convention`)
-    overrides every config's calling convention -- the autotuner's
-    evaluation path; it crosses into pool workers as a plain spec dict.
 
     ``jobs`` > 1 fans the independent (benchmark, config) cells out over
     a process pool -- each cell compiles and simulates in its own
     worker, and the results are reassembled (and output-equivalence
     checked) in suite order, so the answer is identical to a serial run.
-
-    The parallel path is supervised: a cell whose worker crashes, hangs
-    past ``task_timeout`` seconds, or takes the whole pool down with it
-    is resubmitted (to a rebuilt pool when necessary) up to
-    ``max_retries`` rounds, then attempted once *inline* in the parent
-    -- the sequential fallback.  A cell failing even that is recorded in
-    its :attr:`BenchResult.errors` instead of raising, so one poisoned
-    cell cannot sink the other results.
+    A cell that raises in its worker raises out of ``run_suite``, as it
+    would on a serial sweep.
     """
+    configs = list(configs)
+    unknown = sorted(set(configs) - set(PAPER_CONFIGS))
+    if unknown:
+        raise ValueError(
+            f"unknown configs {unknown}; available: {sorted(PAPER_CONFIGS)}"
+        )
     benches = load_benchmarks()
     selected = list(names) if names is not None else list(benches)
     unknown = sorted(set(selected) - set(benches))
@@ -197,76 +134,30 @@ def run_suite(
         )
     if jobs <= 0:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if convention is not None:
-        if not isinstance(convention, Convention):
-            raise TypeError(
-                "convention must be a Convention, got "
-                f"{type(convention).__name__}"
-            )
-        validate_convention(convention)
-    spec = None if convention is None else convention.to_spec()
     if jobs == 1:
         return [
             run_benchmark(
-                benches[name], configs, check_contracts,
-                sim_tier=sim_tier, convention=convention,
+                benches[name], configs, check_contracts, sim_tier=sim_tier
             )
             for name in selected
         ]
-    wanted = ["base"] + [c for c in configs if c != "base"]
-    cells = [(name, config) for name in selected for config in wanted]
+    cells = [
+        (name, config) for name in selected for config in _with_base(configs)
+    ]
     results = {
         name: BenchResult(benchmark=benches[name]) for name in selected
     }
-    plan = faults.current_plan()
     pool = ProcessPoolExecutor(max_workers=min(jobs, len(cells)))
     try:
-        pending = list(cells)
-        rounds = 0
-        while pending:
-            futures = {
-                cell: pool.submit(
-                    _run_one_worker, cell[0], cell[1],
-                    check_contracts, sim_tier, plan, spec,
-                )
-                for cell in pending
-            }
-            failed: List[Tuple[Tuple[str, str], BaseException]] = []
-            rebuild = False
-            for cell, future in futures.items():
-                try:
-                    name, config, stats = future.result(timeout=task_timeout)
-                    results[name].stats[config] = stats
-                except (FutureTimeout, BrokenExecutor) as exc:
-                    # hung worker or crashed pool: the executor is no
-                    # longer trustworthy, rebuild it before retrying
-                    failed.append((cell, exc))
-                    rebuild = True
-                except Exception as exc:
-                    failed.append((cell, exc))
-            if rebuild:
-                pool.shutdown(wait=False, cancel_futures=True)
-                pool = ProcessPoolExecutor(max_workers=min(jobs, len(cells)))
-            if not failed:
-                break
-            rounds += 1
-            for (name, _), _exc in failed:
-                results[name].retries += 1
-            if rounds <= max_retries:
-                pending = [cell for cell, _ in failed]
-                continue
-            # retries exhausted: one inline attempt each, in the parent
-            for (name, config), _exc in failed:
-                try:
-                    _, _, stats = _run_one(
-                        name, config, check_contracts, sim_tier, spec
-                    )
-                    results[name].stats[config] = stats
-                except Exception as final_exc:
-                    results[name].errors[config] = repr(final_exc)
-            pending = []
+        futures = [
+            pool.submit(_run_one, name, config, check_contracts, sim_tier)
+            for name, config in cells
+        ]
+        for (name, config), future in zip(cells, futures):
+            results[name].stats[config] = future.result()
     finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+        # on a failing cell, drop the cells not yet started
+        pool.shutdown(cancel_futures=True)
     ordered = [results[name] for name in selected]
     for result in ordered:
         _check_output_equivalence(result)

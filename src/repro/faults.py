@@ -2,40 +2,33 @@
 
 A :class:`FaultPlan` is an explicit, seedable list of faults to inject
 at named *sites* threaded through the toolchain (planning, coloring,
-shrink-wrapping, codegen, JIT translation, suite workers, the on-disk
-artifact store's reads, writes, lock acquisitions and scrubs, and the
+shrink-wrapping, codegen, JIT translation, the on-disk artifact
+store's reads, writes, lock acquisitions and scrubs, and the
 compile service's request dispatch).  Components consult the harness with
 
     faults.check(SITE_COLORING, fn.name)
 
 which is a no-op unless a plan is installed and an armed spec matches;
 matching specs fire deterministically, so a test can assert both *that*
-a fault fired and *how* the system recovered.  Four fault kinds model
+a fault fired and *how* the system recovered.  Three fault kinds model
 the failure modes the resilience layer must absorb:
 
 ``raise``
     the site raises :class:`InjectedFault` (a crashed stage);
 ``hang``
-    the site sleeps ``hang_seconds`` (a stuck stage or worker -- pair
-    with the suite supervisor's or the service's deadlines to exercise
-    the timeout path);
+    the site sleeps ``hang_seconds`` (a stuck stage -- pair with the
+    service's deadlines or the store's lock timeout to exercise the
+    timeout path, or hold a store writer in its publish window for the
+    crash-recovery gate to kill);
 ``corrupt``
     ``store-read`` bit-rots an entry's payload before its checksum is
     verified (consumed via :func:`corrupts`; the store must detect the
-    mismatch and the engine recompute);
-``kill``
-    a pool *worker process* dies with ``os._exit`` (the parent sees a
-    ``BrokenProcessPool``).  Outside a worker process the kind is a
-    no-op: there is no worker to kill, and exiting the host process
-    would defeat the point of injecting recoverable faults.
+    mismatch and the engine recompute).
 
 Faults are consumed when they fire (``count`` decrements under a
 lock), so a transient failure followed by a clean retry is the default
-story.  Plans pickle cleanly -- :func:`repro.benchsuite.harness.run_suite`
-ships them into worker processes -- but each pickled copy carries its
-own counters; cross-process specs should therefore pin a ``match`` key
-so the same cell fires on every attempt regardless of which copy it
-hits.
+story.  A plan is installed in one process; the injector reaches no
+other.
 
 The module imports nothing from the rest of ``repro`` so that any
 layer, however deep, may call into it without import cycles.
@@ -43,7 +36,6 @@ layer, however deep, may call into it without import cycles.
 
 from __future__ import annotations
 
-import os
 import random
 import threading
 import time
@@ -59,9 +51,7 @@ __all__ = [
     "check",
     "clear",
     "corrupts",
-    "current_plan",
     "install",
-    "worker_context",
     "SITE_CODEGEN",
     "SITE_COLORING",
     "SITE_JIT",
@@ -72,7 +62,6 @@ __all__ = [
     "SITE_STORE_READ",
     "SITE_STORE_SCRUB",
     "SITE_STORE_WRITE",
-    "SITE_SUITE_WORKER",
 ]
 
 # -- site registry -----------------------------------------------------------
@@ -83,7 +72,6 @@ SITE_COLORING = "coloring"           # regalloc/coloring: allocate_function
 SITE_SHRINKWRAP = "shrinkwrap"       # shrinkwrap/placement: shrink_wrap
 SITE_JIT = "jit"                     # sim/jit: trace translation
 #                                      (keys: "translate"/"inline"/"link")
-SITE_SUITE_WORKER = "suite-worker"   # benchsuite/harness: suite pool cell
 SITE_STORE_READ = "store-read"       # store: entry payload read (corrupt)
 SITE_STORE_WRITE = "store-write"     # store: entry write (raise = I/O error;
 #                                      key "publish:<ns>" = between temp
@@ -99,7 +87,6 @@ ALL_SITES: Tuple[str, ...] = (
     SITE_COLORING,
     SITE_SHRINKWRAP,
     SITE_JIT,
-    SITE_SUITE_WORKER,
     SITE_STORE_READ,
     SITE_STORE_WRITE,
     SITE_STORE_LOCK,
@@ -107,7 +94,7 @@ ALL_SITES: Tuple[str, ...] = (
     SITE_SERVICE_DEADLINE,
 )
 
-KINDS = ("raise", "hang", "corrupt", "kill")
+KINDS = ("raise", "hang", "corrupt")
 
 
 class InjectedFault(RuntimeError):
@@ -204,15 +191,11 @@ class FaultPlan:
         return None
 
     def fire(self, site: str, key: Optional[str]) -> None:
-        spec = self._take(site, key, ("raise", "hang", "kill"))
+        spec = self._take(site, key, ("raise", "hang"))
         if spec is None:
             return
         if spec.kind == "hang":
             time.sleep(spec.hang_seconds)
-        elif spec.kind == "kill":
-            if _IN_WORKER.flag:
-                os._exit(13)
-            # no worker process to kill: modelled as a no-op
         else:
             raise InjectedFault(site, key)
 
@@ -221,24 +204,6 @@ class FaultPlan:
 
     def fired_sites(self) -> List[str]:
         return [site for site, _, _ in self.fired]
-
-    # -- pickling (the suite runner ships plans into workers) ----------------
-
-    def __getstate__(self):
-        with self._lock:
-            return {
-                "specs": list(self.specs),
-                "seed": self.seed,
-                "fired": list(self.fired),
-                "_remaining": list(self._remaining),
-            }
-
-    def __setstate__(self, state):
-        self.specs = state["specs"]
-        self.seed = state["seed"]
-        self.fired = state["fired"]
-        self._remaining = state["_remaining"]
-        self._lock = threading.Lock()
 
     def __repr__(self):
         return f"FaultPlan(seed={self.seed}, specs={self.specs!r})"
@@ -249,13 +214,6 @@ class FaultPlan:
 _ACTIVE: Optional[FaultPlan] = None
 
 
-class _WorkerFlag(threading.local):
-    flag = False
-
-
-_IN_WORKER = _WorkerFlag()
-
-
 def install(plan: Optional[FaultPlan]) -> None:
     """Install ``plan`` process-wide (``None`` uninstalls)."""
     global _ACTIVE
@@ -264,10 +222,6 @@ def install(plan: Optional[FaultPlan]) -> None:
 
 def clear() -> None:
     install(None)
-
-
-def current_plan() -> Optional[FaultPlan]:
-    return _ACTIVE
 
 
 class active:
@@ -283,20 +237,6 @@ class active:
 
     def __exit__(self, *exc):
         install(self._previous)
-        return False
-
-
-class worker_context:
-    """Marks the current thread as a pool *worker process* context, which
-    arms ``kill``-kind faults (they ``os._exit``)."""
-
-    def __enter__(self):
-        self._previous = _IN_WORKER.flag
-        _IN_WORKER.flag = True
-        return self
-
-    def __exit__(self, *exc):
-        _IN_WORKER.flag = self._previous
         return False
 
 

@@ -260,8 +260,8 @@ class Convention:
         )
 
     def to_spec(self) -> Dict[str, object]:
-        """JSON- and pickle-friendly spec (used by suite workers and the
-        tuner's report artifact); :func:`convention_from_spec` inverts."""
+        """JSON-friendly spec (used by the tuner's report artifact);
+        :meth:`from_spec` inverts."""
         return {
             "name": self.name,
             "allocatable": [r.index for r in self.allocatable],

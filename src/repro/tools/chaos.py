@@ -18,10 +18,8 @@ contract:
   reference build (the resilience layer is free on the fault-free
   path).
 
-A final phase aims ``kill`` faults at the parallel suite runner's
-worker processes and checks the suite still completes with no errored
-cells.  Exit status is non-zero on any violation, so CI can run this
-as a gate::
+Exit status is non-zero on any violation, so CI can run this as a
+gate::
 
     PYTHONPATH=src python -m repro.tools.chaos --seed 0
 """
@@ -36,7 +34,6 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro import faults
-from repro.benchsuite.harness import run_suite
 from repro.benchsuite.registry import load_benchmarks
 from repro.engine.session import Compiler
 from repro.pipeline.driver import _reference_compile_program
@@ -120,25 +117,6 @@ def run_chaos(seed: int, config: str, names: Optional[List[str]] = None,
                 f"degraded={record.degraded:d} output-ok="
                 f"{out == ref_out}"
             )
-
-    # pool-worker phase: kill a suite worker, the suite must finish
-    two = selected[:2] if len(selected) >= 2 else selected
-    kill_plan = faults.FaultPlan(specs=[
-        faults.FaultSpec(site=faults.SITE_SUITE_WORKER, kind="kill",
-                         match=f"{two[0]}:{config}", count=1),
-    ])
-    try:
-        with faults.active(kill_plan):
-            results = run_suite([config], names=two, jobs=2,
-                                task_timeout=120.0)
-        errored = {r.benchmark.name: r.errors for r in results if r.errors}
-        if errored:
-            violations.append(f"suite kill phase: errored cells {errored}")
-        elif verbose:
-            retries = sum(r.retries for r in results)
-            print(f"suite-kill  retries={retries} errors=0")
-    except Exception as exc:
-        violations.append(f"suite kill phase: unhandled exception {exc!r}")
 
     if verbose:
         print(

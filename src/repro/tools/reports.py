@@ -190,51 +190,6 @@ def disassemble(exe: Executable, function: Optional[str] = None) -> str:
     return "\n".join(lines)
 
 
-def resilience_report(prog: CompiledProgram) -> str:
-    """The fault-boundary outcome of a compile: every degradation
-    (procedure, stage, fallback rung, error) plus the store corruption
-    count.  Programs built by the reference pipeline carry no record."""
-    record = prog.record
-    if record is None:
-        return "no compile record (built by the reference pipeline)"
-    lines = [
-        f"degraded procedures: {record.degraded}  "
-        f"cache corruptions: {record.cache_corruptions}"
-    ]
-    for d in record.degradations:
-        lines.append(
-            f"  {d.procedure}: {d.stage} failed -> {d.fallback} ({d.error})"
-        )
-    return "\n".join(lines)
-
-
-def suite_fault_summary(results, stats=None) -> str:
-    """Per-run fault totals for a benchmark-suite report: worker
-    retries and errored cells per benchmark, plus the engine's
-    session-wide resilience counters when its
-    :class:`~repro.engine.stats.EngineStats` are given."""
-    retries = sum(r.retries for r in results)
-    errors = sum(len(r.errors) for r in results)
-    lines = [f"suite faults: {retries} worker retries, {errors} failed cells"]
-    for r in results:
-        if r.retries or r.errors:
-            failed = ", ".join(
-                f"{cfg}: {err}" for cfg, err in sorted(r.errors.items())
-            )
-            lines.append(
-                f"  {r.benchmark.name}: {r.retries} retries"
-                + (f"; failed [{failed}]" if failed else "")
-            )
-    if stats is not None:
-        totals = stats.fault_totals()
-        lines.append(
-            "engine faults: "
-            f"{totals['degraded']} degraded, "
-            f"{totals['cache_corruptions']} cache corruptions"
-        )
-    return "\n".join(lines)
-
-
 def store_report(store) -> str:
     """One :class:`~repro.store.store.ArtifactStore` handle's health
     counters: traffic, the self-healing loop (corruption detection,

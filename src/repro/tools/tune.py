@@ -1,6 +1,8 @@
 """CLI front end of the calling-convention autotuner.
 
-Run a search and write the schema-versioned JSON report::
+Every candidate compiles through one shared incremental engine on the
+calling thread (see :mod:`repro.tuning.tuner`).  Run a search and write
+the schema-versioned JSON report::
 
     PYTHONPATH=src python -m repro.tools.tune --budget small \
         --out benchmarks/TUNE_report.json
@@ -35,7 +37,6 @@ def run_check(args) -> int:
         budget="small",
         config=args.config,
         names=args.names,
-        jobs=args.jobs,
         sim_tier=args.sim_tier,
         seed=args.seed,
         store_path=args.store,
@@ -82,9 +83,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="paper config to tune under (default: C)")
     parser.add_argument("--names", nargs="*", default=None,
                         help="benchmark subset (default: all 13)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="1 = shared incremental engine; >1 = "
-                             "supervised process pool per candidate")
     parser.add_argument("--seed", type=int, default=0,
                         help="search seed (same seed => same report)")
     parser.add_argument("--sample", type=int, default=None,
@@ -93,7 +91,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="simulator tier for evaluation runs")
     parser.add_argument("--store", default=None,
                         help="artifact-store directory for warm-started "
-                             "candidate compiles (jobs=1 only)")
+                             "candidate compiles")
     parser.add_argument("--out", default=None,
                         help="write the JSON report here")
     parser.add_argument("--check", action="store_true",
@@ -110,7 +108,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         budget=args.budget,
         config=args.config,
         names=args.names,
-        jobs=args.jobs,
         sim_tier=args.sim_tier,
         seed=args.seed,
         store_path=args.store,

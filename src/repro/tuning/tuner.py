@@ -8,18 +8,13 @@ final round always scores the survivors (plus the paper's baseline
 convention) on the full selected suite.  ``--budget small`` skips the
 halving and scores its fixed micro-space directly.
 
-Evaluation paths:
-
-* ``jobs == 1`` -- the suite compiles on the calling thread through one
-  shared incremental :class:`~repro.engine.core.Engine`, one
-  :meth:`Engine.compile_batch` per candidate: the front-end caches hit
-  across *every* candidate (the sources never change), plan/codegen
-  caches are keyed by the candidate's ``Convention.key()`` so
-  candidates never collide, and with ``store_path=`` the artifact store
-  warm-starts later tuning runs.
-* ``jobs > 1`` -- candidates run through
-  :func:`repro.benchsuite.run_suite`'s supervised process pool; the
-  convention crosses into workers as a plain spec dict.
+Evaluation: the suite compiles on the calling thread through one
+shared incremental :class:`~repro.engine.core.Engine`, one
+:meth:`Engine.compile_batch` per candidate.  The front-end caches hit
+across *every* candidate (the sources never change), plan/codegen
+caches are keyed by the candidate's ``Convention.key()`` so candidates
+never collide, and with ``store_path=`` the artifact store warm-starts
+later tuning runs.
 
 Every run is deterministic under a fixed seed: candidate order, probe
 subsets and ranking tie-breaks derive only from the seed and the
@@ -40,7 +35,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.benchsuite.harness import run_suite
 from repro.benchsuite.registry import load_benchmarks
 from repro.engine.core import Engine
 from repro.engine.stats import EngineStats
@@ -55,14 +49,14 @@ from repro.tuning.space import budget_candidates
 
 #: bump when the report layout changes; ``--check`` validates the
 #: committed ``benchmarks/TUNE_report.json`` against this
-TUNE_SCHEMA_VERSION = 2
+TUNE_SCHEMA_VERSION = 3
 
 #: metric keys every per-program cell carries
 METRICS = ("cycles", "save_restore_memops", "scalar_memops")
 
 #: report keys ``check_report`` requires at TUNE_SCHEMA_VERSION
 REQUIRED_KEYS = (
-    "schema_version", "config", "budget", "seed", "jobs", "programs",
+    "schema_version", "config", "budget", "seed", "programs",
     "baseline", "candidates", "winner", "per_program_winners",
 )
 
@@ -129,7 +123,6 @@ class TuneResult:
     config: str
     budget: str
     seed: int
-    jobs: int
     sim_tier: str
     names: List[str]
     baseline: CandidateResult
@@ -188,7 +181,6 @@ class TuneResult:
             "config": self.config,
             "budget": self.budget,
             "seed": self.seed,
-            "jobs": self.jobs,
             "sim_tier": self.sim_tier,
             "programs": list(self.names),
             "baseline": self.baseline.to_dict(),
@@ -243,7 +235,6 @@ class Tuner:
         self,
         config: str = "C",
         names: Optional[Sequence[str]] = None,
-        jobs: int = 1,
         sim_tier: str = "auto",
         seed: int = 0,
         store_path=None,
@@ -253,8 +244,6 @@ class Tuner:
             raise ValueError(
                 f"unknown config {config!r}; one of {sorted(PAPER_CONFIGS)}"
             )
-        if jobs <= 0:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
         benches = load_benchmarks()
         self.names = list(names) if names is not None else list(benches)
         unknown = sorted(set(self.names) - set(benches))
@@ -267,7 +256,6 @@ class Tuner:
         self._benches = benches
         self.config = config
         self.options = PAPER_CONFIGS[config]
-        self.jobs = jobs
         self.sim_tier = sim_tier
         self.seed = seed
         self.on_progress = on_progress
@@ -285,44 +273,12 @@ class Tuner:
     def evaluate(
         self, convention: Convention, names: Sequence[str], round_no: int = 1
     ) -> CandidateResult:
-        """Score one candidate over ``names``."""
+        """Score one candidate over ``names``.  Candidate runs must
+        reproduce the baseline output exactly -- a convention may only
+        move values, never change the program."""
         validate_convention(convention)
         t0 = time.perf_counter()
         result = CandidateResult(convention=convention, round=round_no)
-        if self.jobs == 1:
-            self._evaluate_inline(convention, names, result)
-        else:
-            self._evaluate_pooled(convention, names, result)
-        result.wall_seconds = time.perf_counter() - t0
-        totals = result.totals()
-        self._log(
-            f"  {convention.name:<24s} cycles={totals['cycles']:>12,d} "
-            f"save/restore={totals['save_restore_memops']:>9,d} "
-            f"({len(result.programs)}/{len(names)} programs, "
-            f"{result.wall_seconds:.2f}s)"
-        )
-        return result
-
-    def _check_output(
-        self, name: str, stats: RunStats, result: CandidateResult
-    ) -> bool:
-        """Candidate runs must reproduce the baseline output exactly --
-        a convention may only move values, never change the program."""
-        out = tuple(stats.output)
-        ref = self._ref_outputs.setdefault(name, out)
-        if out != ref:
-            result.errors[name] = (
-                f"output mismatch vs baseline ({len(out)} values)"
-            )
-            return False
-        return True
-
-    def _evaluate_inline(
-        self,
-        convention: Convention,
-        names: Sequence[str],
-        result: CandidateResult,
-    ) -> None:
         options = self.options.with_(convention=convention)
         built = self.engine.compile_batch(
             [self._benches[n].source for n in names], options
@@ -336,32 +292,22 @@ class Tuner:
             except Exception as exc:
                 result.errors[name] = repr(exc)
                 continue
-            if self._check_output(name, stats, result):
-                result.programs[name] = _metrics(stats)
-
-    def _evaluate_pooled(
-        self,
-        convention: Convention,
-        names: Sequence[str],
-        result: CandidateResult,
-    ) -> None:
-        suite = run_suite(
-            configs=(self.config,),
-            names=names,
-            sim_tier=self.sim_tier,
-            jobs=self.jobs,
-            convention=convention,
-        )
-        for bench_result in suite:
-            name = bench_result.benchmark.name
-            stats = bench_result.stats.get(self.config)
-            if stats is None:
-                result.errors[name] = bench_result.errors.get(
-                    self.config, "cell missing"
+            out = tuple(stats.output)
+            if out != self._ref_outputs.setdefault(name, out):
+                result.errors[name] = (
+                    f"output mismatch vs baseline ({len(out)} values)"
                 )
                 continue
-            if self._check_output(name, stats, result):
-                result.programs[name] = _metrics(stats)
+            result.programs[name] = _metrics(stats)
+        result.wall_seconds = time.perf_counter() - t0
+        totals = result.totals()
+        self._log(
+            f"  {convention.name:<24s} cycles={totals['cycles']:>12,d} "
+            f"save/restore={totals['save_restore_memops']:>9,d} "
+            f"({len(result.programs)}/{len(names)} programs, "
+            f"{result.wall_seconds:.2f}s)"
+        )
+        return result
 
     # -- search -------------------------------------------------------------
 
@@ -409,7 +355,6 @@ class Tuner:
             config=self.config,
             budget=budget,
             seed=self.seed,
-            jobs=self.jobs,
             sim_tier=self.sim_tier,
             names=list(self.names),
             baseline=None,  # type: ignore[arg-type]  # set below
@@ -421,7 +366,7 @@ class Tuner:
         self._log(
             f"tuning {len(cands)} candidates over {len(self.names)} "
             f"programs (config {self.config}, budget {budget}, "
-            f"seed {self.seed}, jobs {self.jobs})"
+            f"seed {self.seed})"
         )
         self._log(f"round 0: baseline on {len(self.names)} programs")
         baseline = self.evaluate(
@@ -473,7 +418,6 @@ def tune(
     budget: str = "small",
     config: str = "C",
     names: Optional[Sequence[str]] = None,
-    jobs: int = 1,
     sim_tier: str = "auto",
     seed: int = 0,
     store_path=None,
@@ -482,7 +426,7 @@ def tune(
 ) -> TuneResult:
     """One-call convenience wrapper: build a :class:`Tuner` and run it."""
     return Tuner(
-        config=config, names=names, jobs=jobs, sim_tier=sim_tier,
+        config=config, names=names, sim_tier=sim_tier,
         seed=seed, store_path=store_path, on_progress=on_progress,
     ).run(budget=budget, sample=sample)
 
