@@ -3,10 +3,12 @@
 from repro.dataflow.antav import AntAv, solve_ant_av
 from repro.dataflow.framework import DataflowProblem, solve
 from repro.dataflow.liveness import (
+    InstrOperands,
     Liveness,
+    VRegNumbering,
+    bits,
     compute_liveness,
     instruction_live_sets,
-    live_across_calls,
 )
 
 __all__ = [
@@ -14,8 +16,10 @@ __all__ = [
     "solve_ant_av",
     "DataflowProblem",
     "solve",
+    "InstrOperands",
     "Liveness",
+    "VRegNumbering",
+    "bits",
     "compute_liveness",
     "instruction_live_sets",
-    "live_across_calls",
 ]

@@ -1,8 +1,8 @@
 """A small generic iterative dataflow framework.
 
 Problems are described by direction, meet, transfer and boundary values.
-Values may be any lattice elements with equality -- Python sets for
-liveness, int bitmasks for the shrink-wrap ANT/AV problems.
+Values may be any lattice elements with equality; liveness and the
+shrink-wrap ANT/AV problems both use int bitmasks.
 
 The solver is a classic worklist algorithm: blocks are seeded in reverse
 postorder (forward problems) or its reverse (backward problems) and a

@@ -1,4 +1,10 @@
-"""Liveness of virtual registers.
+"""Liveness of virtual registers, as bit vectors over a dense numbering.
+
+:class:`VRegNumbering` numbers one function's vregs ``0..n-1`` once, at
+the start of planning, and records every instruction's operands as those
+numbers.  From there on a set of vregs is a Python int: bit ``i`` stands
+for ``numbering.vregs[i]``.  The numbering lives beside the IR, never in
+it, so IR fingerprints and pickles do not see it.
 
 Block-level live-in/live-out sets drive live-range construction; the
 backward per-instruction walk (:func:`instruction_live_sets`) drives
@@ -12,72 +18,156 @@ store-at-exit strategy for register-resident globals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
+import operator
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
 from repro.cfg.cfg import CFG
 from repro.dataflow.framework import DataflowProblem, solve
-from repro.ir.function import BasicBlock
 from repro.ir.instructions import IRInstr
 from repro.ir.values import VReg
 
 
+def bits(mask: int) -> List[int]:
+    """The positions of the set bits of ``mask``, in increasing order."""
+    out: List[int] = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def popcount(mask: int) -> int:
+    return bin(mask).count("1")
+
+
+class InstrOperands(NamedTuple):
+    """One instruction's vreg operands as dense numbers."""
+
+    instr: IRInstr
+    #: numbers read, in operand order, repeats kept (weights count them)
+    uses: Tuple[int, ...]
+    #: numbers written
+    defs: Tuple[int, ...]
+    use_mask: int
+    def_mask: int
+
+
+def _mask_of(numbers: Iterable[int]) -> int:
+    mask = 0
+    for n in numbers:
+        mask |= 1 << n
+    return mask
+
+
+class VRegNumbering:
+    """Dense numbers for the vregs of one function.
+
+    Numbers follow first occurrence over the blocks in layout order,
+    each instruction's uses before its defs and the terminator's uses
+    last, so they never depend on set iteration order (or on the hash
+    seed).  Vregs that no instruction mentions get no number.
+    """
+
+    def __init__(self, cfg: CFG):
+        number: Dict[VReg, int] = {}
+        vregs: List[VReg] = []
+
+        def num(v: VReg) -> int:
+            n = number.get(v)
+            if n is None:
+                n = number[v] = len(vregs)
+                vregs.append(v)
+            return n
+
+        #: per block: its instructions' operands, in order
+        self.block_ops: List[List[InstrOperands]] = []
+        #: per block: the vregs its terminator reads
+        self.term_uses: List[Tuple[int, ...]] = []
+        self.term_masks: List[int] = []
+        defined = 0
+        for block in cfg.blocks:
+            ops: List[InstrOperands] = []
+            for ins in block.instrs:
+                uses = tuple([num(v) for v in ins.use_vregs()])
+                defs = tuple([num(d) for d in ins.defs()])
+                def_mask = _mask_of(defs)
+                defined |= def_mask
+                ops.append(
+                    InstrOperands(ins, uses, defs, _mask_of(uses), def_mask)
+                )
+            self.block_ops.append(ops)
+            term = tuple([num(v) for v in block.terminator.use_vregs()])
+            self.term_uses.append(term)
+            self.term_masks.append(_mask_of(term))
+        self.vregs = vregs
+        self.number = number
+        #: every vreg some instruction writes
+        self.defined = defined
+
+    def bit(self, v: VReg) -> int:
+        """``v``'s bit, or 0 when no instruction mentions ``v``."""
+        n = self.number.get(v)
+        return 0 if n is None else 1 << n
+
+    def mask(self, vregs: Iterable[VReg]) -> int:
+        m = 0
+        for v in vregs:
+            m |= self.bit(v)
+        return m
+
+    def vregs_of(self, mask: int) -> List[VReg]:
+        """The vregs of ``mask``, in numbering order."""
+        vregs = self.vregs
+        return [vregs[n] for n in bits(mask)]
+
+
 @dataclass
 class Liveness:
+    """Per-block live sets of one function, as masks over ``numbering``."""
+
     cfg: CFG
-    live_in: List[FrozenSet[VReg]] = field(default_factory=list)
-    live_out: List[FrozenSet[VReg]] = field(default_factory=list)
-    use: List[FrozenSet[VReg]] = field(default_factory=list)
-    defs: List[FrozenSet[VReg]] = field(default_factory=list)
-
-
-def _block_use_def(block: BasicBlock) -> Tuple[Set[VReg], Set[VReg]]:
-    """Upward-exposed uses and defs of one block."""
-    use: Set[VReg] = set()
-    defs: Set[VReg] = set()
-    for ins in block.instrs:
-        for v in ins.use_vregs():
-            if v not in defs:
-                use.add(v)
-        for d in ins.defs():
-            defs.add(d)
-    for v in block.terminator.use_vregs():
-        if v not in defs:
-            use.add(v)
-    return use, defs
+    numbering: VRegNumbering
+    live_in: List[int]
+    live_out: List[int]
+    use: List[int]
+    defs: List[int]
 
 
 def compute_liveness(
-    cfg: CFG, exit_live: Sequence[VReg] = ()
+    cfg: CFG, numbering: VRegNumbering, exit_live: int = 0
 ) -> Liveness:
     """Backward liveness over ``cfg``.
 
-    ``exit_live`` names vregs considered live at every return (used for
-    register-candidate globals, which must survive to the exit store).
+    ``exit_live`` is the mask of vregs considered live at every return
+    (register-candidate globals, which must survive to the exit store).
     """
-    n = cfg.num_blocks
-    use_sets: List[FrozenSet[VReg]] = []
-    def_sets: List[FrozenSet[VReg]] = []
-    for block in cfg.blocks:
-        u, d = _block_use_def(block)
-        use_sets.append(frozenset(u))
-        def_sets.append(frozenset(d))
+    use_sets: List[int] = []
+    def_sets: List[int] = []
+    for ops, term in zip(numbering.block_ops, numbering.term_masks):
+        use = 0
+        defs = 0
+        for op in ops:
+            use |= op.use_mask & ~defs
+            defs |= op.def_mask
+        use_sets.append(use | (term & ~defs))
+        def_sets.append(defs)
 
-    boundary = frozenset(exit_live)
+    def transfer(b: int, out_val: int) -> int:
+        return use_sets[b] | (out_val & ~def_sets[b])
 
-    def transfer(b: int, out_val: FrozenSet[VReg]) -> FrozenSet[VReg]:
-        return use_sets[b] | (out_val - def_sets[b])
-
-    problem: DataflowProblem[FrozenSet[VReg]] = DataflowProblem(
+    problem: DataflowProblem[int] = DataflowProblem(
         forward=False,
-        top=frozenset(),
-        boundary=boundary,
-        meet=lambda a, b: a | b,
+        top=0,
+        boundary=exit_live,
+        meet=operator.or_,
         transfer=transfer,
     )
     in_vals, out_vals = solve(cfg, problem)
     return Liveness(
         cfg=cfg,
+        numbering=numbering,
         live_in=in_vals,
         live_out=out_vals,
         use=use_sets,
@@ -86,40 +176,17 @@ def compute_liveness(
 
 
 def instruction_live_sets(
-    block: BasicBlock, live_out: FrozenSet[VReg]
-) -> Iterator[Tuple[IRInstr, Set[VReg], Set[VReg]]]:
-    """Yield ``(instr, live_before, live_after)`` for each instruction of
-    ``block`` in *reverse* order, starting from the block's live-out set.
+    liveness: Liveness, b: int
+) -> Iterator[Tuple[InstrOperands, int, int]]:
+    """Yield ``(operands, live_before, live_after)`` for each instruction
+    of block ``b`` in *reverse* order, starting from the block's live-out
+    set.
 
     The terminator's uses are folded into the initial live set.
     """
-    live: Set[VReg] = set(live_out)
-    live.update(block.terminator.use_vregs())
-    for ins in reversed(block.instrs):
-        live_after = set(live)
-        for d in ins.defs():
-            live.discard(d)
-        live.update(ins.use_vregs())
-        yield ins, set(live), live_after
-
-
-def live_across_calls(
-    cfg: CFG, liveness: Liveness
-) -> Dict[int, List[Tuple[IRInstr, Set[VReg]]]]:
-    """Per block: each call instruction with the set of vregs live across
-    it (live after the call, excluding the call's own result)."""
-    result: Dict[int, List[Tuple[IRInstr, Set[VReg]]]] = {}
-    for b, block in enumerate(cfg.blocks):
-        calls: List[Tuple[IRInstr, Set[VReg]]] = []
-        for ins, live_before, live_after in instruction_live_sets(
-            block, liveness.live_out[b]
-        ):
-            if ins.is_call:
-                across = live_after - set(ins.defs())
-                # a value is live *across* only if it also existed before
-                across &= live_before | set()
-                calls.append((ins, across))
-        if calls:
-            calls.reverse()
-            result[b] = calls
-    return result
+    numbering = liveness.numbering
+    live = liveness.live_out[b] | numbering.term_masks[b]
+    for op in reversed(numbering.block_ops[b]):
+        after = live
+        live = (live & ~op.def_mask) | op.use_mask
+        yield op, live, after

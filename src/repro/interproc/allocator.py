@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
+from repro.dataflow.liveness import bits
 from repro.interproc.callgraph import CallGraph, build_call_graph, dfs_postorder
 from repro.interproc.modref import cacheable_globals, subtree_global_refs
 from repro.interproc.summaries import (
@@ -136,8 +137,8 @@ def _app_blocks_for(alloc: AllocationResult, reg: Register) -> Set[int]:
     if alloc.ranges is not None:
         for rc in alloc.ranges.all_calls:
             if alloc.call_clobbers[id(rc.instr)] & bit:
-                blocks.add(rc.block)
-    return blocks
+                blocks |= 1 << rc.block
+    return set(bits(blocks))
 
 
 def _incoming_params_closed(
@@ -149,10 +150,11 @@ def _incoming_params_closed(
     home in the prologue) or on the stack when none is free; parameters
     whose incoming value is never read are marked dead (no staging)."""
     live_at_entry = alloc.liveness.live_in[alloc.cfg.entry]
+    numbering = alloc.liveness.numbering
     taken = {
         alloc.assignment[v].index
         for v in fn.param_vregs
-        if v in alloc.assignment and v in live_at_entry
+        if v in alloc.assignment and numbering.bit(v) & live_at_entry
     }
     specs: List[ParamSpec] = []
     staged = {r.index for r in convention.param_regs}
@@ -163,7 +165,7 @@ def _incoming_params_closed(
     ]
     for v in fn.param_vregs:
         k = v.index
-        if v not in live_at_entry:
+        if not numbering.bit(v) & live_at_entry:
             specs.append(ParamSpec(pos=k, dead=True))
             continue
         reg = alloc.assignment.get(v)

@@ -31,12 +31,30 @@ class VKind(enum.Enum):
 
 @dataclass(frozen=True)
 class VReg:
-    """A virtual register / register-allocation candidate."""
+    """A virtual register / register-allocation candidate.
+
+    The hash is computed once, at construction: every set and dict of the
+    optimizer and allocator hashes vregs, and the generated dataclass hash
+    would rebuild a tuple holding an ``Enum`` each time.  The value equals
+    that generated hash.  String hashes differ between processes, so
+    pickles carry only the fields and the hash is recomputed on load.
+    """
 
     name: str
     kind: VKind
     #: parameter position for PARAM vregs, 0 otherwise
     index: int = 0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "_hash", hash((self.name, self.kind, self.index))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (VReg, (self.name, self.kind, self.index))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return self.name

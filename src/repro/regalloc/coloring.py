@@ -19,20 +19,25 @@ The allocator:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro import faults
 from repro.cfg.cfg import CFG, build_cfg
 from repro.cfg.loops import LoopInfo, find_loops
-from repro.dataflow.liveness import Liveness, compute_liveness
+from repro.dataflow.liveness import VRegNumbering, compute_liveness
 from repro.ir.function import IRFunction
 from repro.ir.values import VKind, VReg
 from repro.regalloc.candidates import allocation_candidates, candidate_globals
 from repro.regalloc.context import AllocEnv
 from repro.regalloc.live_ranges import RangeInfo, build_ranges
-from repro.regalloc.priority import MOVE_COST, PriorityModel, SAVE_RESTORE_COST
+from repro.regalloc.priority import (
+    MOVE_COST,
+    PriorityModel,
+    RangePriority,
+    SAVE_RESTORE_COST,
+)
 from repro.regalloc.result import AllocationResult
-from repro.target.registers import Register
+from repro.target.registers import NUM_REGISTERS
 
 
 @dataclass
@@ -66,7 +71,7 @@ def _gather_param_bonus(
     env: AllocEnv,
     fn: IRFunction,
 ) -> None:
-    """Fill the (vreg, register) -> bonus map from call-site staging and
+    """Fill the vreg -> register -> bonus map from call-site staging and
     incoming parameter conventions."""
     for rc in ranges.all_calls:
         specs = env.param_specs(rc.instr)
@@ -75,10 +80,7 @@ def _gather_param_bonus(
             if spec.reg is None or spec.dead:
                 continue
             if isinstance(arg, VReg):
-                key = (arg, spec.reg.index)
-                model.param_bonus[key] = (
-                    model.param_bonus.get(key, 0) + MOVE_COST * rc.weight
-                )
+                model.add_bonus(arg, spec.reg.index, MOVE_COST * rc.weight)
     # Incoming parameters: under the default convention the k-th parameter
     # arrives in a_k; occupying exactly that register deletes the entry
     # move.  Closed procedures under IPRA choose the incoming register
@@ -90,10 +92,7 @@ def _gather_param_bonus(
             specs = default_param_specs(len(fn.params), env.convention)
             spec = specs[v.index]
             if spec.reg is not None:
-                key = (v, spec.reg.index)
-                model.param_bonus[key] = (
-                    model.param_bonus.get(key, 0) + MOVE_COST
-                )
+                model.add_bonus(v, spec.reg.index, MOVE_COST)
 
 
 def allocate_function(
@@ -114,27 +113,21 @@ def allocate_function(
     if cfg is None:
         cfg = build_cfg(fn)
     loops = find_loops(cfg)
+    numbering = VRegNumbering(cfg)
     candidates = allocation_candidates(fn, options.allowed_globals)
+    candidate_mask = numbering.mask(candidates)
     # A *written* register-candidate global must survive to the exit store;
     # a read-only one just has its natural range from the entry load.
-    written = {
-        d for block in fn.blocks for ins in block.instrs for d in ins.defs()
-    }
-    exit_live = sorted(
-        (v for v in candidate_globals(candidates) if v in written),
-        key=lambda v: v.name,
-    )
-    liveness = compute_liveness(cfg, exit_live=exit_live)
+    exit_live = numbering.mask(candidate_globals(candidates)) & numbering.defined
+    liveness = compute_liveness(cfg, numbering, exit_live=exit_live)
+    weights = _resolve_block_weights(cfg, options.block_weights)
     ranges = build_ranges(
-        cfg, liveness, loops, candidates,
-        block_weights=_resolve_block_weights(cfg, options.block_weights),
+        cfg, liveness, loops, candidate_mask, block_weights=weights,
     )
 
-
-    resolved_weights = _resolve_block_weights(cfg, options.block_weights)
     entry_weight = 1
-    if resolved_weights is not None and resolved_weights:
-        entry_weight = max(1, resolved_weights[cfg.entry])
+    if weights:
+        entry_weight = max(1, weights[cfg.entry])
     model = PriorityModel(env=env, entry_weight=entry_weight)
     for rc in ranges.all_calls:
         model.call_clobbers[id(rc.instr)] = env.clobber_mask(rc.instr)
@@ -149,57 +142,57 @@ def allocate_function(
         result.call_params[id(rc.instr)] = list(env.param_specs(rc.instr))
 
     # Order candidates by optimistic priority (highest first); note dead
-    # ranges (no blocks / zero benefit) are skipped outright.
-    order = []
-    for v in candidates:
-        lr = ranges.ranges.get(v)
-        if lr is None or not lr.blocks:
+    # ranges (zero benefit) are skipped outright.
+    regs = env.convention.allocatable
+    reg_indices = [r.index for r in regs]
+    order: List[Tuple[float, str, RangePriority]] = []
+    for lr in ranges.ranges.values():
+        rp = model.range_priority(lr)
+        if rp.benefit <= 0 and lr.vreg.kind is not VKind.GLOBAL:
             continue
-        if model.benefit(lr) <= 0 and v.kind is not VKind.GLOBAL:
-            continue
-        order.append((model.order_key(lr), lr))
-    order.sort(key=lambda pair: (-pair[0], pair[1].vreg.name))
+        order.append((-rp.order_key(reg_indices), lr.vreg.name, rp))
+    order.sort(key=lambda item: item[:2])
 
     used_mask = 0
     save_obligation = env.callee_saved_convention_applies
     callee_mask = env.convention.callee_mask
-    regs = env.convention.allocatable
+    first_use_cost = SAVE_RESTORE_COST * model.entry_weight
+    rows = ranges.rows
+    #: register index -> mask of the vreg numbers assigned to it
+    holders = [0] * NUM_REGISTERS
 
-    for _, lr in order:
-        v = lr.vreg
-        forbidden: Set[int] = set()
-        for n in ranges.neighbors(v):
-            r = result.assignment.get(n)
-            if r is not None:
-                forbidden.add(r.index)
-        best: Optional[Tuple[float, int, int, int, Register]] = None
+    for _, _, rp in order:
+        row = rows[rp.lr.num]
+        tree_mask = (
+            subtree_used_mask | used_mask if options.prefer_subtree_reg else 0
+        )
+        best: Optional[Tuple[float, int, int, int]] = None
+        best_reg = None
         for r in regs:
-            if r.index in forbidden:
-                continue
+            ri = r.index
+            if row & holders[ri]:
+                continue  # an interfering neighbour holds r
+            bit = 1 << ri
             first_use = 0
-            if (
-                save_obligation
-                and (callee_mask >> r.index & 1)
-                and not (used_mask & (1 << r.index))
-            ):
-                first_use = SAVE_RESTORE_COST * model.entry_weight
-            prio = model.priority(lr, r, first_use)
+            if save_obligation and callee_mask & bit and not used_mask & bit:
+                first_use = first_use_cost
+            prio = rp.priority(ri, first_use)
             if prio < 0:
                 continue
-            in_subtree = (
-                1 if options.prefer_subtree_reg
-                and ((subtree_used_mask | used_mask) & (1 << r.index))
-                else 0
+            key = (
+                prio,
+                1 if tree_mask & bit else 0,
+                1 if used_mask & bit else 0,
+                -ri,
             )
-            already_used = 1 if used_mask & (1 << r.index) else 0
-            key = (prio, in_subtree, already_used, -r.index, r)
-            if best is None or key[:4] > best[:4]:
+            if best is None or key > best:
                 best = key
-        if best is None:
+                best_reg = r
+        if best_reg is None:
             continue  # memory-resident
-        reg = best[4]
-        result.assignment[v] = reg
-        used_mask |= 1 << reg.index
+        result.assignment[rp.lr.vreg] = best_reg
+        holders[best_reg.index] |= 1 << rp.lr.num
+        used_mask |= 1 << best_reg.index
 
     result.own_assigned_mask = used_mask
     return result

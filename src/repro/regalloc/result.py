@@ -41,15 +41,16 @@ class AllocationResult:
     def is_memory(self, v: VReg) -> bool:
         return v not in self.assignment
 
-    def busy_blocks(self, reg: Register) -> Set[int]:
-        """Blocks where ``reg`` holds a live value of this procedure
-        (the register's APP footprint from its assigned ranges)."""
-        blocks: Set[int] = set()
+    def busy_blocks(self, reg: Register) -> int:
+        """Bitmask of the blocks where ``reg`` holds a live value of this
+        procedure (the register's APP footprint from its assigned
+        ranges)."""
+        blocks = 0
         if self.ranges is None:
             return blocks
         for v, r in self.assignment.items():
             if r.index == reg.index:
                 lr = self.ranges.ranges.get(v)
                 if lr is not None:
-                    blocks.update(lr.blocks)
+                    blocks |= lr.blocks
         return blocks

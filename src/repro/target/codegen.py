@@ -101,14 +101,10 @@ class _Emitter:
         # pins exactly those live to the exit; a read-only global's range
         # ends at its last use and its register may be reused afterwards,
         # so storing it back would write the reuser's value.
-        written = {
-            d
-            for block in self.fn.blocks
-            for ins in block.instrs
-            for d in ins.defs()
-        }
+        numbering = self.alloc.liveness.numbering
         self.writeback_globals = [
-            (v, r) for v, r in self.cached_globals if v in written
+            (v, r) for v, r in self.cached_globals
+            if numbering.bit(v) & numbering.defined
         ]
 
     # ------------------------------------------------------------------
@@ -151,26 +147,26 @@ class _Emitter:
         # registers holding values live across each call, to be saved by
         # the caller around the site (their slots are disjoint from the
         # callee-saved/wrapped slots below)
+        numbering = alloc.liveness.numbering
+        holders: Dict[int, int] = {}    # register index -> vreg numbers
+        for v, r in self.assignment.items():
+            holders[r.index] = holders.get(r.index, 0) | numbering.bit(v)
+        held = sorted(holders.items())
         call_save_regs: Set[int] = set()
-        for b, block in enumerate(self.cfg.blocks):
-            records = list(
-                instruction_live_sets(block, alloc.liveness.live_out[b])
-            )
-            for ins, live_before, live_after in records:
-                if not ins.is_call:
+        for b in range(self.cfg.num_blocks):
+            for op, live_before, live_after in instruction_live_sets(
+                alloc.liveness, b
+            ):
+                if not op.instr.is_call:
                     continue
-                clobber = self.alloc.call_clobbers.get(id(ins), 0)
-                across = (live_after & live_before) - set(ins.defs())
-                at_site = sorted(
-                    {
-                        self.assignment[v].index
-                        for v in across
-                        if v in self.assignment
-                        and clobber >> self.assignment[v].index & 1
-                    }
-                )
+                clobber = self.alloc.call_clobbers.get(id(op.instr), 0)
+                across = live_after & live_before & ~op.def_mask
+                at_site = [
+                    ri for ri, vs in held
+                    if clobber >> ri & 1 and vs & across
+                ]
                 if at_site:
-                    self.call_saves[id(ins)] = at_site
+                    self.call_saves[id(op.instr)] = at_site
                     call_save_regs.update(at_site)
 
         save_regs: Set[int] = {r.index for r in self.plan.entry_exit_saves}
@@ -274,6 +270,7 @@ class _Emitter:
     def _stage_incoming_params(self) -> None:
         params_by_pos = {v.index: v for v in self.fn.param_vregs}
         live_entry = self.alloc.liveness.live_in[self.cfg.entry]
+        numbering = self.alloc.liveness.numbering
         stores: List[Tuple[Register, VReg]] = []
         moves: List[Tuple[Register, Register]] = []
         loads: List[Tuple[Register, int]] = []
@@ -286,7 +283,7 @@ class _Emitter:
                 if assigned is not None:
                     if assigned.index != spec.reg.index:
                         moves.append((assigned, spec.reg))
-                elif v in live_entry:
+                elif numbering.bit(v) & live_entry:
                     stores.append((spec.reg, v))
             else:  # stack-passed: home *is* the incoming slot
                 if assigned is not None:

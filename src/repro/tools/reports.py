@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Optional
 
+from repro.dataflow.liveness import popcount
 from repro.interproc.allocator import FnPlan, ProgramPlan
 from repro.pipeline.driver import CompiledProgram
 from repro.pipeline.linker import Executable
@@ -33,7 +34,7 @@ def allocation_report(plan: FnPlan) -> str:
             v.name,
             v.kind.value,
             reg.name if reg else "memory",
-            len(lr.blocks),
+            popcount(lr.blocks),
             lr.use_weight,
             lr.def_weight,
             len(lr.calls),
@@ -265,10 +266,10 @@ def interference_summary(plan: FnPlan) -> str:
     alloc = plan.alloc
     if alloc.ranges is None:
         return f"{plan.name}: no ranges"
+    rows = alloc.ranges.rows
     degrees = sorted(
-        (len(alloc.ranges.neighbors(v)), v.name)
-        for v in alloc.candidates
-        if v in alloc.ranges.ranges
+        (popcount(rows[lr.num]), v.name)
+        for v, lr in alloc.ranges.ranges.items()
     )
     if not degrees:
         return f"{plan.name}: empty interference graph"

@@ -9,9 +9,10 @@ the schema-versioned JSON report::
 
 CI smoke (``--check``): runs the small budget, asserts the search is
 sound -- the winner is never worse than the paper's baseline convention
-and the strictly-worse-by-construction candidate never beats it -- and
-schema-validates the committed report *without* overwriting it (exactly
-the ``bench_speed --check`` contract).
+and the strictly-worse-by-construction candidate never beats it --
+schema-validates the committed report and checks that its counts equal
+the search just run, all *without* overwriting it (exactly the
+``bench_speed --check`` contract).
 """
 
 from __future__ import annotations
@@ -24,7 +25,12 @@ from typing import List, Optional
 
 from repro.pipeline.options import PAPER_CONFIGS
 from repro.tools.reports import tune_report
-from repro.tuning.tuner import TUNE_SCHEMA_VERSION, check_report, tune
+from repro.tuning.tuner import (
+    TUNE_SCHEMA_VERSION,
+    check_report,
+    compare_reports,
+    tune,
+)
 
 #: the committed report the CI check validates
 REPORT_PATH = Path(__file__).resolve().parents[3] / "benchmarks" / "TUNE_report.json"
@@ -32,7 +38,8 @@ REPORT_PATH = Path(__file__).resolve().parents[3] / "benchmarks" / "TUNE_report.
 
 def run_check(args) -> int:
     """CI smoke: a small search must be sound, and the committed report
-    must match the current schema."""
+    must match the current schema and, for the same search parameters,
+    the search's exact counts."""
     result = tune(
         budget="small",
         config=args.config,
@@ -60,7 +67,11 @@ def run_check(args) -> int:
         )
         return 1
     committed = json.loads(REPORT_PATH.read_text())
-    for err in check_report(committed):
+    stale = [
+        f"differs from the search: {diff}"
+        for diff in compare_reports(committed, report)
+    ]
+    for err in check_report(committed) + stale:
         errors.append(f"committed report: {err}")
         print(f"CHECK VIOLATION: committed report: {err}", file=sys.stderr)
     if not errors:

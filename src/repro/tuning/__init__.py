@@ -27,6 +27,7 @@ from repro.tuning.tuner import (
     TuneResult,
     Tuner,
     check_report,
+    compare_reports,
     tune,
 )
 
@@ -37,6 +38,7 @@ __all__ = [
     "Tuner",
     "budget_candidates",
     "check_report",
+    "compare_reports",
     "full_space",
     "neighbors",
     "sample_space",

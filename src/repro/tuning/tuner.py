@@ -431,6 +431,57 @@ def tune(
     ).run(budget=budget, sample=sample)
 
 
+#: the search parameters two reports must share for their counts to be
+#: comparable
+SEARCH_KEYS = ("budget", "config", "seed", "sim_tier", "programs")
+
+
+def _report_counts(report: Dict) -> Dict[str, object]:
+    """The exact counts of a report, flattened to ``label -> value``:
+    who each entry is and its per-program and total metrics (never its
+    wall-clock or engine timings)."""
+    out: Dict[str, object] = {}
+
+    def add(label: str, entry: Optional[Dict]) -> None:
+        if entry is None:
+            return
+        out[f"{label} name"] = (
+            entry["convention"]["name"] if "convention" in entry
+            else entry.get("candidate")
+        )
+        for prog, metrics in entry.get("programs", {}).items():
+            for metric, value in metrics.items():
+                out[f"{label} {prog} {metric}"] = value
+        for metric, value in entry.get("totals", {}).items():
+            out[f"{label} totals {metric}"] = value
+
+    add("baseline", report.get("baseline"))
+    for i, candidate in enumerate(report.get("candidates", [])):
+        add(f"candidates[{i}]", candidate)
+    add("guard", report.get("guard"))
+    add("winner", report.get("winner"))
+    return out
+
+
+def compare_reports(committed: Dict, fresh: Dict) -> List[str]:
+    """Where the counts of ``committed`` differ from ``fresh``.
+
+    Only reports of the same search (:data:`SEARCH_KEYS`) are compared;
+    for different searches the result is empty.  The counts are exact
+    integers, so any difference means the committed report no longer
+    describes the tree.
+    """
+    if any(committed.get(k) != fresh.get(k) for k in SEARCH_KEYS):
+        return []
+    old = _report_counts(committed)
+    new = _report_counts(fresh)
+    return [
+        f"{label}: committed {old.get(label)!r}, search {new.get(label)!r}"
+        for label in sorted(old.keys() | new.keys())
+        if old.get(label) != new.get(label)
+    ]
+
+
 def check_report(data: Dict) -> List[str]:
     """Schema-validate a tune report (the committed
     ``benchmarks/TUNE_report.json``); returns violation messages."""

@@ -21,9 +21,14 @@ def make_range(uses=0, defs=0, blocks=(0,), kind=VKind.LOCAL, calls=()):
     lr = LiveRange(vreg=VReg("x", kind))
     lr.use_weight = uses
     lr.def_weight = defs
-    lr.blocks = set(blocks)
+    for b in blocks:
+        lr.blocks |= 1 << b
     lr.calls = list(calls)
     return lr
+
+
+def priority(model, lr, register, first_use_cost):
+    return model.range_priority(lr).priority(register.index, first_use_cost)
 
 
 def test_benefit_counts_loads_and_stores():
@@ -55,34 +60,37 @@ def test_clobber_cost_per_spanned_call():
     rc = RangeCall(instr=call, block=1, weight=10)
     model = make_model()
     model.call_clobbers[id(call)] = 1 << reg("t0").index
-    lr = make_range(uses=3, calls=[rc])
-    assert model.clobber_cost(lr, reg("t0")) == SAVE_RESTORE_COST * 10
-    assert model.clobber_cost(lr, reg("s0")) == 0
+    lr = make_range(uses=3, calls=[rc, rc])
+    costs = model.clobber_costs(lr)
+    assert costs[reg("t0").index] == SAVE_RESTORE_COST * 10 * 2
+    assert costs[reg("s0").index] == 0
 
 
 def test_priority_normalised_by_span():
     model = make_model()
     small = make_range(uses=6, blocks=(0,))
     large = make_range(uses=6, blocks=(0, 1, 2))
-    assert model.priority(small, reg("t0"), 0) == 6.0
-    assert model.priority(large, reg("t0"), 0) == 2.0
+    assert priority(model, small, reg("t0"), 0) == 6.0
+    assert priority(model, large, reg("t0"), 0) == 2.0
 
 
 def test_first_use_cost_lowers_priority():
     model = make_model()
     lr = make_range(uses=6, blocks=(0,))
-    free = model.priority(lr, reg("s0"), 0)
-    charged = model.priority(lr, reg("s0"), SAVE_RESTORE_COST)
+    free = priority(model, lr, reg("s0"), 0)
+    charged = priority(model, lr, reg("s0"), SAVE_RESTORE_COST)
     assert charged == free - SAVE_RESTORE_COST
 
 
 def test_param_bonus_applies_to_specific_register():
     model = make_model()
     lr = make_range(uses=2)
-    model.param_bonus[(lr.vreg, reg("a0").index)] = 5
-    assert model.bonus(lr, reg("a0")) == 5
-    assert model.bonus(lr, reg("a1")) == 0
-    assert model.priority(lr, reg("a0"), 0) > model.priority(lr, reg("a1"), 0)
+    model.add_bonus(lr.vreg, reg("a0").index, 2)
+    model.add_bonus(lr.vreg, reg("a0").index, 3)
+    rp = model.range_priority(lr)
+    assert rp.bonus.get(reg("a0").index, 0) == 5
+    assert rp.bonus.get(reg("a1").index, 0) == 0
+    assert rp.priority(reg("a0").index, 0) > rp.priority(reg("a1").index, 0)
 
 
 def test_order_key_uses_best_case_register():
@@ -94,5 +102,6 @@ def test_order_key_uses_best_case_register():
 
     model.call_clobbers[id(call)] = CALLER_SAVED_MASK
     lr = make_range(uses=4, calls=[rc])
+    allocatable = [r.index for r in DEFAULT_CONVENTION.allocatable]
     # best case: a callee-saved register with no clobber cost
-    assert model.order_key(lr) == 4.0
+    assert model.range_priority(lr).order_key(allocatable) == 4.0

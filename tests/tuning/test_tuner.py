@@ -1,6 +1,7 @@
 """The convention autotuner: determinism, soundness, replayability."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.tuning import (
     Tuner,
     budget_candidates,
     check_report,
+    compare_reports,
     full_space,
     neighbors,
     sample_space,
@@ -128,6 +130,45 @@ def test_check_report_flags_violations():
     broken["baseline"]["convention"]["num_arg_regs"] = 7
     assert any("convention spec invalid" in e
                for e in check_report(broken))
+
+
+COMMITTED_REPORT = (
+    Path(__file__).resolve().parents[2] / "benchmarks" / "TUNE_report.json"
+)
+
+
+def test_compare_reports_finds_one_perturbed_count():
+    committed = json.loads(COMMITTED_REPORT.read_text())
+    same = json.loads(json.dumps(committed))
+    # timings are not counts
+    same["wall_seconds"] += 100.0
+    same["baseline"]["wall_seconds"] += 1.0
+    same["engine"] = {}
+    assert compare_reports(committed, same) == []
+
+    perturbed = json.loads(json.dumps(committed))
+    perturbed["candidates"][1]["programs"]["as1"]["cycles"] += 1_000_000
+    diffs = compare_reports(committed, perturbed)
+    assert len(diffs) == 1
+    assert diffs[0].startswith("candidates[1] as1 cycles:")
+    assert compare_reports(perturbed, committed) != []
+
+    for label in ("baseline", "winner"):
+        moved = json.loads(json.dumps(committed))
+        moved[label]["totals"]["scalar_memops"] -= 1
+        assert compare_reports(committed, moved) == [
+            f"{label} totals scalar_memops: committed "
+            f"{committed[label]['totals']['scalar_memops']}, search "
+            f"{moved[label]['totals']['scalar_memops']}"
+        ]
+    moved = json.loads(json.dumps(committed))
+    moved["guard"]["totals"]["cycles"] += 1
+    assert len(compare_reports(committed, moved)) == 1
+
+    # a different search is not compared count by count
+    other = json.loads(json.dumps(perturbed))
+    other["seed"] = committed["seed"] + 1
+    assert compare_reports(committed, other) == []
 
 
 def test_tuner_rejects_bad_arguments():
