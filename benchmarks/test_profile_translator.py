@@ -1,0 +1,28 @@
+"""Exact gate for block profiles collected by the trace translator.
+
+``block_profile_of`` profiles a program with one run of a profiling
+translation, which counts blocks per trace exit the way pixie counted
+them inside translated code.  For every suite program under every
+paper configuration that profile must equal the one the interpreter's
+``block_counts``/``call_args`` hooks collect: the same digest, and the
+same constant arguments for every callee.
+"""
+
+import pytest
+
+from conftest import compile_cached
+from helpers import interpreter_profile
+
+from repro.benchsuite.registry import load_benchmarks
+from repro.pipeline import PAPER_CONFIGS
+from repro.pipeline.profile import block_profile_of
+
+
+@pytest.mark.parametrize("config", sorted(PAPER_CONFIGS))
+def test_translator_profile_matches_the_interpreter(config):
+    for name, bench in sorted(load_benchmarks().items()):
+        prog = compile_cached(bench.source, PAPER_CONFIGS[config])
+        oracle = interpreter_profile(prog)
+        profile = block_profile_of(prog, attach=False)
+        assert profile.call_args == oracle.call_args, name
+        assert profile.digest() == oracle.digest(), name

@@ -27,6 +27,9 @@ class CFG:
     index: Dict[str, int] = field(default_factory=dict)
     succs: List[List[int]] = field(default_factory=list)
     preds: List[List[int]] = field(default_factory=list)
+    _rpo: Optional[Tuple[int, ...]] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def entry(self) -> int:
@@ -43,7 +46,11 @@ class CFG:
             if isinstance(b.terminator, Ret)
         ]
 
-    def reverse_postorder(self) -> List[int]:
+    def reverse_postorder(self) -> Tuple[int, ...]:
+        """Block ids in reverse postorder from the entry, computed on
+        first use and kept: no pass changes a CFG once it is built."""
+        if self._rpo is not None:
+            return self._rpo
         seen: Set[int] = set()
         order: List[int] = []
         # iterative DFS to avoid recursion limits on long chains
@@ -62,7 +69,8 @@ class CFG:
                 stack.pop()
                 order.append(node)
         order.reverse()
-        return order
+        self._rpo = tuple(order)
+        return self._rpo
 
     def name_of(self, block_id: int) -> str:
         return self.blocks[block_id].name

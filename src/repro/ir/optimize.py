@@ -284,9 +284,6 @@ def dead_code_eliminate(fn: IRFunction) -> int:
             block.instrs = kept
         if not changed:
             break
-    fn.collect_vregs()
-    for i, p in enumerate(fn.params):
-        fn.vregs.add(VReg(p, VKind.PARAM, i))
     return removed
 
 

@@ -6,17 +6,21 @@ of such profile data can enable the register allocator to distribute
 saves/restores more optimally ...  The feedback of profile data to the
 register allocator is a capability that we plan to add in the future."
 
-This module adds it: a profiling run counts basic-block executions (the
-simulator increments a counter at every block-start pc), and the counts
-replace the static ``10^loop-depth`` weights in the priority function and
-in the shrink-wrap APP weighting, via ``CompilerOptions.block_weights``.
+This module adds it: a profiling run counts basic-block executions, and
+the counts replace the static ``10^loop-depth`` weights in the priority
+function and in the shrink-wrap APP weighting, via
+``CompilerOptions.block_weights``.  The run is one run of the trace
+translator, which counts blocks inside translated code as pixie did
+(:func:`repro.sim.jit.run_profiling`); the interpreter's
+``block_counts``/``call_args`` hooks collect the identical profile and
+serve as its test oracle.
 
 The counts are carried in a :class:`BlockProfile` -- a plain-``dict``
 subclass (so it drops into ``block_weights`` unchanged) that also
-records the constant call arguments the interpreter observed (the tier-3
-JIT's specialization data source) and exposes a stable content digest,
-which keys tier-3 translations and lets tests reference a profile
-deterministically.  Profiling a program also *attaches* the profile to
+records the constant call arguments the profiling run observed (the
+tier-3 JIT's specialization data source) and exposes a stable content
+digest, which keys tier-3 translations and lets tests reference a
+profile deterministically.  Profiling a program also *attaches* the profile to
 its executable, which is what feeds ``sim_tier="auto"`` runs of that
 executable's translator with it.
 
@@ -36,7 +40,11 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 from repro.pipeline.driver import CompiledProgram, compile_program, Source
 from repro.pipeline.linker import Executable
 from repro.pipeline.options import CompilerOptions, O2
-from repro.sim.simulator import run_program
+# The profiling run is bound to the module-level name ``run_program`` and
+# called exactly once per profile, so a harness can wrap this one name to
+# time the run or keep its RunStats (perfbench's pgo-sim and its tracer
+# do both).
+from repro.sim.jit import run_profiling as run_program
 
 
 class BlockProfile(dict):
@@ -124,10 +132,16 @@ def block_profile_of(
     attach: bool = True,
     **run_kwargs,
 ) -> BlockProfile:
-    """Run ``target`` once on the interpreter with block counting and
-    call-argument observation; returns the :class:`BlockProfile`,
-    attached to the executable (see :func:`attach_profile`) unless
-    ``attach=False``."""
+    """Run ``target`` once on a profiling translation, which counts
+    block executions and observes call arguments; returns the
+    :class:`BlockProfile`, attached to the executable (see
+    :func:`attach_profile`) unless ``attach=False``.
+
+    ``run_kwargs`` (``stack_words``, ``max_cycles``) go to the run.  A
+    run that traps raises the interpreter's
+    :class:`~repro.ir.arith.MachineTrap` and yields no profile; a
+    translation failure raises too, with no fallback to the
+    interpreter."""
     exe = getattr(target, "executable", target)
     starts: Dict[int, int] = {}
     where: Dict[int, Tuple[str, str]] = {}

@@ -8,7 +8,9 @@ translator with loop linking, which runs without a profile as tier
 (:func:`run_jit3`), adding cross-procedure inlining and
 constant-argument specialization.  All tiers produce bit-identical
 :class:`RunStats`; the interpreter additionally supports contract
-checking and block-count profiling, to which ``auto`` falls back.
+checking, to which ``auto`` falls back.  Block profiles are collected
+by one run of a profiling translation (:func:`repro.sim.jit.run_profiling`),
+with the interpreter's profiling hooks kept as its test oracle.
 ``auto`` runs the translator (with the executable's block profile when
 one is attached) and falls back to the interpreter on a translation
 failure.

@@ -82,7 +82,7 @@ Profile-guided trace shaping
 
 :class:`Jit3Program` (tier ``"jit3"``; tier ``"auto"`` picks it when a
 :class:`~repro.pipeline.profile.BlockProfile` is attached to the
-executable) is the same translator fed interpreter profile data.
+executable) is the same translator fed profile data.
 Without a profile every call is cold, so inlining and specialization
 bail out; loop linking and budget hoisting need no profile and always
 apply.
@@ -136,15 +136,22 @@ by tier plus everything baked into the generated source as literals
 tier 3 adds its profile digest).  Under tier ``"auto"`` any
 translation failure falls back to the interpreter.
 
+Block profiles are collected by this translator too, the way pixie
+counted basic blocks inside translated code: :func:`run_profiling`
+(what :func:`~repro.pipeline.profile.block_profile_of` runs) counts
+blocks per trace exit and observes call arguments at call exits.
+
 The interpreter remains the retained reference oracle: contract checking
-and ``block_counts`` profiling are interpreter features, and
-:func:`simulate` routes runs that need them (tier ``auto``) back to it.
-Identity between the tiers -- bit-identical :class:`RunStats` including
-trap behaviour -- is enforced by the differential tests in
-``tests/sim/`` and by ``benchmarks/bench_speed.py``.
+is an interpreter feature, and :func:`simulate` routes runs that need it
+(tier ``auto``) back to it; its ``block_counts``/``call_args`` hooks
+are the profile's test oracle.  Identity between the tiers --
+bit-identical :class:`RunStats` including trap behaviour -- is enforced
+by the differential tests in ``tests/sim/`` and by
+``benchmarks/bench_speed.py``.
 """
 from __future__ import annotations
 
+import functools
 import threading
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -157,6 +164,7 @@ from repro.sim.simulator import (
     DUMP_INDEX,
     decoded_stream,
     run_program,
+    _observe_call,
     _LW, _SW, _B, _BEQZ, _BNEZ, _JAL, _JALR, _JR, _PRINT, _HALT,
     _KINDS, _LAT,
 )
@@ -175,6 +183,7 @@ __all__ = [
     "Jit3Program",
     "run_jit",
     "run_jit3",
+    "run_profiling",
     "simulate",
     "SIM_TIERS",
 ]
@@ -241,17 +250,22 @@ _VALUE_OPS: List[Optional[_ValueOp]] = [
 class _ExitPath:
     """Stat constants for one trace exit: the dynamic counts of the
     unique entry-to-exit path, multiplied by the exit counter after a
-    run."""
+    run.  A profiling translation also records ``blocks``, the
+    block-start pcs the path passes and how often."""
 
-    __slots__ = ("ninstr", "cycles", "calls", "branches", "loads", "stores")
+    __slots__ = (
+        "ninstr", "cycles", "calls", "branches", "loads", "stores", "blocks",
+    )
 
-    def __init__(self, ninstr, cycles, calls, branches, loads, stores):
+    def __init__(self, ninstr, cycles, calls, branches, loads, stores,
+                 blocks=None):
         self.ninstr = ninstr
         self.cycles = cycles
         self.calls = calls
         self.branches = branches
         self.loads = loads    # kind number -> count
         self.stores = stores
+        self.blocks = blocks  # pc -> occurrences on the path, or None
 
 
 class JitProgram:
@@ -264,6 +278,11 @@ class JitProgram:
     Without a profile (see :class:`Jit3Program`) every call is cold.
     ``jit3_stats`` records the translation decisions taken so far.
     """
+
+    #: a profiling translation (:class:`_ProfilingProgram`) records the
+    #: visits of these pcs on every exit path and observes call arguments
+    _profiling = False
+    _block_pcs: frozenset = frozenset()
 
     def __init__(
         self,
@@ -395,6 +414,8 @@ class JitProgram:
         branches = 0
         loads: Dict[int, int] = {}
         stores: Dict[int, int] = {}
+        block_pcs = self._block_pcs
+        visits: Dict[int, int] = {}    # tracked block-start pc -> passes
 
         def bail(reason: str) -> None:
             bailouts = st["bailouts"]
@@ -438,31 +459,38 @@ class JitProgram:
             if prefix > 0:
                 lines.append(f"{IND}\x00BG {prefix}")
 
+        def exit_path() -> int:
+            return self._new_exit(_ExitPath(
+                ninstr, prefix, calls, branches, dict(loads), dict(stores),
+                dict(visits) if visits else None,
+            ))
+
         def emit_exit(
             ind: str, ret: str,
             budget: bool = True, halting: bool = False, bump: bool = True,
-            writeback: bool = True,
+            call: Optional[str] = None,
         ) -> None:
-            if writeback:
-                if loop_mode:
-                    lines.append(f"{ind}\x00WB")
-                else:
-                    lines.extend(f"{ind}r[{i}] = r{i}" for i in written)
+            if loop_mode:
+                lines.append(f"{ind}\x00WB")
+            else:
+                lines.extend(f"{ind}r[{i}] = r{i}" for i in written)
             lines.append(f"{ind}y += {prefix}")
             if budget:
                 lines.append(f"{ind}\x00XB {'y - 1' if halting else 'y'}")
             if bump:
-                eid = self._new_exit(_ExitPath(
-                    ninstr, prefix, calls, branches,
-                    dict(loads), dict(stores),
-                ))
-                lines.append(f"{ind}c[{eid}] += 1")
+                lines.append(f"{ind}c[{exit_path()}] += 1")
+            if call is not None and self._profiling:
+                # a call exit: every register is written back by now
+                lines.append(f"{ind}_A({call}, r)")
             lines.append(f"{ind}{ret}")
 
-        def exit_to(ind: str, target: int, checked: bool = True) -> None:
+        def exit_to(
+            ind: str, target: int, checked: bool = True,
+            call: Optional[str] = None,
+        ) -> None:
             if 0 <= target < ncode:
                 self._enqueue(target)
-                emit_exit(ind, f"return _b{target}, y")
+                emit_exit(ind, f"return _b{target}, y", call=call)
             else:
                 emit_exit(
                     ind,
@@ -484,10 +512,7 @@ class JitProgram:
             faults.check(faults.SITE_JIT, "link")
             lines.append(f"{ind}y += {prefix}")
             lines.append(f"{ind}\x00XB y")
-            eid = self._new_exit(_ExitPath(
-                ninstr, prefix, calls, branches, dict(loads), dict(stores),
-            ))
-            lines.append(f"{ind}c[{eid}] += 1")
+            lines.append(f"{ind}c[{exit_path()}] += 1")
             lines.append(f"{ind}continue")
             st["linked_loops"] += 1
             st["elided_syncs"] += len(written)
@@ -579,6 +604,8 @@ class JitProgram:
         while True:
             op, rd, rs, rt, imm, kind = code[pc]
             ninstr += 1
+            if pc in block_pcs:
+                visits[pc] = visits.get(pc, 0) + 1
             lat = _LAT[op]
             vop = _VALUE_OPS[op]
 
@@ -705,7 +732,7 @@ class JitProgram:
                     st["elided_syncs"] += len(written)
                     pc = imm
                     continue
-                exit_to(IND, imm, checked=True)
+                exit_to(IND, imm, checked=True, call=str(imm))
                 break
             elif op == _JALR:
                 calls += 1
@@ -714,7 +741,7 @@ class JitProgram:
                 lines.append(f"{IND}t = {read(rs)}")
                 w = write(RA.index, const=pc + 1)
                 lines.append(f"{IND}{w} = {pc + 1}")
-                emit_exit(IND, "return _T.get(t) or _jump(t), y")
+                emit_exit(IND, "return _T.get(t) or _jump(t), y", call="t")
                 break
             elif op == _JR:
                 prefix += lat
@@ -840,6 +867,11 @@ class JitProgram:
     # -- execution ----------------------------------------------------------
 
     def run(self) -> RunStats:
+        return self._stats(*self._execute())
+
+    def _execute(self) -> Tuple[List[int], int, List[int]]:
+        """Run the program once; returns the exit counters, the cycle
+        count and the output."""
         exe = self.exe
         mem: List[int] = [0] * self.mem_size
         for a, v in exe.data_init.items():
@@ -860,7 +892,12 @@ class JitProgram:
         finally:
             with self._lock:
                 del self._live[id(counts)]
+        return counts, cycles, out
 
+    def _stats(
+        self, counts: List[int], cycles: int, out: List[int]
+    ) -> RunStats:
+        """The run's statistics, reconstructed from its exit counters."""
         stats = RunStats()
         stats.cycles = cycles
         stats.output = out
@@ -965,6 +1002,74 @@ class Jit3Program(JitProgram):
         return stats
 
 
+class _ProfilingProgram(JitProgram):
+    """A one-run translation that collects a block profile, the way
+    pixie counted basic blocks inside translated code.
+
+    Every exit path records the visits of the pcs in ``block_counts``,
+    so a block's count is the sum over exits of the exit's counter
+    times the block's visits on its path: the run itself counts nothing
+    more than it already does.  Call exits also fold the argument
+    registers into ``call_args`` by the interpreter's rule.  A
+    translation without a profile never inlines a call, so every call
+    is such an exit.
+    """
+
+    _profiling = True
+
+    def __init__(
+        self,
+        exe: Executable,
+        stack_words: int,
+        max_cycles: int,
+        block_counts: Dict[int, int],
+        call_args: Dict[int, List[Optional[int]]],
+    ):
+        super().__init__(exe, stack_words, max_cycles)
+        self._block_pcs = frozenset(block_counts)
+        self._block_counts = block_counts
+        self.ns["_A"] = functools.partial(_observe_call, call_args)
+
+    def run(self) -> RunStats:
+        try:
+            counts, cycles, out = self._execute()
+        finally:
+            # the translation serves one run: free its code now (stubs
+            # and ``_jump`` tie it into cycles a later collection finds)
+            self.ns.clear()
+            self.table.clear()
+        block_counts = self._block_counts
+        for n, path in zip(counts, self.exits):
+            if n and path.blocks:
+                for pc, visits in path.blocks.items():
+                    block_counts[pc] += n * visits
+        return self._stats(counts, cycles, out)
+
+
+def run_profiling(
+    exe: Executable,
+    stack_words: int = DEFAULT_STACK_WORDS,
+    max_cycles: int = DEFAULT_MAX_CYCLES,
+    *,
+    block_counts: Dict[int, int],
+    call_args: Dict[int, List[Optional[int]]],
+) -> RunStats:
+    """Run ``exe`` once on a profiling translation; the translator's
+    counterpart of the interpreter's profiling run
+    (``run_program(exe, block_counts=..., call_args=...)``).
+
+    ``block_counts`` is pre-seeded with the pcs of interest, and each
+    entry gains that pc's visits; ``call_args`` is filled with the
+    argument registers' values per call target, ``None`` where they
+    varied.  A :class:`MachineTrap` propagates with the interpreter's
+    message, leaving both dicts unspecified.  The translation is not
+    cached on the executable: it serves this one run.
+    """
+    return _ProfilingProgram(
+        exe, stack_words, max_cycles, block_counts, call_args
+    ).run()
+
+
 def _cached(exe: Executable, key: Tuple, make: Callable) -> JitProgram:
     """The translation cached on ``exe`` (next to ``_decoded``) under
     ``key``, made on first use; the key's tier tag keeps the profiled
@@ -1020,9 +1125,10 @@ SIM_TIERS = ("auto", "interp", "jit", "jit3")
 
 
 def _self_profile(exe: Executable):
-    """Collect (and attach) a profile of ``exe`` by one interpreter run
-    -- the explicit ``sim_tier="jit3"`` path when no profile was
-    attached beforehand.  Deferred import: profile.py imports us."""
+    """Collect (and attach) a profile of ``exe`` by one run of a
+    profiling translation (:func:`run_profiling`) -- the explicit
+    ``sim_tier="jit3"`` path when no profile was attached beforehand.
+    Deferred import: profile.py imports us."""
     from repro.pipeline.profile import block_profile_of
 
     return block_profile_of(exe)
@@ -1033,7 +1139,6 @@ def simulate(
     stack_words: int = DEFAULT_STACK_WORDS,
     max_cycles: int = DEFAULT_MAX_CYCLES,
     check_contracts: bool = False,
-    block_counts: Optional[Dict[int, int]] = None,
     sim_tier: str = "auto",
     profile=None,
 ) -> RunStats:
@@ -1043,8 +1148,8 @@ def simulate(
     reference interpreter), ``"jit"`` (the translator without a
     profile) or ``"jit3"`` (the translator fed a block profile).  The
     translated tiers are incompatible with the interpreter-only
-    features (``check_contracts``, ``block_counts``).  All tiers
-    produce bit-identical :class:`RunStats`.
+    contract checker (``check_contracts``).  All tiers produce
+    bit-identical :class:`RunStats`.
 
     ``"auto"`` runs the translator, with the profile attached to the
     executable (see :func:`repro.pipeline.profile.attach_profile`) or
@@ -1053,26 +1158,25 @@ def simulate(
     :attr:`RunStats.sim_fallback`.  :class:`MachineTrap` is program
     semantics (all tiers raise it identically) and always propagates.
 
-    ``sim_tier="jit3"`` with no profile anywhere collects one via a
-    single interpreter profiling run first (and attaches it).
+    ``sim_tier="jit3"`` with no profile anywhere first collects one
+    with :func:`~repro.pipeline.profile.block_profile_of` (one run of a
+    profiling translation) and attaches it.
     """
     if sim_tier not in SIM_TIERS:
         raise ValueError(
             f"unknown sim_tier {sim_tier!r}; expected one of {SIM_TIERS}"
         )
-    needs_interp = check_contracts or block_counts is not None
-    if sim_tier in ("jit", "jit3") and needs_interp:
+    if sim_tier in ("jit", "jit3") and check_contracts:
         raise ValueError(
-            f"sim_tier={sim_tier!r} supports neither check_contracts nor "
-            "block_counts; use sim_tier='auto' or 'interp'"
+            f"sim_tier={sim_tier!r} does not support check_contracts; "
+            "use sim_tier='auto' or 'interp'"
         )
-    if sim_tier == "interp" or needs_interp:
+    if sim_tier == "interp" or check_contracts:
         return run_program(
             exe,
             stack_words=stack_words,
             max_cycles=max_cycles,
             check_contracts=check_contracts,
-            block_counts=block_counts,
         )
     if sim_tier == "jit":
         return run_jit(exe, stack_words=stack_words, max_cycles=max_cycles)

@@ -66,6 +66,19 @@ def run_cached(source, options, check_contracts: bool = False):
     return stats
 
 
+def interpreter_profile(target, **run_kwargs):
+    """``block_profile_of(target, attach=False)`` with the run made by
+    the interpreter's ``block_counts``/``call_args`` hooks instead of
+    the profiling translation: the oracle for translator profiles."""
+    from unittest import mock
+
+    from repro.pipeline import profile
+    from repro.sim.simulator import run_program
+
+    with mock.patch.object(profile, "run_program", run_program):
+        return profile.block_profile_of(target, attach=False, **run_kwargs)
+
+
 def once(benchmark, fn):
     """Run ``fn`` exactly once under the pytest-benchmark timer."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)

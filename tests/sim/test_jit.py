@@ -9,6 +9,8 @@ import threading
 
 import pytest
 
+from helpers import interpreter_profile
+
 from repro.ir.arith import BINOPS, MachineTrap, UNOPS
 from repro.pipeline import compile_program, O2, O3_SW
 from repro.pipeline.linker import Executable
@@ -267,8 +269,6 @@ def test_jit_tier_rejects_interpreter_features():
     exe = compile_program("func main() {}", O2).executable
     with pytest.raises(ValueError, match="check_contracts"):
         simulate(exe, sim_tier="jit", check_contracts=True)
-    with pytest.raises(ValueError, match="block_counts"):
-        simulate(exe, sim_tier="jit", block_counts={})
 
 
 def test_auto_tier_falls_back_for_contracts():
@@ -277,10 +277,11 @@ def test_auto_tier_falls_back_for_contracts():
     assert checked == prog.run(sim_tier="jit")
 
 
-def test_auto_tier_falls_back_for_profiling():
+def test_block_profile_counts_blocks_on_the_translator():
     prog = compile_program(LOOPS, O2)
     profile = block_profile_of(prog)
-    assert profile["work"]  # the interpreter path still collects counts
+    assert profile["work"]
+    assert profile.digest() == interpreter_profile(prog).digest()
 
 
 def test_compiled_program_run_accepts_sim_tier():
