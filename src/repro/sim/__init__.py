@@ -4,9 +4,9 @@ Two engines, selected by the ``sim_tier`` knob on :func:`simulate`
 (and on every ``RunStats``-producing entry point above it): the
 reference interpreter (:func:`run_program`) and the pixie-style trace
 translator with loop linking, which runs without a profile as tier
-``"jit"`` (:func:`run_jit`) and fed a block profile as tier ``"jit3"``
-(:func:`run_jit3`), adding cross-procedure inlining and
-constant-argument specialization.  All tiers produce bit-identical
+``"jit"`` (:func:`run_jit`), inlining only small leaves, and fed a
+block profile as tier ``"jit3"`` (:func:`run_jit3`), adding
+profile-guided inlining and constant-argument specialization.  All tiers produce bit-identical
 :class:`RunStats`; the interpreter additionally supports contract
 checking, to which ``auto`` falls back.  Block profiles are collected
 by one run of a profiling translation (:func:`repro.sim.jit.run_profiling`),

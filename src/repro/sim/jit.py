@@ -77,15 +77,39 @@ cached program for concurrent identical requests): translation and
 twin compilation hold a per-instance lock, and each new exit's counter
 slot is added to every run in progress before code can bump it.
 
+Trace shaping without a profile
+-------------------------------
+
+A translation without a profile (tier ``"jit"`` and the profiling
+translation) shapes its traces by three static rules:
+
+* **Loop heuristic** (Ball & Larus, "Branch Prediction for Free") --
+  at a conditional branch inside a loop, the trace follows the forward
+  taken arm when it can reach a branch back to the innermost loop
+  header over fall-throughs, forward branches and calls, and the
+  fall-through cannot; the fall-through becomes the side exit.  A
+  loop-header trace then runs the body and links its back-edge (see
+  *trace linking of loops* below), where following the fall-through
+  would leave the loop at once.
+* **Leaf inlining** (tier ``"jit"`` only) -- every call is cold, so
+  specialization bails out, but a callee that makes no call and fits
+  ``INLINE_SIZE_CAP`` is inlined through the same depth, trace-cap and
+  summary-footprint gates and return linking as a hot callee.  The
+  profiling translation never inlines: its call exits observe the
+  arguments.
+* **Constant addresses** -- a load or store whose base register is a
+  translation-time constant and whose address lies inside memory
+  indexes ``m`` with that literal and no runtime bounds test; an
+  out-of-range constant address keeps the test and its trap.
+
 Profile-guided trace shaping
 ----------------------------
 
 :class:`Jit3Program` (tier ``"jit3"``; tier ``"auto"`` picks it when a
 :class:`~repro.pipeline.profile.BlockProfile` is attached to the
-executable) is the same translator fed profile data.
-Without a profile every call is cold, so inlining and specialization
-bail out; loop linking and budget hoisting need no profile and always
-apply.
+executable) is the same translator fed profile data, which replaces
+the three rules above; loop linking and budget hoisting need no
+profile and always apply.
 
 * **Hot-direction following** -- at a conditional branch the trace
   follows the taken direction when the profile says it carries most of
@@ -151,6 +175,7 @@ by the differential tests in ``tests/sim/`` and by
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import threading
 from typing import Callable, Dict, List, Optional, Set, Tuple
@@ -275,7 +300,8 @@ class JitProgram:
     :func:`run_jit` caches instances on the executable.  The constructor
     translates nothing: :meth:`run` translates each trace the first
     time control reaches it, and later runs reuse the translations.
-    Without a profile (see :class:`Jit3Program`) every call is cold.
+    Without a profile (see :class:`Jit3Program`) every call is cold,
+    and traces are shaped by the static rules in the module docstring.
     ``jit3_stats`` records the translation decisions taken so far.
     """
 
@@ -298,6 +324,7 @@ class JitProgram:
         self.ncode = len(self.code)
         self.exits: List[_ExitPath] = []
         self.table: Dict[int, Callable] = {}
+        self._deferred: Dict[str, str] = {}   # twin name -> its source
         # translation state is shared by overlapping runs: _lock guards
         # it, and _live holds each running run's exit counters by id
         self._lock = threading.Lock()
@@ -310,13 +337,21 @@ class JitProgram:
             p: (entries[i + 1] if i + 1 < len(entries) else self.ncode) - p
             for i, p in enumerate(entries)
         }
-        # the pcs some backward branch targets: the only traces that
-        # can link a loop, hence the only ones worth loop mode
-        self._backedge_targets = {
-            ins[4]
-            for pc, ins in enumerate(self.code)
-            if ins[0] in (_B, _BEQZ, _BNEZ) and 0 <= ins[4] <= pc
-        }
+        # each pc some backward branch targets (a loop header), mapped
+        # to the last backward branch to it (its latch); the headers
+        # are the only traces that can link a loop, hence the only
+        # ones worth loop mode
+        self._latch: Dict[int, int] = {}
+        for pc, ins in enumerate(self.code):
+            if ins[0] in (_B, _BEQZ, _BNEZ) and 0 <= ins[4] <= pc:
+                self._latch[ins[4]] = pc
+        self._backedge_targets = self._latch.keys()
+        self._headers = sorted(self._latch)
+        # memoized profile-less rules: per loop header, the pcs that
+        # reach a branch back to it; per function entry, whether it is
+        # a leaf
+        self._reaching: Dict[int, Set[int]] = {}
+        self._leaf: Dict[int, bool] = {}
         self.jit3_stats: Dict[str, object] = {
             "traces": 0,
             "max_trace_len": 0,
@@ -354,18 +389,79 @@ class JitProgram:
         """Bind ``name`` to a stub that, on its first call, compiles
         ``source`` (which defines ``name``, rebinding it) and then runs
         it.  The budget and specialization twins wait here: most runs
-        never enter them."""
+        never enter them.  The source waits in ``_deferred``, not in
+        the stub: a stub that referred to itself would form a cycle
+        holding the whole translation until a cyclic collection."""
 
         def stub(r, m, o, c, y):
             with self._lock:
-                if self.ns[name] is stub:
-                    self._exec(source)
+                text = self._deferred.get(name)
+                if text is not None:
+                    self._exec(text)
+                    del self._deferred[name]
             return self.ns[name](r, m, o, c, y)
 
+        self._deferred[name] = source
         self.ns[name] = stub
 
     def _exec(self, source: str) -> None:
         exec(compile(source, f"<jit:{id(self.exe):#x}>", "exec"), self.ns)
+
+    # -- trace shaping without a profile ------------------------------------
+
+    def _follows_taken(self, pc: int, target: int) -> bool:
+        """The direction rule of a translation without a profile, Ball
+        & Larus's loop heuristic: the conditional branch at ``pc``
+        follows its forward ``target`` when, in the innermost loop
+        around ``pc``, the taken arm can reach a branch back to the
+        loop header and the fall-through cannot."""
+        headers = self._headers
+        for k in range(bisect.bisect_right(headers, pc) - 1, -1, -1):
+            h = headers[k]
+            if pc <= self._latch[h]:
+                reaching = self._reaching_of(h)
+                return target in reaching and pc + 1 not in reaching
+        return False
+
+    def _reaching_of(self, h: int) -> Set[int]:
+        """The pcs that reach a branch back to the loop header ``h``
+        over fall-throughs, forward branches and calls, memoized per
+        header.  Only the last ``TRACE_CAP`` pcs up to the latch count:
+        no trace runs longer than that to link the loop."""
+        reaching = self._reaching.get(h)
+        if reaching is not None:
+            return reaching
+        code = self.code
+        latch = self._latch[h]
+        reaching = set()
+        for p in range(latch, max(h, latch - TRACE_CAP) - 1, -1):
+            op, imm = code[p][0], code[p][4]
+            if op == _B:
+                hit = imm == h or (p < imm and imm in reaching)
+            elif op == _BEQZ or op == _BNEZ:
+                hit = (
+                    imm == h or p + 1 in reaching
+                    or (p < imm and imm in reaching)
+                )
+            elif op == _JR or op == _HALT:
+                hit = False
+            else:
+                hit = p + 1 in reaching
+            if hit:
+                reaching.add(p)
+        self._reaching[h] = reaching
+        return reaching
+
+    def _is_leaf(self, entry: int, size: int) -> bool:
+        """Whether the function at ``entry`` (``size`` instructions)
+        makes no call, memoized per function."""
+        leaf = self._leaf.get(entry)
+        if leaf is None:
+            leaf = self._leaf[entry] = not any(
+                ins[0] == _JAL or ins[0] == _JALR
+                for ins in self.code[entry:entry + size]
+            )
+        return leaf
 
     def _translate_superblock(
         self, start: int, specialized: bool = True,
@@ -521,13 +617,19 @@ class JitProgram:
             callee = self.exe.func_at_pc.get(entry)
             if callee is None:
                 return False
-            if self._hot.get(entry, 0) < HOT_CALLS:
+            size = self._extent.get(entry, ncode)
+            # without a profile every call is cold, yet a leaf goes on
+            # to the gates below -- except in a profiling translation,
+            # whose call exits observe the arguments
+            if self._hot.get(entry, 0) < HOT_CALLS and (
+                self._hot or self._profiling
+                or not self._is_leaf(entry, size)
+            ):
                 bail("cold")
                 return False
             if len(inline_stack) >= INLINE_DEPTH:
                 bail("depth")
                 return False
-            size = self._extent.get(entry, ncode)
             if size > INLINE_SIZE_CAP:
                 bail("size")
                 return False
@@ -548,6 +650,16 @@ class JitProgram:
 
         def addr_expr(base: int, imm: int) -> None:
             lines.append(f"{IND}a = {read(base)}{offset(imm)}")
+
+        def const_addr(base: int, imm: int) -> Optional[int]:
+            """Without a profile, an address known at translation time
+            and inside memory, which needs no runtime bounds test."""
+            if self._hot:
+                return None
+            b = const_of(base)
+            if b is None or not 1 <= b + imm < self.mem_size:
+                return None
+            return b + imm
 
         def emit_value(vop: _ValueOp, rd: int, rs: int, rt: int,
                        imm: int) -> None:
@@ -626,23 +738,29 @@ class JitProgram:
                             lines.append(f"{IND}{w} = {val}")
             elif op == _LW:
                 budget_guard()
-                addr_expr(rs, imm)
-                lines.append(
-                    f"{IND}if a < 1 or a >= {self.mem_size}:"
-                    f" raise MachineTrap('bad load address %d at pc={pc}' % a)"
-                )
+                addr = const_addr(rs, imm)
+                if addr is None:
+                    addr = "a"
+                    addr_expr(rs, imm)
+                    lines.append(
+                        f"{IND}if a < 1 or a >= {self.mem_size}: raise"
+                        f" MachineTrap('bad load address %d at pc={pc}' % a)"
+                    )
                 w = write(rd)
                 if w is not None:
-                    lines.append(f"{IND}{w} = m[a]")
+                    lines.append(f"{IND}{w} = m[{addr}]")
                 loads[kind] = loads.get(kind, 0) + 1
             elif op == _SW:
                 budget_guard()
-                addr_expr(rt, imm)
-                lines.append(
-                    f"{IND}if a < 1 or a >= {self.mem_size}:"
-                    f" raise MachineTrap('bad store address %d at pc={pc}' % a)"
-                )
-                lines.append(f"{IND}m[a] = {read(rs)}")
+                addr = const_addr(rt, imm)
+                if addr is None:
+                    addr = "a"
+                    addr_expr(rt, imm)
+                    lines.append(
+                        f"{IND}if a < 1 or a >= {self.mem_size}: raise"
+                        f" MachineTrap('bad store address %d at pc={pc}' % a)"
+                    )
+                lines.append(f"{IND}m[{addr}] = {read(rs)}")
                 stores[kind] = stores.get(kind, 0) + 1
             elif op == _PRINT:
                 lines.append(f"{IND}o.append({read(rs)})")
@@ -668,25 +786,28 @@ class JitProgram:
                     break
                 cond = read(rs)
                 backedge_ok = imm == start and backedge_linkable()
-                # follow the taken direction only when the profile
-                # really favours it: a linkable back-edge, or a forward
-                # target carrying the majority of the flow through this
+                # follow the taken direction on a linkable back-edge,
+                # or to a forward target the profile really favours:
+                # one carrying the majority of the flow through this
                 # trace's head (the fall-through's own count is usually
                 # unobservable -- it is rarely a block leader -- so it
                 # is estimated as entry minus taken rather than read
                 # from the profile, where a missing label would score 0
-                # and invert nearly every branch)
-                taken_count = self._hot.get(imm, 0)
-                if (
-                    backedge_ok
-                    or (
-                        pc < imm < ncode
-                        and taken_count * 2 > self._hot.get(start, 1)
+                # and invert nearly every branch); without a profile,
+                # to a forward target the loop heuristic picks
+                if not pc < imm < ncode:
+                    follow = False
+                elif self._hot:
+                    taken_count = self._hot.get(imm, 0)
+                    follow = (
+                        taken_count * 2 > self._hot.get(start, 1)
                         and taken_count > self._hot.get(pc + 1, 0)
                     )
-                ):
-                    # the taken direction is the profiled-hot one:
-                    # follow it, exiting on the cold fall-through
+                else:
+                    follow = self._follows_taken(pc, imm)
+                if backedge_ok or follow:
+                    # the taken direction is the likely one: follow
+                    # it, exiting on the fall-through
                     ntest = "!=" if op == _BEQZ else "=="
                     lines.append(f"{IND}if {cond} {ntest} 0:")
                     exit_to(IND + "    ", pc + 1, checked=False)
@@ -1010,9 +1131,10 @@ class _ProfilingProgram(JitProgram):
     so a block's count is the sum over exits of the exit's counter
     times the block's visits on its path: the run itself counts nothing
     more than it already does.  Call exits also fold the argument
-    registers into ``call_args`` by the interpreter's rule.  A
-    translation without a profile never inlines a call, so every call
-    is such an exit.
+    registers into ``call_args`` by the interpreter's rule, so this
+    translation never inlines a call, not even a leaf tier ``"jit"``
+    would inline: an inlined call makes no exit, and its arguments
+    would go unobserved.
     """
 
     _profiling = True
@@ -1110,8 +1232,8 @@ def run_jit3(
     """Execute ``exe`` on the translator fed ``profile``.
 
     ``profile`` is the :class:`~repro.pipeline.profile.BlockProfile`
-    driving inlining/linking/specialization decisions (``None`` keeps
-    the translator conservative: loop linking only).  The translation
+    driving inlining/linking/specialization decisions (``None``
+    shapes traces as tier ``"jit"`` does).  The translation
     is cached on the executable keyed by ``("jit3", stack_words,
     max_cycles, profile digest)``.
     """

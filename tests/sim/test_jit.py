@@ -1,7 +1,8 @@
 """Trace translator tests (tier "jit", no profile): tier identity,
 traps, the sim_tier knob, translation caching and on first entry,
-overlapping runs, word-width shift semantics, and the opcode table's
-value templates against the interpreter."""
+overlapping runs, word-width shift semantics, the opcode table's
+value templates against the interpreter, and the profile-less trace
+shaping rules (loop heuristic, leaf inlining, constant addresses)."""
 
 import itertools
 import sys
@@ -16,7 +17,7 @@ from repro.pipeline import compile_program, O2, O3_SW
 from repro.pipeline.linker import Executable
 from repro.pipeline.profile import block_profile_of
 from repro.sim import run_jit, run_program, simulate, SIM_TIERS
-from repro.sim.jit import Jit3Program, JitProgram
+from repro.sim.jit import Jit3Program, JitProgram, _ProfilingProgram
 from repro.target.isa import Instr, MemKind, Opcode, OPS
 from repro.target.registers import ALL_REGISTERS, ZERO
 
@@ -344,6 +345,7 @@ func unused(x) { return x * 3 + g; }
 func main() {
     var i; var s = 0;
     for (i = 0; i < 10; i = i + 1) { if (i > 4) { s = s + i; } }
+    if (s > 20) { s = s - 1; }
     print s;
 }
 """
@@ -357,6 +359,16 @@ def _static_targets(exe):
     }
 
 
+def _in_loop(exe, pc):
+    """Whether ``pc`` lies between a backward branch and its target."""
+    return any(
+        ins.imm <= pc <= latch
+        for latch, ins in enumerate(exe.instrs)
+        if ins.op in (Opcode.B, Opcode.BEQZ, Opcode.BNEZ)
+        and ins.imm <= latch
+    )
+
+
 def test_only_entered_superblocks_are_translated():
     exe = compile_program(LAZY, O2).executable
     prog = JitProgram(exe)
@@ -364,12 +376,15 @@ def test_only_entered_superblocks_are_translated():
     assert prog.run() == run_program(exe)
     # a function that is never called is never translated
     assert exe.func_entries["unused"] not in prog.table
-    # nor is a fall-through after a conditional branch that nothing
-    # else targets: the trace ending in the branch runs it inline
+    # nor is a fall-through after a conditional branch outside loops
+    # that nothing else targets: the trace ending in the branch runs it
+    # inline (inside a loop, the loop heuristic may follow the taken
+    # arm instead and leave the fall-through to a side exit)
     targets = _static_targets(exe)
     inline_only = [
         pc for pc in range(1, len(exe.instrs))
         if exe.instrs[pc - 1].op in (Opcode.BEQZ, Opcode.BNEZ)
+        and not _in_loop(exe, pc - 1)
         and pc not in targets and pc not in exe.func_at_pc
     ]
     assert inline_only
@@ -442,3 +457,133 @@ def test_overlapping_runs_share_one_translation():
             assert not prog._live      # every run unregistered its counters
     finally:
         sys.setswitchinterval(old_interval)
+
+
+# -- trace shaping without a profile ----------------------------------------
+
+LEAF_LOOP = """
+var g = 0;
+func leaf(x) { return x * 3 + 1; }
+func main() {
+    var i = 0; var s = 0;
+    while (i < 10) { s = s + leaf(i); g = g + s; i = i + 1; }
+    print s; print g;
+}
+"""
+
+
+@pytest.mark.parametrize("options", [O2, O3_SW], ids=["O2", "O3_SW"])
+def test_tier2_links_loops_and_inlines_leaves(options):
+    exe = compile_program(LEAF_LOOP, options).executable
+    assert simulate(exe, sim_tier="jit") == run_program(exe)
+    (prog,) = exe._jit_cache.values()
+    info = prog.jit3_stats
+    assert info["linked_loops"] >= 1
+    assert info["inlined_calls"] >= 1
+    assert info["linked_returns"] >= 1
+    # the inlined leaf's entry is never entered, so never translated
+    assert exe.func_entries["leaf"] not in prog.table
+
+
+def test_profiling_translation_never_inlines(monkeypatch):
+    built = compile_program(LEAF_LOOP, O2)
+    kept = []
+    run = _ProfilingProgram.run
+
+    def keep(self):
+        kept.append(self)
+        return run(self)
+
+    monkeypatch.setattr(_ProfilingProgram, "run", keep)
+    profile = block_profile_of(built, attach=False)
+    (prog,) = kept
+    assert prog.jit3_stats["inlined_calls"] == 0
+    oracle = interpreter_profile(built)
+    assert profile.call_args == oracle.call_args
+    assert profile.call_args["leaf"]
+    assert profile.digest() == oracle.digest()
+
+
+def test_constant_addresses_need_no_bounds_test():
+    # a load off $zero and a store off an LI-set register index memory
+    # with the literal address; a loaded base keeps the runtime test
+    exe = Executable(
+        instrs=[
+            Instr(op=Opcode.LW, rd=T0, rs=ZERO, imm=1, kind=MemKind.SCALAR),
+            Instr(op=Opcode.LI, rd=T1, imm=2),
+            Instr(op=Opcode.SW, rs=T0, rt=T1, imm=1, kind=MemKind.SCALAR),
+            Instr(op=Opcode.LW, rd=T2, rs=T0, imm=0, kind=MemKind.SCALAR),
+            Instr(op=Opcode.PRINT, rs=T2),
+            Instr(op=Opcode.HALT),
+        ],
+        entry_pc=0, data_init={1: 3, 3: 5}, data_size=4,
+    )
+    assert both_tiers(exe).output == [3]
+    source = JitProgram(exe)._translate_superblock(0)
+    lines = source.splitlines()
+    assert f"    r{T0.index} = m[1]" in lines
+    assert f"    m[3] = r{T0.index}" in lines
+    assert f"    r{T2.index} = m[a]" in lines
+    assert sum("if a < 1" in ln for ln in lines) == 1   # the last load
+
+
+@pytest.mark.parametrize("op", [Opcode.LW, Opcode.SW])
+@pytest.mark.parametrize("addr", [-1, 0, 1, 15, 16, 17])
+def test_constant_addresses_at_the_memory_bounds(op, addr):
+    # memory is words 1..15 here (data_size 4 + stack_words 12): a
+    # constant address outside keeps the runtime test and its trap
+    fields = dict(rd=T0, rs=ZERO) if op == Opcode.LW else dict(rs=T0, rt=ZERO)
+    exe = Executable(
+        instrs=[
+            Instr(op=op, imm=addr, kind=MemKind.SCALAR, **fields),
+            Instr(op=Opcode.HALT),
+        ],
+        entry_pc=0, data_size=4,
+    )
+    if 1 <= addr < 16:
+        both_tiers(exe, stack_words=12)
+    else:
+        msg = both_tiers_trap(exe, stack_words=12)
+        assert msg.endswith(f" address {addr} at pc=0")
+
+
+def test_compiled_global_access_has_no_bounds_test():
+    # the loop header's trace runs the body: it reads and writes ``g``
+    # at its literal address and touches no other memory
+    exe = compile_program(LEAF_LOOP, O2).executable
+    addr, _ = exe.data_layout["g"]
+    header = next(
+        pc for label, pc in exe.labels.items()
+        if label.startswith("main.wcond")
+    )
+    source = JitProgram(exe)._translate_superblock(header)
+    assert "if a <" not in source
+    assert f"= m[{addr}]" in source and f"m[{addr}] = " in source
+
+
+def test_tier2_budget_traps_are_identical_at_every_cycle_count():
+    # one program with a linked loop, an inlined leaf and a constant-
+    # address load and store, at every budget up to its cycle count:
+    # the deopt route, the twin's guards and linked transfers (which
+    # skip interpreter check points) must trap exactly as it does
+    exe = compile_program(LEAF_LOOP, O2).executable
+    full = run_program(exe)
+    prog = JitProgram(exe)
+    assert prog.run() == full
+    assert prog.jit3_stats["linked_loops"] >= 1
+    assert prog.jit3_stats["inlined_calls"] >= 1
+    assert any(i.op == Opcode.LW and i.rs == ZERO for i in exe.instrs)
+    assert any(i.op == Opcode.SW and i.rt == ZERO for i in exe.instrs)
+
+    def outcome(run, budget):
+        try:
+            return run(budget), None
+        except MachineTrap as trap:
+            return None, str(trap)
+
+    for budget in range(full.cycles + 2):
+        assert outcome(
+            lambda b: JitProgram(exe, max_cycles=b).run(), budget
+        ) == outcome(
+            lambda b: run_program(exe, max_cycles=b), budget
+        ), budget

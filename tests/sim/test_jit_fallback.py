@@ -86,9 +86,11 @@ def test_fault_free_auto_tier_records_no_fallback():
 # -- translation failing mid-run ----------------------------------------------
 
 # ``late``'s trace is first entered after ``main`` has printed, so
-# under on-first-entry translation it fails with output already produced
+# under on-first-entry translation it fails with output already produced;
+# ``late`` makes a call, so the translator does not inline it into main
 LATE = """
-func late(n) { return n * 7; }
+func seven(n) { return n * 7; }
+func late(n) { return seven(n); }
 func main() { print 1; print late(6); }
 """
 
@@ -132,3 +134,19 @@ def test_mid_run_machine_trap_is_not_swallowed(monkeypatch):
     exe = fail_late_translation(monkeypatch, MachineTrap("late trap"))
     with pytest.raises(MachineTrap, match="late trap"):
         simulate(exe, sim_tier="auto")
+
+
+def test_tier2_inline_fault_falls_back_to_interpreter():
+    # tier "jit" inlines small leaves, so it reaches the "inline" fault
+    # point mid-run; tier "auto" reruns the program on the interpreter
+    src = "func leaf(x) { return x + 1; }\nfunc main() { print leaf(41); }"
+    exe = compile_program(src, O3_SW).executable
+    plan = faults.FaultPlan(specs=[
+        faults.FaultSpec(site=faults.SITE_JIT, match="inline", count=None)
+    ])
+    with faults.active(plan):
+        stats = simulate(exe, sim_tier="auto")
+    assert plan.fired
+    assert stats.sim_fallback.startswith("jit: ")
+    assert stats == run_program(compile_program(src, O3_SW).executable)
+    assert stats.output == [42]

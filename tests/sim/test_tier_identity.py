@@ -5,8 +5,10 @@ The generator draws every MiniC operator, comparisons and unary
 operators included, and is biased toward what distinguishes the tiers:
 trapping arithmetic (``/ %``, shifts that can leave the 0..63 range),
 loops (the trace translator's backward-edge exits and budget checks),
-calls (trampoline transitions), and array traffic (MemKind
-classification).
+calls (trampoline transitions), array traffic (MemKind
+classification), and ``while`` loops whose bodies call a small leaf
+and read and write a global (the profile-less translator's loop
+heuristic, leaf inlining and constant addresses).
 A program may legitimately trap -- then both tiers must raise the same
 message; otherwise their RunStats must be bit-identical.
 """
@@ -16,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 from helpers import compile_cached
 
 from repro.ir.arith import MachineTrap
-from repro.pipeline import PAPER_CONFIGS
+from repro.pipeline import O2, PAPER_CONFIGS
+from repro.sim import DEFAULT_MAX_CYCLES, DEFAULT_STACK_WORDS
 
 VARS = ["a", "b", "c"]
 BINOPS = [
@@ -52,7 +55,7 @@ def exprs(draw, nparams):
 @st.composite
 def statements(draw, fn_index, arities, depth=0):
     nparams = arities[fn_index]
-    kind = draw(st.integers(0, 5))
+    kind = draw(st.integers(0, 7))
     if kind == 0:
         return f"{draw(st.sampled_from(VARS))} = {draw(exprs(nparams))};"
     if kind == 1 and fn_index > 0:
@@ -74,6 +77,13 @@ def statements(draw, fn_index, arities, depth=0):
         body = draw(statements(fn_index, arities, depth + 1))
         n = draw(st.integers(1, 3))
         return f"for (lc = 0; lc < {n}; lc = lc + 1) {{ {body} }}"
+    if kind >= 6 and depth < 1:
+        n = draw(st.integers(1, 4))
+        return (
+            f"lc = 0; while (lc < {n}) {{ "
+            f"glob = glob + leaf({draw(exprs(nparams))}); "
+            f"lc = lc + 1; }}"
+        )
     return "glob = glob - 1;"
 
 
@@ -81,7 +91,11 @@ def statements(draw, fn_index, arities, depth=0):
 def programs(draw):
     nfuncs = draw(st.integers(1, 3))
     arities = [draw(st.integers(0, 2)) for _ in range(nfuncs)]
-    parts = ["var glob = 1;", "array data[4];"]
+    parts = [
+        "var glob = 1;", "array data[4];",
+        f"func leaf(x) {{ return (x {draw(st.sampled_from(BINOPS))} "
+        f"{draw(st.integers(-9, 9))}) + glob; }}",
+    ]
     for i in range(nfuncs):
         params = ", ".join(f"p{k}" for k in range(arities[i]))
         decls = " ".join(f"var {v} = {j + 1};" for j, v in enumerate(VARS))
@@ -120,6 +134,34 @@ def test_tiers_identical_on_random_programs(src):
         interp = outcome(exe, "interp")
         jit = outcome(exe, "jit")
         assert interp == jit
+
+
+def test_generator_reaches_tier2_loop_linking_and_leaf_inlining():
+    # a fixed set of generated programs (the first examples of a
+    # derandomized run) exercises the profile-less translator's loop
+    # linking and leaf inlining, so the differentials above cover them
+    sources = []
+
+    @settings(max_examples=20, derandomize=True, database=None,
+              deadline=None)
+    @given(programs())
+    def collect(src):
+        sources.append(src)
+
+    collect()
+    linked = inlined = 0
+    for src in sources:
+        exe = compile_cached(src, O2).executable
+        _, trap = outcome(exe, "jit")
+        if trap is None:
+            # the executable is shared with other tests: pick the
+            # default-budget tier-2 translation out of its cache
+            prog = exe._jit_cache[
+                ("jit", DEFAULT_STACK_WORDS, DEFAULT_MAX_CYCLES)
+            ]
+            linked += prog.jit3_stats["linked_loops"]
+            inlined += prog.jit3_stats["inlined_calls"]
+    assert linked > 0 and inlined > 0
 
 
 @settings(max_examples=20, deadline=None)
