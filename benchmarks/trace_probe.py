@@ -5,7 +5,8 @@ Each of the 13 programs x 6 paper configs gets a fresh
 without a profile (``sim_tier="jit"``), as a ``suite-cold`` cell does.
 Printed for the pass:
 
-- transitions: trace-function calls made by the run loop
+- transitions: trace-function calls made by the run loop of
+  ``JitProgram._execute`` (counted with ``sys.setprofile``)
 - traces: traces translated (``jit3_stats["traces"]``)
 - source: bytes and lines of the Python source handed to ``compile()``
 - compile_s: seconds spent in ``compile()``
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import sys
 import time
 
 from repro import Compiler, PAPER_CONFIGS
@@ -29,7 +31,6 @@ from repro.benchsuite.registry import load_benchmarks
 from repro.engine import core
 from repro.pipeline.profile import block_profile_of
 from repro.sim.jit import JitProgram
-from repro.target.registers import NUM_REGISTERS, SP
 
 CONFIGS = ("base", "A", "B", "C", "D", "E")
 
@@ -68,29 +69,22 @@ class Probe:
             probe.nsources += 1
             defer(self, name, source)
 
+        execute = JitProgram._execute
+        loop = execute.__code__
+        jump = JitProgram._jump.__code__
+
+        def count(frame, event, arg):
+            # a Python call made by the run loop itself is a transition
+            if (event == "call" and frame.f_back.f_code is loop
+                    and frame.f_code is not jump):
+                probe.transitions += 1
+
         def _execute(self):
-            # JitProgram._execute, counting the run loop's iterations
-            exe = self.exe
-            mem = [0] * self.mem_size
-            for a, v in exe.data_init.items():
-                mem[a] = v
-            regs = [0] * NUM_REGISTERS
-            regs[SP.index] = self.mem_size
-            out = []
-            with self._lock:
-                counts = [0] * len(self.exits)
-                self._live[id(counts)] = counts
-            cycles = n = 0
+            sys.setprofile(count)
             try:
-                fn = self._jump(exe.entry_pc)
-                while fn is not None:
-                    n += 1
-                    fn, cycles = fn(regs, mem, out, counts, cycles)
+                return execute(self)
             finally:
-                with self._lock:
-                    del self._live[id(counts)]
-                probe.transitions += n
-            return counts, cycles, out
+                sys.setprofile(None)
 
         generate = core.generate_function
 
@@ -126,6 +120,11 @@ def main() -> None:
                 p for k, p in built.executable._jit_cache.items()
                 if k[0] == "jit"
             )
+            if probe.transitions == before:
+                raise SystemExit(
+                    "no transitions counted: JitProgram._execute no "
+                    "longer calls the trace functions itself"
+                )
             transitions += probe.transitions - before
             traces += prog.jit3_stats["traces"]
             if args.hash:

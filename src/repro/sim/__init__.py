@@ -6,9 +6,10 @@ reference interpreter (:func:`run_program`) and the pixie-style trace
 translator with loop linking, which runs without a profile as tier
 ``"jit"`` (:func:`run_jit`), inlining only small leaves, and fed a
 block profile as tier ``"jit3"`` (:func:`run_jit3`), adding
-profile-guided inlining and constant-argument specialization.  All tiers produce bit-identical
-:class:`RunStats`; the interpreter additionally supports contract
-checking, to which ``auto`` falls back.  Block profiles are collected
+profile-guided inlining and constant-argument specialization.  All
+tiers produce bit-identical :class:`RunStats`; the interpreter
+additionally supports contract checking, to which ``auto`` falls
+back.  Block profiles are collected
 by one run of a profiling translation (:func:`repro.sim.jit.run_profiling`),
 with the interpreter's profiling hooks kept as its test oracle.
 ``auto`` runs the translator (with the executable's block profile when

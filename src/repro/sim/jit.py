@@ -37,6 +37,10 @@ Translation scheme
   template is emitted, after the budget pre-guard and its own guard if
   it can trap.  Loads, stores, branches, calls and HALT are trace
   logic and keep their own arms.
+* **Constant addresses** -- a load or store whose base register is a
+  translation-time constant and whose address lies inside memory
+  indexes ``m`` with that literal and no runtime bounds test; an
+  out-of-range constant address keeps the test and its trap.
 * Per-instruction counters disappear.  Every trace *exit* gets an id
   and a record of the instructions on the unique entry-to-exit path, so
   instructions, calls, branches and loads/stores by
@@ -81,7 +85,7 @@ Trace shaping without a profile
 -------------------------------
 
 A translation without a profile (tier ``"jit"`` and the profiling
-translation) shapes its traces by three static rules:
+translation) shapes its traces by two static rules:
 
 * **Loop heuristic** (Ball & Larus, "Branch Prediction for Free") --
   at a conditional branch inside a loop, the trace follows the forward
@@ -97,10 +101,6 @@ translation) shapes its traces by three static rules:
   summary-footprint gates and return linking as a hot callee.  The
   profiling translation never inlines: its call exits observe the
   arguments.
-* **Constant addresses** -- a load or store whose base register is a
-  translation-time constant and whose address lies inside memory
-  indexes ``m`` with that literal and no runtime bounds test; an
-  out-of-range constant address keeps the test and its trap.
 
 Profile-guided trace shaping
 ----------------------------
@@ -108,8 +108,8 @@ Profile-guided trace shaping
 :class:`Jit3Program` (tier ``"jit3"``; tier ``"auto"`` picks it when a
 :class:`~repro.pipeline.profile.BlockProfile` is attached to the
 executable) is the same translator fed profile data, which replaces
-the three rules above; loop linking and budget hoisting need no
-profile and always apply.
+the two rules above; loop linking, constant addresses and budget
+hoisting need no profile and always apply.
 
 * **Hot-direction following** -- at a conditional branch the trace
   follows the taken direction when the profile says it carries most of
@@ -338,14 +338,11 @@ class JitProgram:
             for i, p in enumerate(entries)
         }
         # each pc some backward branch targets (a loop header), mapped
-        # to the last backward branch to it (its latch); the headers
-        # are the only traces that can link a loop, hence the only
-        # ones worth loop mode
+        # to the last backward branch to it (its latch)
         self._latch: Dict[int, int] = {}
         for pc, ins in enumerate(self.code):
             if ins[0] in (_B, _BEQZ, _BNEZ) and 0 <= ins[4] <= pc:
                 self._latch[ins[4]] = pc
-        self._backedge_targets = self._latch.keys()
         self._headers = sorted(self._latch)
         # memoized profile-less rules: per loop header, the pcs that
         # reach a branch back to it; per function entry, whether it is
@@ -478,9 +475,10 @@ class JitProgram:
         # loop mode -- body inside ``while True:``, all accessed
         # registers preloaded, every exit writes back the full written
         # set -- pays off only where a back-edge can actually link, so
-        # it is reserved for blocks some backward branch targets;
-        # everything else gets lazy loads and written-so-far write-backs
-        loop_mode = start in self._backedge_targets
+        # it is reserved for loop headers, the only traces that can
+        # link a loop; everything else gets lazy loads and
+        # written-so-far write-backs
+        loop_mode = start in self._latch
         if loop_mode:
             IND = "        "
             lines = [
@@ -652,10 +650,8 @@ class JitProgram:
             lines.append(f"{IND}a = {read(base)}{offset(imm)}")
 
         def const_addr(base: int, imm: int) -> Optional[int]:
-            """Without a profile, an address known at translation time
-            and inside memory, which needs no runtime bounds test."""
-            if self._hot:
-                return None
+            """An address known at translation time and inside memory,
+            which needs no runtime bounds test."""
             b = const_of(base)
             if b is None or not 1 <= b + imm < self.mem_size:
                 return None

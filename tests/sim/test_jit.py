@@ -1,8 +1,9 @@
 """Trace translator tests (tier "jit", no profile): tier identity,
 traps, the sim_tier knob, translation caching and on first entry,
 overlapping runs, word-width shift semantics, the opcode table's
-value templates against the interpreter, and the profile-less trace
-shaping rules (loop heuristic, leaf inlining, constant addresses)."""
+value templates against the interpreter, the profile-less trace
+shaping rules (loop heuristic, leaf inlining) and unguarded constant
+addresses."""
 
 import itertools
 import sys
@@ -547,16 +548,23 @@ def test_constant_addresses_at_the_memory_bounds(op, addr):
         assert msg.endswith(f" address {addr} at pc=0")
 
 
-def test_compiled_global_access_has_no_bounds_test():
+@pytest.mark.parametrize("profiled", [False, True], ids=["jit", "jit3"])
+def test_compiled_global_access_has_no_bounds_test(profiled):
     # the loop header's trace runs the body: it reads and writes ``g``
-    # at its literal address and touches no other memory
-    exe = compile_program(LEAF_LOOP, O2).executable
+    # at its literal address and touches no other memory, with or
+    # without a profile
+    built = compile_program(LEAF_LOOP, O2)
+    exe = built.executable
     addr, _ = exe.data_layout["g"]
     header = next(
         pc for label, pc in exe.labels.items()
         if label.startswith("main.wcond")
     )
-    source = JitProgram(exe)._translate_superblock(header)
+    prog = (
+        Jit3Program(exe, profile=block_profile_of(built, attach=False))
+        if profiled else JitProgram(exe)
+    )
+    source = prog._translate_superblock(header)
     assert "if a <" not in source
     assert f"= m[{addr}]" in source and f"m[{addr}] = " in source
 
