@@ -1,4 +1,4 @@
-"""Exact gate for block profiles collected by the trace translator.
+"""Exact gates for the trace translator on the whole suite.
 
 ``block_profile_of`` profiles a program with one run of a profiling
 translation, which counts blocks per trace exit the way pixie counted
@@ -6,6 +6,10 @@ them inside translated code.  For every suite program under every
 paper configuration that profile must equal the one the interpreter's
 ``block_counts``/``call_args`` hooks collect: the same digest, and the
 same constant arguments for every callee.
+
+The same cells gate tier identity: the interpreter's ``RunStats``, kept
+from the oracle's profiling run, must equal a run on tier ``"jit"`` and
+a run on tier ``"jit3"`` fed the translator's profile.
 """
 
 import pytest
@@ -22,7 +26,11 @@ from repro.pipeline.profile import block_profile_of
 def test_translator_profile_matches_the_interpreter(config):
     for name, bench in sorted(load_benchmarks().items()):
         prog = compile_cached(bench.source, PAPER_CONFIGS[config])
-        oracle = interpreter_profile(prog)
+        runs = []
+        oracle = interpreter_profile(prog, runs=runs)
         profile = block_profile_of(prog, attach=False)
         assert profile.call_args == oracle.call_args, name
         assert profile.digest() == oracle.digest(), name
+        (interp,) = runs
+        assert prog.run(sim_tier="jit") == interp, name
+        assert prog.run(sim_tier="jit3", profile=profile) == interp, name

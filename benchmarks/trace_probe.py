@@ -1,8 +1,8 @@
 """What one cold pass of the suite costs the tier-2 trace translator.
 
 Each of the 13 programs x 6 paper configs gets a fresh
-``Compiler(options, max_workers=1)`` and one run on the translator
-without a profile (``sim_tier="jit"``), as a ``suite-cold`` cell does.
+``Compiler(options)`` and one run on the translator without a profile
+(``sim_tier="jit"``), as a ``suite-cold`` cell does.
 Printed for the pass:
 
 - transitions: trace-function calls made by the run loop of
@@ -111,7 +111,7 @@ def main() -> None:
     transitions = traces = 0
     for name in benches:
         for config in CONFIGS:
-            compiler = Compiler(PAPER_CONFIGS[config], max_workers=1)
+            compiler = Compiler(PAPER_CONFIGS[config])
             built = compiler.add_source(("main", benches[name].source))
             built = built.compile()
             before = probe.transitions

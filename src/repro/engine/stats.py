@@ -4,9 +4,9 @@ Every :meth:`Engine.compile` / :meth:`Engine.compile_module` appends
 one :class:`CompileRecord`, the compile's only outcome object: per-stage
 wall time and cache hit/miss counts, the procedures a resilient engine
 demoted, and the store entries found corrupt.  :class:`EngineStats`
-aggregates the records and serialises to JSON (the speed benchmark
-writes the result next to ``BENCH_speed.json``).  What happens when a
-program *runs* is the run's own :class:`~repro.sim.stats.RunStats`.
+aggregates the records and serialises them to JSON
+(:meth:`EngineStats.to_json`).  What happens when a program *runs* is
+the run's own :class:`~repro.sim.stats.RunStats`.
 
 The *invalidation cascade* of a compile is the number of procedures whose
 plan key changed since the previous compile of the session -- the edited
@@ -177,7 +177,3 @@ class EngineStats:
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json() + "\n")

@@ -30,12 +30,13 @@ class RunStats:
     #: the interpreter (the repr of the translation failure); excluded
     #: from equality because the measurement itself is tier-independent
     sim_fallback: Optional[str] = field(default=None, compare=False)
-    #: tier-3 translation decisions (inlined calls, linked loops and
+    #: the trace translator's decisions (inlined calls, linked loops and
     #: returns, specialization guards, bailout reasons, elided host
     #: register syncs), counted over the traces translated so far:
     #: traces are translated on first entry, so code no run has reached
-    #: contributes nothing; ``None`` off the jit3 tier, and excluded
-    #: from equality for the same reason as ``sim_fallback``
+    #: contributes nothing; set by runs on the ``jit`` and ``jit3``
+    #: tiers, ``None`` on the interpreter and on profiling runs, and
+    #: excluded from equality for the same reason as ``sim_fallback``
     jit3: Optional[Dict[str, object]] = field(default=None, compare=False)
 
     @property

@@ -233,14 +233,14 @@ def service_report(service) -> str:
 
 
 def jit3_report(stats_or_info) -> str:
-    """The tier-3 trace JIT's translation decisions for one run: trace
-    shape, cross-procedure inline/link counts, specialization guards,
-    host register syncs elided by linking, and every bailout reason.
-    Takes a :class:`~repro.sim.stats.RunStats` (from a ``jit3`` run) or
-    its ``jit3`` dict directly."""
+    """The trace JIT's translation decisions for one run: trace shape,
+    cross-procedure inline/link counts, specialization guards, host
+    register syncs elided by linking, and every bailout reason.  Takes
+    a :class:`~repro.sim.stats.RunStats` (from a ``jit`` or ``jit3``
+    run) or its ``jit3`` dict directly."""
     info = getattr(stats_or_info, "jit3", stats_or_info)
     if not info:
-        return "no tier-3 data (run with sim_tier='jit3' or a profile)"
+        return "no translation data (run with sim_tier='jit' or 'jit3')"
     lines = [
         f"traces: {info.get('traces', 0)}  "
         f"longest: {info.get('max_trace_len', 0)} instrs",

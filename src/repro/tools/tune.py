@@ -11,8 +11,7 @@ CI smoke (``--check``): runs the small budget, asserts the search is
 sound -- the winner is never worse than the paper's baseline convention
 and the strictly-worse-by-construction candidate never beats it --
 schema-validates the committed report and checks that its counts equal
-the search just run, all *without* overwriting it (exactly the
-``bench_speed --check`` contract).
+the search just run, all *without* overwriting it.
 """
 
 from __future__ import annotations

@@ -16,9 +16,7 @@ directory.  CI runs this as a gate::
 
 The child protocol (``--phase child``) prints one JSON object:
 ``{"digests": {"bench:config": sha256}, "seconds": wall-clock compile
-seconds, "store": counters, "stages": per-stage hit/miss totals}`` --
-:mod:`benchmarks.bench_speed` reuses it to time genuinely cold
-processes for the ``store_warm`` scenario.
+seconds, "store": counters, "stages": per-stage hit/miss totals}``.
 """
 
 from __future__ import annotations

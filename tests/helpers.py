@@ -66,16 +66,23 @@ def run_cached(source, options, check_contracts: bool = False):
     return stats
 
 
-def interpreter_profile(target, **run_kwargs):
+def interpreter_profile(target, runs=None, **run_kwargs):
     """``block_profile_of(target, attach=False)`` with the run made by
     the interpreter's ``block_counts``/``call_args`` hooks instead of
-    the profiling translation: the oracle for translator profiles."""
+    the profiling translation: the oracle for translator profiles.
+    A ``runs`` list receives that run's ``RunStats``."""
     from unittest import mock
 
     from repro.pipeline import profile
     from repro.sim.simulator import run_program
 
-    with mock.patch.object(profile, "run_program", run_program):
+    def run(*args, **kwargs):
+        stats = run_program(*args, **kwargs)
+        if runs is not None:
+            runs.append(stats)
+        return stats
+
+    with mock.patch.object(profile, "run_program", run):
         return profile.block_profile_of(target, attach=False, **run_kwargs)
 
 

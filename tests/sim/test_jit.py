@@ -486,6 +486,11 @@ def test_tier2_links_loops_and_inlines_leaves(options):
     assert exe.func_entries["leaf"] not in prog.table
 
 
+def test_tier2_run_stats_report_its_decisions():
+    stats = compile_program(LOOPS, O2).run(sim_tier="jit")
+    assert stats.jit3["linked_loops"] >= 1
+
+
 def test_profiling_translation_never_inlines(monkeypatch):
     built = compile_program(LEAF_LOOP, O2)
     kept = []
