@@ -12,10 +12,13 @@ Printed for the pass:
 - compile_s: seconds spent in ``compile()``
 
 ``--hash`` also runs ``block_profile_of`` and ``sim_tier="jit3"`` per
-cell and prints two sha256 digests, each over its items followed by a
-NUL byte: every source passed to ``JitProgram._exec`` or
-``JitProgram._defer`` in call order, and ``AsmFunction.render()`` of
-every ``generate_function`` result.
+cell and prints sha256 digests, each over its items followed by a NUL
+byte: per translation kind (``jit`` for tier 2, ``profiling`` for the
+profiling translation, ``jit3`` for tier 3, told apart by the class of
+the translation), every source passed to ``JitProgram._exec`` or
+``JitProgram._defer`` in call order; and ``AsmFunction.render()`` of
+every ``generate_function`` result.  It also prints the transitions
+each kind's runs make.
 
     PYTHONPATH=src python benchmarks/trace_probe.py [--hash]
 """
@@ -30,9 +33,12 @@ from repro import Compiler, PAPER_CONFIGS
 from repro.benchsuite.registry import load_benchmarks
 from repro.engine import core
 from repro.pipeline.profile import block_profile_of
-from repro.sim.jit import JitProgram
+from repro.sim.jit import Jit3Program, JitProgram, _ProfilingProgram
 
 CONFIGS = ("base", "A", "B", "C", "D", "E")
+
+#: translation class -> kind name, in print order
+KINDS = {JitProgram: "jit", _ProfilingProgram: "profiling", Jit3Program: "jit3"}
 
 
 class Probe:
@@ -42,21 +48,27 @@ class Probe:
         self.transitions = 0
         self.bytes = self.lines = 0
         self.compile_s = 0.0
-        self.sources = hashlib.sha256()
-        self.nsources = 0
+        kinds = KINDS.values()
+        self.kind_transitions = dict.fromkeys(kinds, 0)
+        self.sources = {kind: hashlib.sha256() for kind in kinds}
+        self.nsources = dict.fromkeys(kinds, 0)
         self.listings = hashlib.sha256()
         self.nlistings = 0
 
     def _item(self, digest, text: str) -> None:
         digest.update(text.encode("utf-8") + b"\0")
 
+    def _source(self, prog, source: str) -> None:
+        kind = KINDS[type(prog)]
+        self._item(self.sources[kind], source)
+        self.nsources[kind] += 1
+
     def install(self) -> None:
         probe = self
         defer = JitProgram._defer
 
         def _exec(self, source):
-            probe._item(probe.sources, source)
-            probe.nsources += 1
+            probe._source(self, source)
             probe.bytes += len(source.encode("utf-8"))
             probe.lines += source.count("\n")
             t0 = time.perf_counter()
@@ -65,8 +77,7 @@ class Probe:
             exec(code, self.ns)
 
         def _defer(self, name, source):
-            probe._item(probe.sources, source)
-            probe.nsources += 1
+            probe._source(self, source)
             defer(self, name, source)
 
         execute = JitProgram._execute
@@ -80,11 +91,15 @@ class Probe:
                 probe.transitions += 1
 
         def _execute(self):
+            before = probe.transitions
             sys.setprofile(count)
             try:
                 return execute(self)
             finally:
                 sys.setprofile(None)
+                probe.kind_transitions[KINDS[type(self)]] += (
+                    probe.transitions - before
+                )
 
         generate = core.generate_function
 
@@ -136,7 +151,9 @@ def main() -> None:
         print(f"source {probe.bytes:,} B, {probe.lines:,} lines")
         print(f"compile_s {probe.compile_s:.2f}")
     else:
-        print(f"sources {probe.nsources:,} {probe.sources.hexdigest()}")
+        for kind, digest in probe.sources.items():
+            print(f"{kind} transitions {probe.kind_transitions[kind]:,}"
+                  f" sources {probe.nsources[kind]:,} {digest.hexdigest()}")
         print(f"listings {probe.nlistings:,} {probe.listings.hexdigest()}")
 
 

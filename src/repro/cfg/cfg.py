@@ -72,10 +72,6 @@ class CFG:
         self._rpo = tuple(order)
         return self._rpo
 
-    def name_of(self, block_id: int) -> str:
-        return self.blocks[block_id].name
-
-
 def build_cfg(fn: IRFunction) -> CFG:
     """Build the CFG of ``fn``.  The function must be verified IR (all
     blocks terminated, all targets defined); unreachable blocks are

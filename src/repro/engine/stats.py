@@ -44,10 +44,6 @@ class StageStats:
     def lookups(self) -> int:
         return self.hits + self.misses
 
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
     def add(self, other: "StageStats") -> None:
         self.seconds += other.seconds
         self.hits += other.hits

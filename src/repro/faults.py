@@ -202,9 +202,6 @@ class FaultPlan:
     def wants_corruption(self, site: str, key: Optional[str]) -> bool:
         return self._take(site, key, ("corrupt",)) is not None
 
-    def fired_sites(self) -> List[str]:
-        return [site for site, _, _ in self.fired]
-
     def __repr__(self):
         return f"FaultPlan(seed={self.seed}, specs={self.specs!r})"
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.ir.instructions import IRInstr, Jump, Ret, Terminator
+from repro.ir.instructions import IRInstr, Terminator
 from repro.ir.values import VKind, VReg
 
 
@@ -101,11 +101,6 @@ class IRFunction:
     def has_calls(self) -> bool:
         return any(ins.is_call for ins in self.instructions())
 
-    def has_indirect_calls(self) -> bool:
-        from repro.ir.instructions import CallInd
-
-        return any(isinstance(ins, CallInd) for ins in self.instructions())
-
     def remove_unreachable_blocks(self) -> None:
         """Drop blocks not reachable from the entry."""
         reachable: Set[str] = set()
@@ -134,12 +129,3 @@ class IRModule:
     def add_function(self, fn: IRFunction) -> None:
         self.functions[fn.name] = fn
 
-
-def seal_block(block: BasicBlock, default_target: Optional[str] = None) -> None:
-    """Give an unterminated block a fall-through jump or a return."""
-    if block.terminator is not None:
-        return
-    if default_target is not None:
-        block.terminator = Jump(default_target)
-    else:
-        block.terminator = Ret(None)

@@ -10,7 +10,7 @@ allocator simple and mirrors Ucode's call operators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.ir.values import Const, Value, VReg
 
@@ -240,9 +240,3 @@ class Ret(Terminator):
     def __repr__(self):  # pragma: no cover - cosmetic
         return f"ret {self.value}" if self.value is not None else "ret"
 
-
-def instr_values(instr) -> Iterable[Value]:
-    """All operand values of an instruction or terminator."""
-    yield from instr.uses()
-    if isinstance(instr, IRInstr):
-        yield from instr.defs()

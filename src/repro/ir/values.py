@@ -82,6 +82,3 @@ class Const:
 
 Value = Union[VReg, Const]
 
-
-def is_const(v: Value) -> bool:
-    return isinstance(v, Const)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.frontend.errors import LinkError
 from repro.ir.function import IRModule
@@ -39,9 +39,6 @@ class Executable:
     #: every code label -> pc ("fn" entries and "fn.block" block starts);
     #: used by the block-profile collector
     labels: Dict[str, int] = field(default_factory=dict)
-
-    def label_of_pc(self, pc: int) -> Optional[str]:
-        return self.func_at_pc.get(pc)
 
     def fingerprint(self) -> str:
         """Stable content digest of the linked image (instructions,

@@ -12,17 +12,15 @@ function and in the shrink-wrap APP weighting, via
 ``CompilerOptions.block_weights``.  The run is one run of the trace
 translator, which counts blocks inside translated code as pixie did
 (:func:`repro.sim.jit.run_profiling`); the interpreter's
-``block_counts``/``call_args`` hooks collect the identical profile and
-serve as its test oracle.
+``block_counts`` hook collects the identical profile and serves as its
+test oracle.
 
 The counts are carried in a :class:`BlockProfile` -- a plain-``dict``
-subclass (so it drops into ``block_weights`` unchanged) that also
-records the constant call arguments the profiling run observed (the
-tier-3 JIT's specialization data source) and exposes a stable content
-digest, which keys tier-3 translations and lets tests reference a
-profile deterministically.  Profiling a program also *attaches* the profile to
-its executable, which is what feeds ``sim_tier="auto"`` runs of that
-executable's translator with it.
+subclass (so it drops into ``block_weights`` unchanged) that exposes a
+stable content digest, which keys tier-3 translations and lets tests
+reference a profile deterministically.  Profiling a program also
+*attaches* the profile to its executable, which is what feeds
+``sim_tier="auto"`` runs of that executable's translator with it.
 
 Usage::
 
@@ -35,7 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Sequence, Tuple, Union
 
 from repro.pipeline.driver import CompiledProgram, compile_program, Source
 from repro.pipeline.linker import Executable
@@ -48,26 +46,13 @@ from repro.sim.jit import run_profiling as run_program
 
 
 class BlockProfile(dict):
-    """``function -> {block name -> execution count}``, plus observed
-    constant call arguments, behind a stable content digest.
+    """``function -> {block name -> execution count}``, behind a stable
+    content digest.
 
     Subclasses ``dict`` so every existing ``block_weights`` consumer
     (options validation, fingerprints, the allocator's priority
-    function) takes it unchanged.  ``call_args[fn]`` is a tuple with one
-    slot per argument register: the single constant value that register
-    held at every observed call of ``fn``, or ``None`` where the values
-    varied (or the function was never called).
+    function) takes it unchanged.
     """
-
-    def __init__(
-        self,
-        counts: Union[Dict[str, Dict[str, int]], Sequence] = (),
-        call_args: Optional[Dict[str, Tuple[Optional[int], ...]]] = None,
-    ):
-        super().__init__(counts)
-        self.call_args: Dict[str, Tuple[Optional[int], ...]] = {
-            fn: tuple(args) for fn, args in (call_args or {}).items()
-        }
 
     def digest(self) -> str:
         """SHA-256 over a canonical serialisation -- equal profiles get
@@ -78,10 +63,6 @@ class BlockProfile(dict):
                     fn: dict(sorted(blocks.items()))
                     for fn, blocks in sorted(self.items())
                 },
-                "call_args": {
-                    fn: list(args)
-                    for fn, args in sorted(self.call_args.items())
-                },
             },
             sort_keys=True,
             separators=(",", ":"),
@@ -90,31 +71,16 @@ class BlockProfile(dict):
 
     def to_json(self) -> str:
         return json.dumps(
-            {
-                "counts": {fn: blocks for fn, blocks in self.items()},
-                "call_args": {
-                    fn: list(args) for fn, args in self.call_args.items()
-                },
-            },
+            {"counts": {fn: blocks for fn, blocks in self.items()}},
             sort_keys=True,
         )
 
     @classmethod
     def from_json(cls, text: str) -> "BlockProfile":
-        data = json.loads(text)
-        return cls(
-            counts=data.get("counts", {}),
-            call_args={
-                fn: tuple(args)
-                for fn, args in data.get("call_args", {}).items()
-            },
-        )
+        return cls(json.loads(text).get("counts", {}))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"BlockProfile({dict.__repr__(self)}, "
-            f"call_args={self.call_args!r})"
-        )
+        return f"BlockProfile({dict.__repr__(self)})"
 
 
 def attach_profile(
@@ -133,7 +99,7 @@ def block_profile_of(
     **run_kwargs,
 ) -> BlockProfile:
     """Run ``target`` once on a profiling translation, which counts
-    block executions and observes call arguments; returns the
+    block executions; returns the
     :class:`BlockProfile`, attached to the executable (see
     :func:`attach_profile`) unless ``attach=False``.
 
@@ -152,18 +118,12 @@ def block_profile_of(
         if fn in exe.func_entries:
             starts[pc] = 0
             where[pc] = (fn, block)
-    observed: Dict[int, list] = {}
-    run_program(exe, block_counts=starts, call_args=observed, **run_kwargs)
+    run_program(exe, block_counts=starts, **run_kwargs)
     counts: Dict[str, Dict[str, int]] = {}
     for pc, count in starts.items():
         fn, block = where[pc]
         counts.setdefault(fn, {})[block] = count
-    call_args = {
-        exe.func_at_pc[pc]: tuple(args)
-        for pc, args in observed.items()
-        if pc in exe.func_at_pc
-    }
-    profile = BlockProfile(counts, call_args)
+    profile = BlockProfile(counts)
     if attach:
         attach_profile(exe, profile)
     return profile

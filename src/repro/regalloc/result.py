@@ -38,9 +38,6 @@ class AllocationResult:
     def reg_of(self, v: VReg) -> Optional[Register]:
         return self.assignment.get(v)
 
-    def is_memory(self, v: VReg) -> bool:
-        return v not in self.assignment
-
     def busy_blocks(self, reg: Register) -> int:
         """Bitmask of the blocks where ``reg`` holds a live value of this
         procedure (the register's APP footprint from its assigned

@@ -6,7 +6,7 @@ reference interpreter (:func:`run_program`) and the pixie-style trace
 translator with loop linking, which runs without a profile as tier
 ``"jit"`` (:func:`run_jit`), inlining only small leaves, and fed a
 block profile as tier ``"jit3"`` (:func:`run_jit3`), adding
-profile-guided inlining and constant-argument specialization.  All
+profile-guided branch following and inlining.  All
 tiers produce bit-identical :class:`RunStats`; the interpreter
 additionally supports contract checking, to which ``auto`` falls
 back.  Block profiles are collected

@@ -95,12 +95,10 @@ translation) shapes its traces by two static rules:
   loop-header trace then runs the body and links its back-edge (see
   *trace linking of loops* below), where following the fall-through
   would leave the loop at once.
-* **Leaf inlining** (tier ``"jit"`` only) -- every call is cold, so
-  specialization bails out, but a callee that makes no call and fits
-  ``INLINE_SIZE_CAP`` is inlined through the same depth, trace-cap and
-  summary-footprint gates and return linking as a hot callee.  The
-  profiling translation never inlines: its call exits observe the
-  arguments.
+* **Leaf inlining** -- every call is cold, but a callee that makes no
+  call and fits ``INLINE_SIZE_CAP`` is inlined through the same depth,
+  trace-cap and summary-footprint gates and return linking as a hot
+  callee.
 
 Profile-guided trace shaping
 ----------------------------
@@ -135,15 +133,6 @@ hoisting need no profile and always apply.
   function (no write-back, re-dispatch and reload per iteration).
   Every exit writes back the block's full written set, which keeps the
   per-exit path-constant statistics exact in the presence of re-entry.
-* **Constant-argument specialization** -- when the profile proves an
-  argument register held one constant at every observed call of a hot
-  function, the function-entry block is translated under that
-  assumption behind a cheap entry guard; the guard's miss arm
-  dispatches to an unspecialized twin ``_f<pc>``, which, like the
-  budget twin, is compiled on its first call.  Inside the specialized
-  body (and inside inlined callees fed constant arguments) constant
-  registers fold into literals and conditional branches on them fold
-  away.
 
 Budget-identity note: linked transfers (inlined JAL, linked JR, loop
 back-edge before the taken check) may skip interpreter budget-check
@@ -163,13 +152,13 @@ translation failure falls back to the interpreter.
 
 Block profiles are collected by this translator too, the way pixie
 counted basic blocks inside translated code: :func:`run_profiling`
-(what :func:`~repro.pipeline.profile.block_profile_of` runs) counts
-blocks per trace exit and observes call arguments at call exits.
+(what :func:`~repro.pipeline.profile.block_profile_of` runs) shapes
+its traces as tier ``"jit"`` does and counts blocks per trace exit.
 
 The interpreter remains the retained reference oracle: contract checking
 is an interpreter feature, and :func:`simulate` routes runs that need it
-(tier ``auto``) back to it; its ``block_counts``/``call_args`` hooks
-are the profile's test oracle.  Identity between the tiers --
+(tier ``auto``) back to it; its ``block_counts`` hook is the
+profile's test oracle.  Identity between the tiers --
 bit-identical :class:`RunStats` including trap behaviour -- is enforced
 by the differential tests in ``tests/sim/`` and, on every suite
 program under every paper configuration, by
@@ -178,7 +167,6 @@ program under every paper configuration, by
 from __future__ import annotations
 
 import bisect
-import functools
 import threading
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -191,7 +179,6 @@ from repro.sim.simulator import (
     DUMP_INDEX,
     decoded_stream,
     run_program,
-    _observe_call,
     _LW, _SW, _B, _BEQZ, _BNEZ, _JAL, _JALR, _JR, _PRINT, _HALT,
     _KINDS, _LAT,
 )
@@ -200,7 +187,6 @@ from repro.target.isa import OPS, OpInfo, Opcode, offset, srl
 from repro.target.registers import (
     ALLOCATABLE_MASK,
     NUM_REGISTERS,
-    PARAM_REGS,
     RA,
     SP,
 )
@@ -218,17 +204,14 @@ __all__ = [
 #: trace growth cap, in translated instructions
 TRACE_CAP = 512
 
-#: inlining and specialization gates: the most inline frames open at
-#: once, the largest callee (static length) worth inlining, the cap on
-#: trace locals plus a callee's destroyable registers, and the profiled
-#: entry count below which a function is cold
+#: inlining gates: the most inline frames open at once, the largest
+#: callee (static length) worth inlining, the cap on trace locals plus a
+#: callee's destroyable registers, and the profiled entry count below
+#: which a function is cold
 INLINE_DEPTH = 3
 INLINE_SIZE_CAP = 120
 MAX_TRACE_REGS = 24
 HOT_CALLS = 8
-
-#: argument-register indices, in parameter order (specialization slots)
-_PARAM_IDX: Tuple[int, ...] = tuple(r.index for r in PARAM_REGS)
 
 
 def _template_function(template: str) -> Callable[[str, str, int], str]:
@@ -309,8 +292,7 @@ class JitProgram:
     """
 
     #: a profiling translation (:class:`_ProfilingProgram`) records the
-    #: visits of these pcs on every exit path and observes call arguments
-    _profiling = False
+    #: visits of these pcs on every exit path
     _block_pcs: frozenset = frozenset()
 
     def __init__(
@@ -332,9 +314,8 @@ class JitProgram:
         # it, and _live holds each running run's exit counters by id
         self._lock = threading.Lock()
         self._live: Dict[int, List[int]] = {}
-        # profile data: block counts and constant arguments by pc
+        # profile data: block counts by pc
         self._hot: Dict[int, int] = {}
-        self._arg_consts: Dict[int, Tuple] = {}
         entries = sorted(exe.func_entries.values())
         self._extent = {
             p: (entries[i + 1] if i + 1 < len(entries) else self.ncode) - p
@@ -359,7 +340,6 @@ class JitProgram:
             "linked_loops": 0,
             "linked_returns": 0,
             "guarded_returns": 0,
-            "spec_guards": 0,
             "elided_syncs": 0,
             "bailouts": {},
         }
@@ -388,10 +368,10 @@ class JitProgram:
     def _defer(self, name: str, source: str) -> None:
         """Bind ``name`` to a stub that, on its first call, compiles
         ``source`` (which defines ``name``, rebinding it) and then runs
-        it.  The budget and specialization twins wait here: most runs
-        never enter them.  The source waits in ``_deferred``, not in
-        the stub: a stub that referred to itself would form a cycle
-        holding the whole translation until a cyclic collection."""
+        it.  The budget twins wait here: most runs never enter them.
+        The source waits in ``_deferred``, not in the stub: a stub that
+        referred to itself would form a cycle holding the whole
+        translation until a cyclic collection."""
 
         def stub(r, m, o, c, y):
             with self._lock:
@@ -463,18 +443,15 @@ class JitProgram:
             )
         return leaf
 
-    def _translate_superblock(
-        self, start: int, specialized: bool = True,
-        fname: Optional[str] = None,
-    ) -> str:
+    def _translate_superblock(self, start: int) -> str:
         """Synthesise the trace rooted at ``start``, registering an
-        :class:`_ExitPath` per exit and deferring its twins; returns the
-        source text defining ``fname`` (default ``_b<start>``)."""
+        :class:`_ExitPath` per exit and deferring its twin; returns the
+        source text defining ``_b<start>``."""
         code = self.code
         ncode = self.ncode
         max_cycles = self.max_cycles
         st = self.jit3_stats
-        name = fname or f"_b{start}"
+        name = f"_b{start}"
         # loop mode -- body inside ``while True:``, all accessed
         # registers preloaded, every exit writes back the full written
         # set -- pays off only where a back-edge can actually link, so
@@ -487,7 +464,6 @@ class JitProgram:
             lines = [
                 f"def {name}(r, m, o, c, y):",
                 "\x00PRELOAD",
-                "\x00SPEC",
                 "    while True:",
                 f"{IND}\x00ENTRY",
             ]
@@ -496,15 +472,12 @@ class JitProgram:
             lines = [
                 f"def {name}(r, m, o, c, y):",
                 f"{IND}\x00ENTRY",
-                "\x00SPEC",
             ]
         accessed: Set[int] = set()     # registers hoisted into locals
         known: Set[int] = set()
         written: List[int] = []        # full written set, in write order
         consts: Dict[int, int] = {}    # register -> constant at this point
         inline_stack: List[int] = []   # expected return pcs, innermost last
-        spec_assumed: Dict[int, int] = {}   # entry-guard register -> value
-        spec_lines: List[str] = []
         ninstr = 0
         prefix = 0
         calls = 0
@@ -565,7 +538,6 @@ class JitProgram:
         def emit_exit(
             ind: str, ret: str,
             budget: bool = True, halting: bool = False, bump: bool = True,
-            call: Optional[str] = None,
         ) -> None:
             if loop_mode:
                 lines.append(f"{ind}\x00WB")
@@ -576,34 +548,18 @@ class JitProgram:
                 lines.append(f"{ind}\x00XB {'y - 1' if halting else 'y'}")
             if bump:
                 lines.append(f"{ind}c[{exit_path()}] += 1")
-            if call is not None and self._profiling:
-                # a call exit: every register is written back by now
-                lines.append(f"{ind}_A({call}, r)")
             lines.append(f"{ind}{ret}")
 
-        def exit_to(
-            ind: str, target: int, checked: bool = True,
-            call: Optional[str] = None,
-        ) -> None:
+        def exit_to(ind: str, target: int, checked: bool = True) -> None:
             if 0 <= target < ncode:
                 self._enqueue(target)
-                emit_exit(ind, f"return _b{target}, y", call=call)
+                emit_exit(ind, f"return _b{target}, y")
             else:
                 emit_exit(
                     ind,
                     f"raise MachineTrap('pc {target} outside code')",
                     budget=checked, bump=False,
                 )
-
-        def backedge_linkable() -> bool:
-            """A transfer to ``start`` may ``continue`` iff the entry
-            assumptions (specialization guards) provably hold here --
-            the loop body re-runs without re-checking them."""
-            if not loop_mode:
-                return False
-            return all(
-                consts.get(g) == v for g, v in spec_assumed.items()
-            )
 
         def emit_backedge(ind: str) -> None:
             faults.check(faults.SITE_JIT, "link")
@@ -620,11 +576,9 @@ class JitProgram:
                 return False
             size = self._extent.get(entry, ncode)
             # without a profile every call is cold, yet a leaf goes on
-            # to the gates below -- except in a profiling translation,
-            # whose call exits observe the arguments
+            # to the gates below
             if self._hot.get(entry, 0) < HOT_CALLS and (
-                self._hot or self._profiling
-                or not self._is_leaf(entry, size)
+                self._hot or not self._is_leaf(entry, size)
             ):
                 bail("cold")
                 return False
@@ -677,39 +631,6 @@ class JitProgram:
                     lines.append(f"{IND}{value}")
             elif w != value:  # a move onto itself is no code at all
                 lines.append(f"{IND}{w} = {value}")
-
-        # -- specialization: entry guards on profiled-constant arguments --
-        if (
-            specialized
-            and start in self.exe.func_at_pc
-            and self._hot.get(start, 0) >= HOT_CALLS
-        ):
-            observed = self._arg_consts.get(start) or ()
-            guards = [
-                (_PARAM_IDX[k], v)
-                for k, v in enumerate(observed[:len(_PARAM_IDX)])
-                if v is not None
-            ]
-            if guards:
-                fallback = f"_f{start}"
-                self._defer(fallback, self._translate_superblock(
-                    start, specialized=False, fname=fallback
-                ))
-                for g, v in guards:
-                    consts[g] = v
-                    spec_assumed[g] = v
-                    if loop_mode:
-                        # the guard reads the preloaded local
-                        accessed.add(g)
-                        known.add(g)
-                        spec_lines.append(
-                            f"    if r{g} != {v}: return {fallback}, y"
-                        )
-                    else:
-                        spec_lines.append(
-                            f"    if r[{g}] != {v}: return {fallback}, y"
-                        )
-                st["spec_guards"] += len(guards)
 
         pc = start
         while True:
@@ -770,7 +691,7 @@ class JitProgram:
                 if cv is not None:
                     taken = (cv == 0) if op == _BEQZ else (cv != 0)
                     if taken:
-                        if imm == start and backedge_linkable():
+                        if imm == start and loop_mode:
                             emit_backedge(IND)
                             break
                         if pc < imm < ncode and ninstr < TRACE_CAP:
@@ -784,7 +705,7 @@ class JitProgram:
                     exit_to(IND, pc, checked=False)
                     break
                 cond = read(rs)
-                backedge_ok = imm == start and backedge_linkable()
+                backedge_ok = imm == start and loop_mode
                 # follow the taken direction on a linkable back-edge,
                 # or to a forward target the profile really favours:
                 # one carrying the majority of the flow through this
@@ -832,7 +753,7 @@ class JitProgram:
                 break
             elif op == _B:
                 prefix += lat
-                if imm == start and backedge_linkable():
+                if imm == start and loop_mode:
                     emit_backedge(IND)
                     break
                 if pc < imm < ncode and ninstr < TRACE_CAP:
@@ -852,7 +773,7 @@ class JitProgram:
                     st["elided_syncs"] += len(written)
                     pc = imm
                     continue
-                exit_to(IND, imm, checked=True, call=str(imm))
+                exit_to(IND, imm, checked=True)
                 break
             elif op == _JALR:
                 calls += 1
@@ -861,7 +782,7 @@ class JitProgram:
                 lines.append(f"{IND}t = {read(rs)}")
                 w = write(RA.index, const=pc + 1)
                 lines.append(f"{IND}{w} = {pc + 1}")
-                emit_exit(IND, "return _T.get(t) or _jump(t), y", call="t")
+                emit_exit(IND, "return _T.get(t) or _jump(t), y")
                 break
             elif op == _JR:
                 prefix += lat
@@ -932,8 +853,6 @@ class JitProgram:
                 tag, _, arg = body.partition(" ")
                 if tag == "\x00PRELOAD":
                     out.extend(f"    r{i} = r[{i}]" for i in sorted(accessed))
-                elif tag == "\x00SPEC":
-                    out.extend(spec_lines)
                 elif tag == "\x00WB":
                     out.extend(f"{ind}r[{i}] = r{i}" for i in written)
                 elif tag == "\x00ENTRY":
@@ -1086,24 +1005,11 @@ def _hot_by_pc(exe: Executable, profile) -> Dict[int, int]:
     return hot
 
 
-def _arg_consts_by_pc(exe: Executable, profile) -> Dict[int, Tuple]:
-    """Observed-constant call arguments keyed by function entry pc."""
-    call_args = getattr(profile, "call_args", None)
-    if not call_args:
-        return {}
-    out: Dict[int, Tuple] = {}
-    for fn, args in call_args.items():
-        entry = exe.func_entries.get(fn)
-        if entry is not None:
-            out[entry] = tuple(args)
-    return out
-
-
 class Jit3Program(JitProgram):
     """The translator fed a block profile (tier 3).
 
-    The profile drives hot-direction following, inlining and
-    specialization (see the module docstring).
+    The profile drives hot-direction following and inlining (see the
+    module docstring).
     """
 
     def __init__(
@@ -1115,7 +1021,6 @@ class Jit3Program(JitProgram):
     ):
         super().__init__(exe, stack_words, max_cycles)
         self._hot = _hot_by_pc(exe, profile)
-        self._arg_consts = _arg_consts_by_pc(exe, profile)
 
     def run(self) -> RunStats:
         # tier 2's run; defined here so that a harness wrapping methods
@@ -1131,14 +1036,10 @@ class _ProfilingProgram(JitProgram):
     Every exit path records the visits of the pcs in ``block_counts``,
     so a block's count is the sum over exits of the exit's counter
     times the block's visits on its path: the run itself counts nothing
-    more than it already does.  Call exits also fold the argument
-    registers into ``call_args`` by the interpreter's rule, so this
-    translation never inlines a call, not even a leaf tier ``"jit"``
-    would inline: an inlined call makes no exit, and its arguments
-    would go unobserved.
+    more than it already does.  Traces are shaped as tier ``"jit"``
+    shapes them, leaf inlining included; a block of an inlined callee
+    is counted on the caller's exit paths.
     """
-
-    _profiling = True
 
     def __init__(
         self,
@@ -1146,12 +1047,10 @@ class _ProfilingProgram(JitProgram):
         stack_words: int,
         max_cycles: int,
         block_counts: Dict[int, int],
-        call_args: Dict[int, List[Optional[int]]],
     ):
         super().__init__(exe, stack_words, max_cycles)
         self._block_pcs = frozenset(block_counts)
         self._block_counts = block_counts
-        self.ns["_A"] = functools.partial(_observe_call, call_args)
 
     def run(self) -> RunStats:
         try:
@@ -1175,22 +1074,18 @@ def run_profiling(
     max_cycles: int = DEFAULT_MAX_CYCLES,
     *,
     block_counts: Dict[int, int],
-    call_args: Dict[int, List[Optional[int]]],
 ) -> RunStats:
     """Run ``exe`` once on a profiling translation; the translator's
     counterpart of the interpreter's profiling run
-    (``run_program(exe, block_counts=..., call_args=...)``).
+    (``run_program(exe, block_counts=...)``).
 
     ``block_counts`` is pre-seeded with the pcs of interest, and each
-    entry gains that pc's visits; ``call_args`` is filled with the
-    argument registers' values per call target, ``None`` where they
-    varied.  A :class:`MachineTrap` propagates with the interpreter's
-    message, leaving both dicts unspecified.  The translation is not
-    cached on the executable: it serves this one run.
+    entry gains that pc's visits.  A :class:`MachineTrap` propagates
+    with the interpreter's message, leaving the dict unspecified.  The
+    translation is not cached on the executable: it serves this one
+    run.
     """
-    return _ProfilingProgram(
-        exe, stack_words, max_cycles, block_counts, call_args
-    ).run()
+    return _ProfilingProgram(exe, stack_words, max_cycles, block_counts).run()
 
 
 def _cached(exe: Executable, key: Tuple, make: Callable) -> JitProgram:
@@ -1233,7 +1128,7 @@ def run_jit3(
     """Execute ``exe`` on the translator fed ``profile``.
 
     ``profile`` is the :class:`~repro.pipeline.profile.BlockProfile`
-    driving inlining/linking/specialization decisions (``None``
+    driving inlining and linking decisions (``None``
     shapes traces as tier ``"jit"`` does).  The translation
     is cached on the executable keyed by ``("jit3", stack_words,
     max_cycles, profile digest)``.

@@ -38,7 +38,6 @@ from repro.target.registers import (
     AT1,
     AT2,
     NUM_REGISTERS,
-    PARAM_REGS,
     RA,
     SP,
     ZERO,
@@ -116,7 +115,6 @@ def run_program(
     max_cycles: int = DEFAULT_MAX_CYCLES,
     check_contracts: bool = False,
     block_counts: Optional[Dict[int, int]] = None,
-    call_args: Optional[Dict[int, List[Optional[int]]]] = None,
 ) -> RunStats:
     """Execute ``exe`` until HALT; returns the collected statistics.
 
@@ -127,13 +125,6 @@ def run_program(
     ``block_counts`` enables block-level profiling: pass a dict
     pre-seeded with the pcs of interest (usually block-start labels) and
     each visit increments the entry -- the profile-feedback extension's
-    data source.
-
-    ``call_args`` enables call-argument observation: pass an empty dict
-    and every JAL/JALR records the argument-register values at the call;
-    after the run, ``call_args[target_pc][k]`` is the one constant value
-    argument register ``k`` held at *every* call of that target, or
-    ``None`` if the values varied -- the tier-3 JIT's specialization
     data source.
     """
     code = decoded_stream(exe)
@@ -165,7 +156,6 @@ def run_program(
     sp_idx = SP.index
 
     profiling = block_counts is not None
-    observing = call_args is not None
 
     # The cycle-budget check is hoisted out of the per-instruction path:
     # it runs at control transfers (taken backward branches, calls and
@@ -241,8 +231,6 @@ def run_program(
             calls += 1
             if check_contracts:
                 _push_frame(shadow, exe, preserved_masks, imm, npc, regs)
-            if observing:
-                _observe_call(call_args, imm, regs)
             npc = imm
             if cycles > max_cycles:
                 raise MachineTrap("cycle budget exceeded")
@@ -252,8 +240,6 @@ def run_program(
             calls += 1
             if check_contracts:
                 _push_frame(shadow, exe, preserved_masks, target, npc, regs)
-            if observing:
-                _observe_call(call_args, target, regs)
             npc = target
             if cycles > max_cycles:
                 raise MachineTrap("cycle budget exceeded")
@@ -326,26 +312,6 @@ def run_program(
         if store_counts[i]:
             stats.stores[k] = store_counts[i]
     return stats
-
-
-_PARAM_INDICES = tuple(r.index for r in PARAM_REGS)
-
-
-def _observe_call(
-    call_args: Dict[int, List[Optional[int]]],
-    target: int,
-    regs: List[int],
-) -> None:
-    """Fold one call's argument-register values into the observation:
-    first call records them, later calls ``None`` out any slot whose
-    value differs (so a surviving entry is a proven-constant)."""
-    seen = call_args.get(target)
-    if seen is None:
-        call_args[target] = [regs[i] for i in _PARAM_INDICES]
-        return
-    for k, i in enumerate(_PARAM_INDICES):
-        if seen[k] is not None and seen[k] != regs[i]:
-            seen[k] = None
 
 
 def _push_frame(

@@ -31,8 +31,7 @@ class RunStats:
     #: from equality because the measurement itself is tier-independent
     sim_fallback: Optional[str] = field(default=None, compare=False)
     #: the trace translator's decisions (inlined calls, linked loops and
-    #: returns, specialization guards, bailout reasons, elided host
-    #: register syncs), counted over the traces translated so far:
+    #: returns, bailout reasons, elided host register syncs), counted over the traces translated so far:
     #: traces are translated on first entry, so code no run has reached
     #: contributes nothing; set by runs on the ``jit`` and ``jit3``
     #: tiers, ``None`` on the interpreter and on profiling runs, and

@@ -225,12 +225,6 @@ class Convention:
         the return-value register."""
         return self.caller_mask | V0.mask
 
-    def is_caller_saved(self, r: Register) -> bool:
-        return bool(self.caller_mask >> r.index & 1)
-
-    def is_callee_saved(self, r: Register) -> bool:
-        return bool(self.callee_mask >> r.index & 1)
-
     # -- functional updates -------------------------------------------------
 
     def with_allocatable(

@@ -234,8 +234,8 @@ def service_report(service) -> str:
 
 def jit3_report(stats_or_info) -> str:
     """The trace JIT's translation decisions for one run: trace shape,
-    cross-procedure inline/link counts, specialization guards, host
-    register syncs elided by linking, and every bailout reason.  Takes
+    cross-procedure inline/link counts, host register syncs elided by
+    linking, and every bailout reason.  Takes
     a :class:`~repro.sim.stats.RunStats` (from a ``jit`` or ``jit3``
     run) or its ``jit3`` dict directly."""
     info = getattr(stats_or_info, "jit3", stats_or_info)
@@ -247,8 +247,7 @@ def jit3_report(stats_or_info) -> str:
         f"inlined calls: {info.get('inlined_calls', 0)}  "
         f"linked returns: {info.get('linked_returns', 0)}  "
         f"guarded returns: {info.get('guarded_returns', 0)}",
-        f"linked loops: {info.get('linked_loops', 0)}  "
-        f"specialization guards: {info.get('spec_guards', 0)}",
+        f"linked loops: {info.get('linked_loops', 0)}",
         f"elided host register syncs: {info.get('elided_syncs', 0)}",
     ]
     bailouts = info.get("bailouts") or {}

@@ -68,8 +68,8 @@ def run_cached(source, options, check_contracts: bool = False):
 
 def interpreter_profile(target, runs=None, **run_kwargs):
     """``block_profile_of(target, attach=False)`` with the run made by
-    the interpreter's ``block_counts``/``call_args`` hooks instead of
-    the profiling translation: the oracle for translator profiles.
+    the interpreter's ``block_counts`` hook instead of the profiling
+    translation: the oracle for translator profiles.
     A ``runs`` list receives that run's ``RunStats``."""
     from unittest import mock
 

@@ -1,8 +1,7 @@
 """Tier-3 trace JIT unit tests: inlining and its bailouts, loop
-linking, specialization guards (hit and miss), trap identity inside
-inlined bodies, translation on first entry and the lazily compiled
-budget twins, translation cache keying, and the fallback to the
-interpreter."""
+linking, trap identity inside inlined bodies, translation on first
+entry and the lazily compiled budget twins, translation cache keying,
+and the fallback to the interpreter."""
 
 import pytest
 
@@ -10,8 +9,7 @@ from repro import faults
 from repro.ir.arith import MachineTrap
 from repro.pipeline.driver import compile_program
 from repro.pipeline.options import O2, O3_SW
-from repro.pipeline.profile import BlockProfile, attach_profile, \
-    block_profile_of
+from repro.pipeline.profile import attach_profile, block_profile_of
 from repro.sim import jit, run_program, simulate
 from repro.sim.jit import Jit3Program, run_jit3
 from repro.tools.reports import jit3_report
@@ -39,7 +37,7 @@ def build(src=HOT_CALL, options=O3_SW):
     return prog.executable, profile
 
 
-# -- inlining, loop linking, specialization ---------------------------------
+# -- inlining and loop linking ----------------------------------------------
 
 def test_hot_call_is_inlined_and_loop_linked():
     exe, profile = build()
@@ -51,39 +49,6 @@ def test_hot_call_is_inlined_and_loop_linked():
     assert info["linked_returns"] >= 1
     assert info["linked_loops"] >= 1
     assert info["elided_syncs"] > 0
-
-
-def test_specialization_guard_folds_constant_argument(monkeypatch):
-    # add() always sees b == 3: the profile proves it, so add's entry
-    # trace is specialized behind a guard.  That trace exists only
-    # where add() is entered rather than inlined: inlining is off here
-    monkeypatch.setattr(jit, "INLINE_DEPTH", 0)
-    exe, profile = build()
-    assert profile.call_args["add"][1] == 3
-    stats = run_jit3(exe, profile=profile)
-    assert stats.jit3["spec_guards"] >= 1
-    assert stats.jit3["inlined_calls"] == 0
-    assert stats == run_program(exe)
-
-
-def test_specialization_guard_miss_dispatches_to_twin(monkeypatch):
-    # a fabricated profile claiming a wrong constant: every guard must
-    # miss at runtime and the unspecialized twin must run -- output and
-    # stats stay bit-identical
-    monkeypatch.setattr(jit, "INLINE_DEPTH", 0)
-    exe, profile = build()
-    wrong = BlockProfile(
-        dict(profile),
-        call_args={"add": (999999, 999999, 0, 0)},
-    )
-    assert wrong.digest() != profile.digest()
-    prog = Jit3Program(exe, profile=wrong)
-    stats = prog.run()
-    assert stats.jit3["spec_guards"] >= 1
-    assert stats == run_program(exe)
-    # the twin waited behind a stub until the first miss compiled it
-    twin = f"_f{exe.func_entries['add']}"
-    assert prog.ns[twin].__name__ == twin
 
 
 # -- inline-guard bailouts ---------------------------------------------------
@@ -270,7 +235,6 @@ def test_profiled_run_never_translates_an_uncalled_function():
     entry = exe.func_entries["unused"]
     end = entry + prog._extent[entry]
     assert not [pc for pc in prog.table if entry <= pc < end]
-    assert f"_f{entry}" not in prog.ns
 
 
 # -- caching and tier separation --------------------------------------------

@@ -5,8 +5,8 @@ execution as the reference interpreter.
 Same generator bias as the tier "jit" test (trapping arithmetic, loops,
 calls, array traffic), plus the profiling step: each executable is
 profiled by one run of the profiling translation, so the tier-3
-translator actually exercises its inlining, loop-linking and
-specialization paths rather than translating cold code conservatively.
+translator actually exercises its inlining and loop-linking paths
+rather than translating cold code conservatively.
 That profile must equal the one the interpreter's profiling hooks
 collect, digest for digest.  A trapped profile run raises the
 interpreter's trap message on both sides and yields no profile.  A
