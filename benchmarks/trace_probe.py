@@ -15,10 +15,9 @@ Printed for the pass:
 cell and prints sha256 digests, each over its items followed by a NUL
 byte: per translation kind (``jit`` for tier 2, ``profiling`` for the
 profiling translation, ``jit3`` for tier 3, told apart by the class of
-the translation), every source passed to ``JitProgram._exec`` or
-``JitProgram._defer`` in call order; and ``AsmFunction.render()`` of
-every ``generate_function`` result.  It also prints the transitions
-each kind's runs make.
+the translation), every source passed to ``JitProgram._exec`` in call
+order; and ``AsmFunction.render()`` of every ``generate_function``
+result.  It also prints the transitions each kind's runs make.
 
     PYTHONPATH=src python benchmarks/trace_probe.py [--hash]
 """
@@ -65,7 +64,6 @@ class Probe:
 
     def install(self) -> None:
         probe = self
-        defer = JitProgram._defer
 
         def _exec(self, source):
             probe._source(self, source)
@@ -75,10 +73,6 @@ class Probe:
             code = compile(source, f"<jit:{id(self.exe):#x}>", "exec")
             probe.compile_s += time.perf_counter() - t0
             exec(code, self.ns)
-
-        def _defer(self, name, source):
-            probe._source(self, source)
-            defer(self, name, source)
 
         execute = JitProgram._execute
         loop = execute.__code__
@@ -110,7 +104,6 @@ class Probe:
             return asm
 
         JitProgram._exec = _exec
-        JitProgram._defer = _defer
         JitProgram._execute = _execute
         core.generate_function = generate_function
 

@@ -13,6 +13,9 @@ Usage::
 Options: -O0/-O1/-O2/-O3, --shrink-wrap, --no-combine, --callers N,
 --callees N, --ipra-globals, --check, --entry NAME,
 --sim-tier auto|interp|jit.
+
+A compile error or a machine trap prints one line, ``repro: <message>``,
+to stderr and exits with status 1.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ import sys
 from pathlib import Path
 from typing import List
 
+from repro.frontend.errors import CompileError
+from repro.ir.arith import MachineTrap
 from repro.ir.printer import format_module
 from repro.pipeline import compile_program, CompilerOptions
 from repro.sim import SIM_TIERS
@@ -90,7 +95,14 @@ def main(argv: List[str] = None) -> int:
     parser.add_argument("--sim-tier", default="auto", choices=SIM_TIERS,
                         help="simulator tier (default: auto)")
     args = parser.parse_args(argv)
+    try:
+        return _command(args)
+    except (CompileError, MachineTrap) as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return 1
 
+
+def _command(args: argparse.Namespace) -> int:
     prog = compile_program(_sources(args.files), _options(args))
 
     if args.command == "ir":

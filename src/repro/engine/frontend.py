@@ -27,7 +27,10 @@ cold compile's.
 
 The scanner is conservative: any construct it cannot segment confidently
 (unterminated comment, unbalanced braces, a stray quote) falls back to a
-whole-module parse, which also produces the exact diagnostics.
+whole-module parse, which also produces the exact diagnostics.  A
+diagnostic raised on a reduced source would carry that source's line
+numbers, so any compile error there is raised again by a whole-module
+parse of the real text.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from repro.engine.fingerprint import text_digest
 from repro.store.store import NS_FRONTEND as _NS_FRONTEND
 from repro.frontend import analyze, parse
 from repro.frontend import ast_nodes as ast
+from repro.frontend.errors import CompileError
 from repro.ir.function import IRFunction, IRModule
 from repro.ir.lowering import lower_module
 from repro.ir.optimize import optimize_function
@@ -189,7 +193,14 @@ class FrontendCache:
             module = self._full_front(name, text, optimize)
             self.fn_misses += len(module.functions)
         else:
-            module = self._chunked_front(name, split, optimize)
+            try:
+                module = self._chunked_front(name, split, optimize)
+            except CompileError:
+                # positions in the reduced source are not the source's:
+                # the whole-module front end raises the error where the
+                # reference pipeline does
+                self._full_front(name, text, optimize)
+                raise
         self._modules[key] = module
         return module
 

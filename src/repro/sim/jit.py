@@ -34,9 +34,9 @@ Translation scheme
   in the opcode table (:data:`~repro.target.isa.OPS`): a trap-free
   opcode whose sources are all translation-time constants folds, via a
   function compiled once from its value template; otherwise the
-  template is emitted, after the budget pre-guard and its own guard if
-  it can trap.  Loads, stores, branches, calls and HALT are trace
-  logic and keep their own arms.
+  template is emitted, after its own guard if it can trap.  Loads,
+  stores, branches, calls and HALT are trace logic and keep their own
+  arms.
 * **Constant addresses** -- a load or store whose base register is a
   translation-time constant and whose address lies inside memory
   indexes ``m`` with that literal and no runtime bounds test; an
@@ -49,25 +49,18 @@ Translation scheme
   reconstructed after HALT.  Cycles are threaded through as a running
   local (``y``) because the budget check needs them.
 * **Budget-check hoisting.**  The interpreter checks the cycle budget
-  at backward branches, calls and returns, plus before every
+  at backward branches, calls and returns, at HALT and before every
   instruction that can itself trap.  Those checks can only fire when
   the remaining budget is below the trace's own worst-case accrual, so
-  each trace runs one entry test (repeated at every loop top) and, when
-  it trips, deopts to a twin ``_g<name>`` that keeps every check: a
-  budget check at every exit, plus a guard before each trapping
-  instruction using the path-constant cycle prefix.  Checking at
-  *every* exit is a superset of the interpreter's checks, and the
-  extra checks are unobservable: once over budget, the interpreter's
-  next check raises the identical trap before any other trap can
-  differ, and state is discarded on a trap anyway.  The one place the
-  interpreter can trap *differently* while over budget -- running off
-  the end of the code -- is replicated exactly: exits to an invalid pc
-  raise ``pc outside code`` with a preceding budget check only where
-  the interpreter had one (backward branches, calls).  HALT keeps the
-  interpreter's quirk of never checking its own latency.  The twin is
-  synthesised with its trace, so the two share exit ids, but it stays
-  source text behind a stub until its first call: a run within budget
-  never compiles it.
+  a trace makes one test of that instead, at entry and again at every
+  loop top.  When the test trips, the trace writes its registers back
+  and hands the rest of the run to the interpreter
+  (:func:`~repro.sim.simulator.interpret`) at the trace's start pc, on
+  the same registers, memory and output; the interpreter then checks
+  the budget exactly where it always does, traps included, and its
+  counts are added to the exit counters'.  A run within budget never
+  reaches the interpreter, and one whose test trips leaves it less
+  than one trace's worth of budget to run.
 * Exits return the *successor's function* directly (``return _b42,
   y``, a global looked up at each exit, so a stub is reached at most
   once); the driver loop is just ``while fn is not None: fn, y =
@@ -77,9 +70,10 @@ Translation scheme
   exactly like the interpreter.
 
 Runs of one translation may overlap (the compile service runs one
-cached program for concurrent identical requests): translation and
-twin compilation hold a per-instance lock, and each new exit's counter
-slot is added to every run in progress before code can bump it.
+cached program for concurrent identical requests): translation holds a
+per-instance lock, and each new exit's counter slot is added to every
+run in progress before code can bump it.  An interpreter tail uses only
+its own run's state.
 
 Trace shaping without a profile
 -------------------------------
@@ -128,18 +122,18 @@ hoisting need no profile and always apply.
 * **Trace linking of loops** -- every block some backward branch
   targets is emitted inside ``while True:`` with all accessed
   registers hoisted into Python locals once, up front; a backward edge
-  targeting the block's own start becomes bump-counter / budget-check
-  / ``continue``, so loop iterations never leave the translated
-  function (no write-back, re-dispatch and reload per iteration).
+  targeting the block's own start becomes bump-counter / ``continue``
+  back to the loop-top budget test, so loop iterations never leave the
+  translated function (no write-back, re-dispatch and reload per
+  iteration).
   Every exit writes back the block's full written set, which keeps the
   per-exit path-constant statistics exact in the presence of re-entry.
 
 Budget-identity note: linked transfers (inlined JAL, linked JR, loop
-back-edge before the taken check) may skip interpreter budget-check
-points, which is unobservable for the same reason the hoisting is --
-every counted exit budget-checks in the twin, every trapping
-instruction is pre-guarded with its path-constant cycle prefix, and
-loop back-edges keep a per-iteration check.
+back-edges) skip interpreter budget-check points, which is
+unobservable for the same reason the hoisting is: a trace, or one more
+iteration of a linked loop, runs only when its worst-case accrual fits
+the remaining budget, so no skipped check could have fired.
 
 On both translated tiers, decisions and bailout counts surface in
 ``RunStats.jit3``; they cover the traces translated so far.
@@ -178,6 +172,7 @@ from repro.sim.simulator import (
     DEFAULT_STACK_WORDS,
     DUMP_INDEX,
     decoded_stream,
+    interpret,
     run_program,
     _LW, _SW, _B, _BEQZ, _BNEZ, _JAL, _JALR, _JR, _PRINT, _HALT,
     _KINDS, _LAT,
@@ -278,6 +273,11 @@ class _ExitPath:
         self.blocks = blocks  # pc -> occurrences on the path, or None
 
 
+class _Tail(Exception):
+    """Raised by a trace whose budget test trips, with the trace's
+    start pc and the cycles spent: the interpreter runs the rest."""
+
+
 class JitProgram:
     """A trace-translated executable, ready to run.
 
@@ -288,12 +288,16 @@ class JitProgram:
     Without a profile (see :class:`Jit3Program`) every call is cold,
     and traces are shaped by the static rules in the module docstring.
     ``jit3_stats`` records the translation decisions taken so far; a
-    copy is surfaced on :attr:`RunStats.jit3` after every run.
+    copy is surfaced on :attr:`RunStats.jit3` after every run.  A run
+    whose budget test trips finishes on the interpreter (see
+    *budget-check hoisting* in the module docstring).
     """
 
     #: a profiling translation (:class:`_ProfilingProgram`) records the
-    #: visits of these pcs on every exit path
+    #: visits of these pcs on every exit path, and its interpreter tail
+    #: counts them in this dict
     _block_pcs: frozenset = frozenset()
+    _block_counts: Optional[Dict[int, int]] = None
 
     def __init__(
         self,
@@ -309,7 +313,6 @@ class JitProgram:
         self.ncode = len(self.code)
         self.exits: List[_ExitPath] = []
         self.table: Dict[int, Callable] = {}
-        self._deferred: Dict[str, str] = {}   # twin name -> its source
         # translation state is shared by overlapping runs: _lock guards
         # it, and _live holds each running run's exit counters by id
         self._lock = threading.Lock()
@@ -350,6 +353,7 @@ class JitProgram:
             "srl": srl,
             "_jump": self._jump,
             "_T": self.table,
+            "_Tail": _Tail,
         }
 
     # -- translation --------------------------------------------------------
@@ -364,25 +368,6 @@ class JitProgram:
             self.ns[name] = (
                 lambda r, m, o, c, y: self._jump(pc)(r, m, o, c, y)
             )
-
-    def _defer(self, name: str, source: str) -> None:
-        """Bind ``name`` to a stub that, on its first call, compiles
-        ``source`` (which defines ``name``, rebinding it) and then runs
-        it.  The budget twins wait here: most runs never enter them.
-        The source waits in ``_deferred``, not in the stub: a stub that
-        referred to itself would form a cycle holding the whole
-        translation until a cyclic collection."""
-
-        def stub(r, m, o, c, y):
-            with self._lock:
-                text = self._deferred.get(name)
-                if text is not None:
-                    self._exec(text)
-                    del self._deferred[name]
-            return self.ns[name](r, m, o, c, y)
-
-        self._deferred[name] = source
-        self.ns[name] = stub
 
     def _exec(self, source: str) -> None:
         exec(compile(source, f"<jit:{id(self.exe):#x}>", "exec"), self.ns)
@@ -445,8 +430,8 @@ class JitProgram:
 
     def _translate_superblock(self, start: int) -> str:
         """Synthesise the trace rooted at ``start``, registering an
-        :class:`_ExitPath` per exit and deferring its twin; returns the
-        source text defining ``_b<start>``."""
+        :class:`_ExitPath` per exit; returns the source text defining
+        ``_b<start>``."""
         code = self.code
         ncode = self.ncode
         max_cycles = self.max_cycles
@@ -522,35 +507,23 @@ class JitProgram:
                 consts[i] = const
             return f"r{i}"
 
-        def budget_guard() -> None:
-            # marker, not code: the assembly pass hoists all of a
-            # trace's pre-guards into one entry check on the fast
-            # variant and materializes them only in its deopt twin
-            if prefix > 0:
-                lines.append(f"{IND}\x00BG {prefix}")
-
         def exit_path() -> int:
             return self._new_exit(_ExitPath(
                 ninstr, prefix, calls, branches, dict(loads), dict(stores),
                 dict(visits) if visits else None,
             ))
 
-        def emit_exit(
-            ind: str, ret: str,
-            budget: bool = True, halting: bool = False, bump: bool = True,
-        ) -> None:
+        def emit_exit(ind: str, ret: str, bump: bool = True) -> None:
             if loop_mode:
                 lines.append(f"{ind}\x00WB")
             else:
                 lines.extend(f"{ind}r[{i}] = r{i}" for i in written)
             lines.append(f"{ind}y += {prefix}")
-            if budget:
-                lines.append(f"{ind}\x00XB {'y - 1' if halting else 'y'}")
             if bump:
                 lines.append(f"{ind}c[{exit_path()}] += 1")
             lines.append(f"{ind}{ret}")
 
-        def exit_to(ind: str, target: int, checked: bool = True) -> None:
+        def exit_to(ind: str, target: int) -> None:
             if 0 <= target < ncode:
                 self._enqueue(target)
                 emit_exit(ind, f"return _b{target}, y")
@@ -558,13 +531,12 @@ class JitProgram:
                 emit_exit(
                     ind,
                     f"raise MachineTrap('pc {target} outside code')",
-                    budget=checked, bump=False,
+                    bump=False,
                 )
 
         def emit_backedge(ind: str) -> None:
             faults.check(faults.SITE_JIT, "link")
             lines.append(f"{ind}y += {prefix}")
-            lines.append(f"{ind}\x00XB y")
             lines.append(f"{ind}c[{exit_path()}] += 1")
             lines.append(f"{ind}continue")
             st["linked_loops"] += 1
@@ -642,22 +614,18 @@ class JitProgram:
             vop = _VALUE_OPS[op]
 
             if vop is not None:
-                if vop.traps:
-                    budget_guard()
+                # fold a trap-free opcode when every source is a
+                # translation-time constant (an unused source field
+                # decodes to $zero)
+                av, bv = const_of(rs), const_of(rt)
+                if vop.traps or av is None or bv is None:
                     emit_value(vop, rd, rs, rt, imm)
                 else:
-                    # fold when every source is a translation-time
-                    # constant (an unused source field decodes to $zero)
-                    av, bv = const_of(rs), const_of(rt)
-                    if av is None or bv is None:
-                        emit_value(vop, rd, rs, rt, imm)
-                    else:
-                        val = vop.fold(av, bv, imm)
-                        w = write(rd, const=val)
-                        if w is not None:
-                            lines.append(f"{IND}{w} = {val}")
+                    val = vop.fold(av, bv, imm)
+                    w = write(rd, const=val)
+                    if w is not None:
+                        lines.append(f"{IND}{w} = {val}")
             elif op == _LW:
-                budget_guard()
                 addr = const_addr(rs, imm)
                 if addr is None:
                     addr = "a"
@@ -671,7 +639,6 @@ class JitProgram:
                     lines.append(f"{IND}{w} = m[{addr}]")
                 loads[kind] = loads.get(kind, 0) + 1
             elif op == _SW:
-                budget_guard()
                 addr = const_addr(rt, imm)
                 if addr is None:
                     addr = "a"
@@ -697,12 +664,12 @@ class JitProgram:
                         if pc < imm < ncode and ninstr < TRACE_CAP:
                             pc = imm
                             continue
-                        exit_to(IND, imm, checked=imm <= pc)
+                        exit_to(IND, imm)
                         break
                     pc += 1
                     if pc < ncode and ninstr < TRACE_CAP:
                         continue
-                    exit_to(IND, pc, checked=False)
+                    exit_to(IND, pc)
                     break
                 cond = read(rs)
                 backedge_ok = imm == start and loop_mode
@@ -730,14 +697,14 @@ class JitProgram:
                     # it, exiting on the fall-through
                     ntest = "!=" if op == _BEQZ else "=="
                     lines.append(f"{IND}if {cond} {ntest} 0:")
-                    exit_to(IND + "    ", pc + 1, checked=False)
+                    exit_to(IND + "    ", pc + 1)
                     if backedge_ok:
                         emit_backedge(IND)
                         break
                     pc = imm
                     if ninstr < TRACE_CAP:
                         continue
-                    exit_to(IND, pc, checked=False)
+                    exit_to(IND, pc)
                     break
                 test = "==" if op == _BEQZ else "!="
                 lines.append(f"{IND}if {cond} {test} 0:")
@@ -745,11 +712,11 @@ class JitProgram:
                 if backedge_ok:
                     emit_backedge(arm)
                 else:
-                    exit_to(arm, imm, checked=imm <= pc)
+                    exit_to(arm, imm)
                 pc += 1
                 if pc < ncode and ninstr < TRACE_CAP:
                     continue
-                exit_to(IND, pc, checked=False)
+                exit_to(IND, pc)
                 break
             elif op == _B:
                 prefix += lat
@@ -759,7 +726,7 @@ class JitProgram:
                 if pc < imm < ncode and ninstr < TRACE_CAP:
                     pc = imm
                     continue
-                exit_to(IND, imm, checked=imm <= pc)
+                exit_to(IND, imm)
                 break
             elif op == _JAL:
                 calls += 1
@@ -773,7 +740,7 @@ class JitProgram:
                     st["elided_syncs"] += len(written)
                     pc = imm
                     continue
-                exit_to(IND, imm, checked=True)
+                exit_to(IND, imm)
                 break
             elif op == _JALR:
                 calls += 1
@@ -815,7 +782,7 @@ class JitProgram:
                 break
             elif op == _HALT:
                 prefix += lat
-                emit_exit(IND, "return None, y", halting=True)
+                emit_exit(IND, "return None, y")
                 break
             else:  # pragma: no cover - exhaustive over the opcode set
                 raise MachineTrap(f"unknown opcode number {op}")
@@ -823,56 +790,39 @@ class JitProgram:
             prefix += lat
             pc += 1
             if pc >= ncode or ninstr >= TRACE_CAP:
-                exit_to(IND, pc, checked=False)
+                exit_to(IND, pc)
                 break
 
         st["traces"] += 1
         if ninstr > st["max_trace_len"]:
             st["max_trace_len"] = ninstr
 
-        # Budget-check hoisting.  Mid-trace budget pre-guards (one per
-        # trapping instruction) and the per-exit budget checks can only
-        # ever fire when the remaining cycle budget is smaller than the
-        # trace's own worst-case accrual.  The fast variant therefore
-        # tests that once -- at entry, and at every loop-top in loop
-        # mode -- and deopts to a twin that keeps every check;
-        # everywhere else they are provably dead (``prefix`` is
-        # monotone, so the final total bounds every intermediate
-        # ``y + k`` and post-accrual ``y`` test).  The twin shares the
-        # trace's exit ids but is compiled only if a run enters it.
-        twin = "_g" + name[1:]
-
-        def render(fast: bool) -> str:
-            out = [f"def {name if fast else twin}(r, m, o, c, y):"]
-            for ln in lines[1:]:
-                if "\x00" not in ln:
-                    out.append(ln)
-                    continue
-                body = ln.lstrip()
-                ind = ln[: len(ln) - len(body)]
-                tag, _, arg = body.partition(" ")
-                if tag == "\x00PRELOAD":
-                    out.extend(f"    r{i} = r[{i}]" for i in sorted(accessed))
-                elif tag == "\x00WB":
-                    out.extend(f"{ind}r[{i}] = r{i}" for i in written)
-                elif tag == "\x00ENTRY":
-                    if fast:
-                        out.append(f"{ind}if y + {prefix} > {max_cycles}:")
-                        if loop_mode:  # deopt mid-loop: sync first
-                            out.extend(
-                                f"{ind}    r[{i}] = r{i}" for i in written
-                            )
-                        out.append(f"{ind}    return {twin}, y")
-                elif not fast:
-                    test = f"y + {arg}" if tag == "\x00BG" else arg
-                    out.append(
-                        f"{ind}if {test} > {max_cycles}:"
-                        f" raise MachineTrap('cycle budget exceeded')"
-                    )
-            return "\n".join(out) + "\n"
-
-        self._defer(twin, render(fast=False))
-        return render(fast=True)
+        # Budget-check hoisting.  The interpreter's budget checks (at
+        # backward branches, calls, returns, HALT and before each
+        # trapping instruction) can only fire when the remaining cycle
+        # budget is smaller than the trace's own worst-case accrual
+        # (``prefix`` is monotone, so its final total bounds every
+        # check on the way).  The trace therefore tests that once -- at
+        # entry, and at every loop top in loop mode -- and when the
+        # test trips it hands the rest of the run to the interpreter,
+        # which checks exactly where it always does.
+        out = []
+        for ln in lines:
+            if "\x00" not in ln:
+                out.append(ln)
+                continue
+            body = ln.lstrip()
+            ind = ln[: len(ln) - len(body)]
+            if body == "\x00PRELOAD":
+                out.extend(f"    r{i} = r[{i}]" for i in sorted(accessed))
+            elif body == "\x00WB":
+                out.extend(f"{ind}r[{i}] = r{i}" for i in written)
+            else:  # the entry test
+                out.append(f"{ind}if y + {prefix} > {max_cycles}:")
+                if loop_mode:  # handing off mid-loop: sync first
+                    out.extend(f"{ind}    r[{i}] = r{i}" for i in written)
+                out.append(f"{ind}    raise _Tail({start}, y)")
+        return "\n".join(out) + "\n"
 
     def _new_exit(self, path: _ExitPath) -> int:
         """Register a trace exit and return its counter id.  Runs
@@ -913,14 +863,19 @@ class JitProgram:
         stats.jit3 = info
         return stats
 
-    def _execute(self) -> Tuple[List[int], int, List[int]]:
+    def _execute(
+        self,
+    ) -> Tuple[List[int], int, List[int], Optional[RunStats]]:
         """Run the program once; returns the exit counters, the cycle
-        count and the output."""
+        count, the output and, if a trace handed the over-budget tail of
+        the run to the interpreter, the interpreter's statistics of that
+        tail."""
         exe = self.exe
         mem: List[int] = [0] * self.mem_size
         for a, v in exe.data_init.items():
             mem[a] = v
-        regs: List[int] = [0] * NUM_REGISTERS
+        # the interpreter's $zero dump slot follows the architected file
+        regs: List[int] = [0] * (NUM_REGISTERS + 1)
         regs[SP.index] = self.mem_size
         out: List[int] = []
         # on-demand translation mid-run extends counts (see _new_exit)
@@ -928,21 +883,33 @@ class JitProgram:
             counts = [0] * len(self.exits)
             self._live[id(counts)] = counts
         cycles = 0
+        handoff = None
 
         try:
             fn = self._jump(exe.entry_pc)
             while fn is not None:
                 fn, cycles = fn(regs, mem, out, counts, cycles)
+        except _Tail as trip:
+            handoff = trip.args
         finally:
             with self._lock:
                 del self._live[id(counts)]
-        return counts, cycles, out
+        if handoff is None:
+            return counts, cycles, out, None
+        pc, cycles = handoff
+        tail = interpret(
+            exe, pc, regs, mem, out, cycles, self.max_cycles,
+            block_counts=self._block_counts,
+        )
+        return counts, tail.cycles, out, tail
 
     def _stats(
-        self, counts: List[int], cycles: int, out: List[int]
+        self, counts: List[int], cycles: int, out: List[int],
+        tail: Optional[RunStats],
     ) -> RunStats:
-        """The run's statistics, reconstructed from its exit counters."""
-        stats = RunStats()
+        """The run's statistics, reconstructed from its exit counters
+        and added to the interpreter's counts of its tail, if any."""
+        stats = RunStats() if tail is None else tail
         stats.cycles = cycles
         stats.output = out
         nkinds = len(_KINDS)
@@ -962,9 +929,9 @@ class JitProgram:
                 store_counts[kind] += n * cnt
         for i, k in enumerate(_KINDS):
             if load_counts[i]:
-                stats.loads[k] = load_counts[i]
+                stats.loads[k] += load_counts[i]
             if store_counts[i]:
-                stats.stores[k] = store_counts[i]
+                stats.stores[k] += store_counts[i]
         return stats
 
 
@@ -1054,7 +1021,7 @@ class _ProfilingProgram(JitProgram):
 
     def run(self) -> RunStats:
         try:
-            counts, cycles, out = self._execute()
+            counts, cycles, out, tail = self._execute()
         finally:
             # the translation serves one run: free its code now (stubs
             # and ``_jump`` tie it into cycles a later collection finds)
@@ -1065,7 +1032,7 @@ class _ProfilingProgram(JitProgram):
             if n and path.blocks:
                 for pc, visits in path.blocks.items():
                     block_counts[pc] += n * visits
-        return self._stats(counts, cycles, out)
+        return self._stats(counts, cycles, out, tail)
 
 
 def run_profiling(

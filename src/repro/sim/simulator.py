@@ -127,8 +127,6 @@ def run_program(
     each visit increments the entry -- the profile-feedback extension's
     data source.
     """
-    code = decoded_stream(exe)
-
     mem_size = exe.data_size + stack_words
     mem: List[int] = [0] * mem_size
     for a, v in exe.data_init.items():
@@ -136,7 +134,34 @@ def run_program(
     # one extra slot past the architected file swallows writes to $zero
     regs: List[int] = [0] * (NUM_REGISTERS + 1)
     regs[SP.index] = mem_size
-    pc = exe.entry_pc
+    return interpret(
+        exe, exe.entry_pc, regs, mem, [], 0, max_cycles,
+        check_contracts, block_counts,
+    )
+
+
+def interpret(
+    exe: Executable,
+    pc: int,
+    regs: List[int],
+    mem: List[int],
+    output: List[int],
+    cycles: int,
+    max_cycles: int = DEFAULT_MAX_CYCLES,
+    check_contracts: bool = False,
+    block_counts: Optional[Dict[int, int]] = None,
+) -> RunStats:
+    """Interpret ``exe`` from ``pc`` until HALT, on the machine state
+    ``regs`` (``NUM_REGISTERS + 1`` slots), ``mem`` and ``output`` with
+    ``cycles`` already spent -- :func:`run_program`'s loop, which the
+    trace translator also resumes when a trace's budget test trips.
+
+    The returned statistics count what this call executed; their
+    ``cycles`` is the running total and their ``output`` is ``output``.
+    Traps and ``block_counts`` are as in :func:`run_program`.
+    """
+    code = decoded_stream(exe)
+    mem_size = len(mem)
 
     stats = RunStats()
     ncode = len(code)
@@ -146,14 +171,11 @@ def run_program(
     nkinds = len(_KINDS)
     load_counts = [0] * nkinds
     store_counts = [0] * nkinds
-    output: List[int] = []
-    cycles = 0
     instructions = 0
     calls = 0
     branches = 0
     lat = _LAT
     ra_idx = RA.index
-    sp_idx = SP.index
 
     profiling = block_counts is not None
 

@@ -6,11 +6,16 @@ instructions, same data layout, same entry, same contract masks -- to
 what the original sequential pipeline produces from scratch.  These
 tests drive edit sequences through one session and compare every step
 against :func:`repro.pipeline.driver._reference_compile_program`.
+A source that fails to compile raises the reference's error, position
+included.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Compiler, PAPER_CONFIGS
+from repro.frontend.errors import LexError, ParseError, SemanticError
+from repro.pipeline import O2
 from repro.pipeline.driver import _reference_compile_program
 
 
@@ -155,3 +160,38 @@ def test_random_edit_sequences_bit_identical(config, edits):
         warm = session.compile()
         cold = _reference_compile_program(("main", src), options)
         assert_exe_identical(warm.executable, cold.executable)
+
+
+# a global and three procedures, one a line: an error in a procedure
+# must be reported at its line in this text, not in the reduced source
+# the engine compiles its uncached procedures from
+ERRORS = """var g = 1;
+func first(x) {{ {first} }}
+func middle(x) {{ {middle} }}
+func main() {{ {last} }}
+"""
+VALID = {
+    "first": "return x + g;",
+    "middle": "return x * 2;",
+    "last": "return first(1) + middle(2);",
+}
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("where", sorted(VALID))
+@pytest.mark.parametrize("body,kind", [
+    ("return 1 @ 2;", LexError),
+    ("return 1 + ;", ParseError),
+    ("return nowhere;", SemanticError),
+], ids=["lex", "parse", "semantic"])
+def test_errors_equal_the_reference(body, kind, where, warm):
+    text = ERRORS.format(**dict(VALID, **{where: body}))
+    with pytest.raises(kind) as ref:
+        _reference_compile_program(text, O2)
+    session = Compiler(O2)
+    if warm:
+        session.add_source(ERRORS.format(**VALID)).compile()
+    with pytest.raises(kind) as got:
+        session.add_source(text).compile()
+    assert type(got.value) is type(ref.value)
+    assert str(got.value) == str(ref.value)

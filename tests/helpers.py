@@ -86,6 +86,22 @@ def interpreter_profile(target, runs=None, **run_kwargs):
         return profile.block_profile_of(target, attach=False, **run_kwargs)
 
 
+def count_tails(monkeypatch) -> List[int]:
+    """A list that gets the start pc of every run tail the trace
+    translator hands to the interpreter, by wrapping ``interpret``
+    where ``repro.sim.jit`` imports it."""
+    from repro.sim import jit, simulator
+
+    tails: List[int] = []
+
+    def interpret(exe, pc, *args, **kwargs):
+        tails.append(pc)
+        return simulator.interpret(exe, pc, *args, **kwargs)
+
+    monkeypatch.setattr(jit, "interpret", interpret)
+    return tails
+
+
 def once(benchmark, fn):
     """Run ``fn`` exactly once under the pytest-benchmark timer."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)

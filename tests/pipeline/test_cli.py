@@ -27,6 +27,27 @@ def test_run_with_all_opt_levels(capsys, src_file):
         assert capsys.readouterr().out.strip() == "42"
 
 
+def test_compile_error_is_one_line(capsys, tmp_path):
+    bad = tmp_path / "bad.mc"
+    bad.write_text("func main() { var x = ; }")
+    assert main(["run", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("repro: 1:23: expected an expression")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_machine_trap_is_one_line(capsys, tmp_path):
+    bad = tmp_path / "trap.mc"
+    bad.write_text(
+        "func d(x) { return 10 / x; } func main() { print d(0); }"
+    )
+    assert main(["run", str(bad), "--sim-tier", "jit"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "repro: integer divide by zero\n"
+
+
 def test_stats_command(capsys, src_file):
     assert main(["stats", src_file]) == 0
     out = capsys.readouterr().out

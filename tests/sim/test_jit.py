@@ -11,7 +11,7 @@ import threading
 
 import pytest
 
-from helpers import interpreter_profile
+from helpers import count_tails, interpreter_profile
 
 from repro.ir.arith import BINOPS, MachineTrap, UNOPS
 from repro.pipeline import compile_program, O2, O3_SW
@@ -574,8 +574,8 @@ def test_compiled_global_access_has_no_bounds_test(profiled):
 def test_tier2_budget_traps_are_identical_at_every_cycle_count():
     # one program with a linked loop, an inlined leaf and a constant-
     # address load and store, at every budget up to its cycle count:
-    # the deopt route, the twin's guards and linked transfers (which
-    # skip interpreter check points) must trap exactly as it does
+    # the hand-off to the interpreter and linked transfers (which skip
+    # interpreter check points) must trap exactly as it does
     exe = compile_program(LEAF_LOOP, O2).executable
     full = run_program(exe)
     prog = JitProgram(exe)
@@ -597,3 +597,20 @@ def test_tier2_budget_traps_are_identical_at_every_cycle_count():
         ) == outcome(
             lambda b: run_program(exe, max_cycles=b), budget
         ), budget
+
+
+def test_profile_of_a_run_that_hands_off_and_halts(monkeypatch):
+    # a trace's entry test counts its worst-case accrual, HALT's latency
+    # included, which the interpreter never checks: just under and just
+    # over the full cycle count the last trace hands off, and the
+    # interpreter halts within budget, counting the blocks it visits
+    tails = count_tails(monkeypatch)
+    built = compile_program(LEAF_LOOP, O2)
+    full = run_program(built.executable).cycles
+    for budget in (full - 1, full + 1):
+        tails.clear()
+        profile = block_profile_of(built, attach=False, max_cycles=budget)
+        assert len(tails) == 1, budget
+        assert profile.digest() == interpreter_profile(
+            built, max_cycles=budget
+        ).digest(), budget

@@ -1,9 +1,11 @@
 """Tier-3 trace JIT unit tests: inlining and its bailouts, loop
 linking, trap identity inside inlined bodies, translation on first
-entry and the lazily compiled budget twins, translation cache keying,
-and the fallback to the interpreter."""
+entry and the over-budget tail handed to the interpreter, translation
+cache keying, and the fallback to the interpreter."""
 
 import pytest
+
+from helpers import count_tails
 
 from repro import faults
 from repro.ir.arith import MachineTrap
@@ -129,10 +131,9 @@ def test_trap_inside_inlined_body_is_identical_strict():
 
 
 def test_budget_traps_are_identical_at_every_cycle_count():
-    # the fast trace variants hoist all budget checks into one entry
-    # test that deopts to a fully-guarded twin; a sweep of tight
-    # budgets exercises both the deopt route and the twin's
-    # per-instruction guards against the interpreter's exact behaviour
+    # traces hoist all budget checks into one entry test that hands
+    # the rest of the run to the interpreter; a sweep of tight budgets
+    # exercises the hand-off against the interpreter's exact behaviour
     exe, profile = build()
     full = run_program(exe).cycles
 
@@ -154,9 +155,10 @@ def test_budget_traps_are_identical_at_every_cycle_count():
 
 
 def test_budget_at_the_trap_boundary_is_identical():
-    # the twin's guard before a trapping instruction decides which trap
-    # wins when the budget runs out right there: sweep the budgets
-    # around the boundary between the budget trap and the divide by zero
+    # the interpreter's guard before a trapping instruction decides
+    # which trap wins when the budget runs out right there: sweep the
+    # budgets around the boundary between the budget trap and the
+    # divide by zero
     exe, profile = trapping_exe_with_profile()
 
     def message(runner, budget):
@@ -178,25 +180,19 @@ def test_budget_at_the_trap_boundary_is_identical():
         ) == message(run_program, budget), budget
 
 
-def _twins(prog):
-    """The budget twins bound so far, by name."""
-    return {n: fn for n, fn in prog.ns.items() if n.startswith("_g")}
-
-
-def test_generous_budget_leaves_every_twin_a_stub():
-    # every trace is synthesised with its fully guarded twin, but a run
-    # that never nears the budget never deopts, so no twin is compiled
+def test_generous_budget_never_enters_the_interpreter(monkeypatch):
+    # every trace tests the budget at entry, but a run that never nears
+    # the budget never trips the test, so the interpreter runs nothing
+    tails = count_tails(monkeypatch)
     exe, profile = build()
     prog = Jit3Program(exe, profile=profile)
     assert prog.run() == run_program(exe)
     assert prog.run() == run_program(exe)
-    twins = _twins(prog)
-    assert twins
-    for name, fn in twins.items():
-        assert fn.__name__ != name, f"{name} was compiled"
+    assert tails == []
 
 
-def test_tight_budget_compiles_the_twin_and_traps():
+def test_tight_budget_hands_one_tail_to_the_interpreter(monkeypatch):
+    tails = count_tails(monkeypatch)
     exe, profile = build()
     budget = run_program(exe).cycles // 2
     with pytest.raises(MachineTrap, match="cycle budget") as interp:
@@ -205,12 +201,12 @@ def test_tight_budget_compiles_the_twin_and_traps():
     with pytest.raises(MachineTrap) as jit3:
         prog.run()
     assert str(jit3.value) == str(interp.value)
-    compiled = [n for n, fn in _twins(prog).items() if fn.__name__ == n]
-    assert compiled
-    # the compiled twin is kept: a rerun traps the same way through it
+    assert len(tails) == 1
+    # the translation is kept: a rerun hands off and traps the same way
     with pytest.raises(MachineTrap) as again:
         prog.run()
     assert str(again.value) == str(interp.value)
+    assert len(tails) == 2
 
 
 UNCALLED = """

@@ -53,9 +53,9 @@ def test_tier3_identical_on_random_programs(src):
 @settings(max_examples=20, deadline=None)
 @given(programs())
 def test_tier3_budget_traps_identical_on_random_programs(src):
-    # tier 3 translates a trace on first entry and compiles a budget
-    # twin on its first deopt, so a budget trap can fire between
-    # translations; a rerun reuses the partial cache
+    # tier 3 translates a trace on first entry and hands an
+    # over-budget tail to the interpreter, so a budget trap can fire
+    # between translations; a rerun reuses the partial cache
     for options in PAPER_CONFIGS.values():
         prog = compile_cached(src, options)
         exe = prog.executable
