@@ -14,8 +14,8 @@ Options: -O0/-O1/-O2/-O3, --shrink-wrap, --no-combine, --callers N,
 --callees N, --ipra-globals, --check, --entry NAME,
 --sim-tier auto|interp|jit.
 
-A compile error or a machine trap prints one line, ``repro: <message>``,
-to stderr and exits with status 1.
+A compile error, an input file that cannot be read or a machine trap
+prints one line, ``repro: <message>``, to stderr and exits with status 1.
 """
 
 from __future__ import annotations
@@ -61,10 +61,20 @@ def _options(args: argparse.Namespace) -> CompilerOptions:
 
 
 def _sources(paths: List[str]):
+    """(name, text) per input file; a file that cannot be read or
+    decoded is a :class:`CompileError` naming it."""
     out = []
     for p in paths:
         path = Path(p)
-        out.append((path.stem, path.read_text()))
+        try:
+            text = path.read_text(encoding="utf-8")
+        except OSError as exc:
+            raise CompileError(
+                f"cannot read {p}: {exc.strerror or exc}"
+            ) from exc
+        except UnicodeDecodeError as exc:
+            raise CompileError(f"cannot read {p}: {exc}") from exc
+        out.append((path.stem, text))
     return out
 
 

@@ -66,12 +66,14 @@ from dataclasses import replace as _options_replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro import faults
+from repro.engine.fingerprint import plan_options_fingerprint
 from repro.engine.frontend import FrontendCache
 from repro.engine.invalidation import (
     PlanKey,
     count_changed,
     effective_summaries,
     plan_key,
+    sorted_callees,
 )
 from repro.engine.resilience import LADDER
 from repro.engine.stats import PIPELINE_STAGES, CompileRecord, EngineStats
@@ -182,6 +184,10 @@ class _PlanContext:
 
     program: IRModule
     popts: PlanOptions
+    #: :func:`plan_options_fingerprint` of ``popts``
+    popts_fp: Tuple
+    #: procedure -> its sorted direct callees
+    callees: Dict[str, Tuple[str, ...]]
     record: CompileRecord
     forced: Dict[str, int]
     no_store: Set[str]
@@ -370,11 +376,13 @@ class Engine:
         """
         forced: Dict[str, int] = {}
         no_store: Set[str] = set()
+        with self.stats.timer(record, "plan"):
+            callees = sorted_callees(program)
         bound = (len(LADDER) + 1) * len(program.functions) + 2
         for _ in range(bound):
             with self.stats.timer(record, "plan"):
                 plan, keys = self._plan(
-                    program, popts, record, forced, no_store
+                    program, popts, callees, record, forced, no_store
                 )
             try:
                 with self.stats.timer(record, "codegen"):
@@ -403,9 +411,10 @@ class Engine:
         then :func:`plan_function` (with the resilient demotion ladder
         around it)."""
         fn = ctx.program.functions[name]
+        callees = ctx.callees[name]
         is_open = ctx.cg.is_open(name) if ctx.cg is not None else True
         eff = effective_summaries(
-            fn, ctx.program, ctx.cg, ctx.pos, ctx.closed,
+            fn, callees, ctx.program, ctx.cg, ctx.pos, ctx.closed,
             demoted=ctx.demoted, convention=ctx.popts.convention,
         )
         level = ctx.forced.get(name)
@@ -413,7 +422,10 @@ class Engine:
             plan = _plan_demoted(fn, ctx.popts, eff, ctx.arities, level)
             return (_DEMOTED, name, level), plan, False
         allowed = ctx.allowed_map.get(name)
-        key = plan_key(fn, ctx.popts, ctx.arities, is_open, eff, allowed)
+        key = plan_key(
+            fn, callees, ctx.popts, ctx.popts_fp, ctx.arities, is_open, eff,
+            allowed,
+        )
         plan = self._plans.get(key)
         hit = plan is not None
         if not hit and self.store is not None and name not in ctx.no_store:
@@ -463,6 +475,7 @@ class Engine:
         self,
         program: IRModule,
         popts: PlanOptions,
+        callees: Dict[str, Tuple[str, ...]],
         record: CompileRecord,
         forced: Dict[str, int],
         no_store: Set[str],
@@ -471,10 +484,12 @@ class Engine:
         call graph, depth-first postorder, the mod/ref prepass, then one
         :meth:`_plan_one` per procedure in that order.
 
-        ``forced`` maps procedure name -> demotion rung for procedures
-        that must be planned open regardless of faults (codegen-stage
-        demotions being replanned); ``no_store`` names procedures pinned
-        to from-scratch plans after a store pairing break.
+        ``callees`` maps each procedure to its sorted direct callees
+        (:func:`sorted_callees`).  ``forced`` maps procedure name ->
+        demotion rung for procedures that must be planned open
+        regardless of faults (codegen-stage demotions being replanned);
+        ``no_store`` names procedures pinned to from-scratch plans after
+        a store pairing break.
         """
         result = ProgramPlan(module=program)
         arities = {
@@ -507,6 +522,8 @@ class Engine:
         ctx = _PlanContext(
             program=program,
             popts=popts,
+            popts_fp=plan_options_fingerprint(popts),
+            callees=callees,
             record=record,
             forced=forced,
             no_store=no_store,

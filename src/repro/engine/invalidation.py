@@ -25,11 +25,10 @@ cached by one compile serve any later compile with the same key.
 
 from __future__ import annotations
 
-from typing import Container, Dict, FrozenSet, Optional, Sequence, Set, Tuple
+from typing import Container, Dict, Optional, Sequence, Set, Tuple
 
 from repro.engine.fingerprint import (
     function_fingerprint,
-    plan_options_fingerprint,
     summary_signature,
     weights_fingerprint,
 )
@@ -41,8 +40,19 @@ from repro.ir.function import IRFunction, IRModule
 PlanKey = Tuple
 
 
+def sorted_callees(module: IRModule) -> Dict[str, Tuple[str, ...]]:
+    """Every procedure's direct callees, sorted: one scan of the
+    module's instructions, shared by :func:`effective_summaries` and
+    :func:`plan_key` for the whole compile."""
+    return {
+        name: tuple(sorted(fn.direct_callees()))
+        for name, fn in module.functions.items()
+    }
+
+
 def effective_summaries(
     fn: IRFunction,
+    callees: Sequence[str],
     module: IRModule,
     cg: Optional[CallGraph],
     pos: Dict[str, int],
@@ -51,8 +61,8 @@ def effective_summaries(
     convention=None,
 ) -> Dict[str, ProcSummary]:
     """The summaries ``plan_program`` would have accumulated by the time
-    it reaches ``fn``, restricted to ``fn``'s direct callees (the only
-    entries :func:`plan_function` ever reads).
+    it reaches ``fn``, restricted to ``fn``'s direct ``callees`` (the
+    only entries :func:`plan_function` ever reads).
 
     ``demoted`` names procedures a resilient compile has demoted to the
     open convention (see :mod:`repro.engine.resilience`): they publish
@@ -64,7 +74,7 @@ def effective_summaries(
     if cg is None:
         return eff
     my_pos = pos[fn.name]
-    for callee in set(fn.direct_callees()):
+    for callee in callees:
         target = module.functions.get(callee)
         if target is None or pos[callee] >= my_pos:
             continue  # extern, or not yet planned in sequential order
@@ -79,27 +89,33 @@ def effective_summaries(
 
 def plan_key(
     fn: IRFunction,
+    callees: Sequence[str],
     options: PlanOptions,
+    options_fp: Tuple,
     arities: Dict[str, int],
     is_open: bool,
     eff: Dict[str, ProcSummary],
     allowed_globals: Optional[Set[str]],
 ) -> PlanKey:
-    """Complete input tuple of ``plan_function`` for ``fn``."""
-    callees = tuple(
-        (
-            callee,
-            arities.get(callee, -1),
-            summary_signature(eff[callee]) if callee in eff else None,
-        )
-        for callee in sorted(set(fn.direct_callees()))
-    )
+    """Complete input tuple of ``plan_function`` for ``fn``.
+
+    The caller computes ``fn``'s sorted direct ``callees`` once per
+    compile (:func:`sorted_callees`) and ``options_fp``, the
+    :func:`~repro.engine.fingerprint.plan_options_fingerprint` of
+    ``options``, once per planning pass."""
     return (
         function_fingerprint(fn),
         is_open,
-        plan_options_fingerprint(options),
+        options_fp,
         weights_fingerprint(options.block_weights, fn.name),
-        callees,
+        tuple(
+            (
+                callee,
+                arities.get(callee, -1),
+                summary_signature(eff[callee]) if callee in eff else None,
+            )
+            for callee in callees
+        ),
         None if allowed_globals is None else tuple(sorted(allowed_globals)),
     )
 

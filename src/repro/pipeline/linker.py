@@ -116,12 +116,18 @@ class ObjectCode:
 def link_executable(
     objects: Sequence[ObjectCode], entry: str = "main"
 ) -> Executable:
-    """Link object code into an executable image."""
+    """Link object code into an executable image, in two passes.
+
+    The first pass lays out data and assigns every function its base pc
+    and every label its pc, from function sizes and label tables alone.
+    The second copies each instruction once, resolving a labelled
+    instruction's ``imm`` as it copies.  The copies are fresh objects:
+    an executable never shares an instruction with its object code.
+    """
     exe = Executable()
 
     # --- data layout (address 0 is the null guard) ---
     addr = 1
-    seen: Dict[str, ObjectCode] = {}
     for obj in objects:
         for sym, init in obj.globals.items():
             if sym in exe.data_layout:
@@ -137,68 +143,74 @@ def link_executable(
             addr += size
     exe.data_size = addr
 
-    # --- code layout: a start stub, then every function ---
+    # --- pass 1: code layout, a start stub then every function ---
+    func_entries = exe.func_entries
     labels: Dict[str, int] = {}
-    code: List[Instr] = []
-    # stub: call the entry point, then halt
-    code.append(Instr(op=Opcode.JAL, label=entry, comment="start"))
-    code.append(Instr(op=Opcode.HALT))
-
+    pc = 2  # the stub: call the entry point, then halt
     for obj in objects:
         for fname, fn in obj.functions.items():
-            if fname in exe.func_entries:
+            if fname in func_entries:
                 raise LinkError(f"duplicate function symbol {fname!r}")
-            base = len(code)
-            exe.func_entries[fname] = base
-            exe.func_at_pc[base] = fname
-            for i, ins in enumerate(fn.instrs):
-                for lab in fn.labels.get(i, ()):
-                    if lab in labels:
-                        raise LinkError(f"duplicate label {lab!r}")
-                    labels[lab] = base + i
-                code.append(
-                    Instr(
-                        op=ins.op, rd=ins.rd, rs=ins.rs, rt=ins.rt,
-                        imm=ins.imm, label=ins.label, kind=ins.kind,
-                        comment=ins.comment,
-                    )
-                )
-            for lab in fn.labels.get(len(fn.instrs), ()):
-                labels[lab] = base + len(fn.instrs)
+            func_entries[fname] = pc
+            exe.func_at_pc[pc] = fname
+            size = len(fn.instrs)
+            for i in sorted(fn.labels):
+                if 0 <= i < size:
+                    for lab in fn.labels[i]:
+                        if lab in labels:
+                            raise LinkError(f"duplicate label {lab!r}")
+                        labels[lab] = pc + i
+            for lab in fn.labels.get(size, ()):
+                labels[lab] = pc + size
+            pc += size
         exe.preserved_masks.update(obj.preserved_masks)
-    labels.update(exe.func_entries)
+    labels.update(func_entries)
 
-    if entry not in exe.func_entries:
+    if entry not in func_entries:
         raise LinkError(f"entry point {entry!r} not defined")
     exe.entry_pc = 0
-    exe.labels = dict(labels)
+    exe.labels = labels
 
-    # --- relocation ---
-    for pc, ins in enumerate(code):
-        if ins.label is None:
-            continue
-        kind = OPS[ins.op].label
-        if kind == "code":
-            target = labels.get(ins.label)
-            if target is None:
-                raise LinkError(f"unresolved code symbol {ins.label!r}")
-            ins.imm = target
-        elif kind == "sym":
-            if ins.label in exe.func_entries:
-                ins.imm = exe.func_entries[ins.label]
-            elif ins.label in exe.data_layout:
-                ins.imm = exe.data_layout[ins.label][0]
-            else:
-                raise LinkError(f"unresolved symbol {ins.label!r}")
-        elif kind == "data":
-            loc = exe.data_layout.get(ins.label)
-            if loc is None:
-                raise LinkError(f"unresolved data symbol {ins.label!r}")
-            ins.imm = (ins.imm or 0) + loc[0]
-        else:
-            raise LinkError(
-                f"relocation on unexpected opcode {ins.op.value}"
-            )
-
+    # --- pass 2: copy every instruction once, relocating as it goes ---
+    code = [
+        Instr(Opcode.JAL, None, None, None, func_entries[entry], entry,
+              None, "start"),
+        Instr(Opcode.HALT),
+    ]
+    append = code.append
+    for obj in objects:
+        for fn in obj.functions.values():
+            for ins in fn.instrs:
+                label = ins.label
+                imm = ins.imm
+                if label is not None:
+                    imm = _relocate(ins.op, label, imm, labels, exe)
+                append(Instr(
+                    ins.op, ins.rd, ins.rs, ins.rt, imm, label, ins.kind,
+                    ins.comment,
+                ))
     exe.instrs = code
     return exe
+
+
+def _relocate(op: Opcode, label: str, imm, labels: Dict[str, int],
+              exe: Executable) -> int:
+    """The resolved ``imm`` of an instruction referring to ``label``."""
+    kind = OPS[op].label
+    if kind == "code":
+        target = labels.get(label)
+        if target is None:
+            raise LinkError(f"unresolved code symbol {label!r}")
+        return target
+    if kind == "sym":
+        if label in exe.func_entries:
+            return exe.func_entries[label]
+        if label in exe.data_layout:
+            return exe.data_layout[label][0]
+        raise LinkError(f"unresolved symbol {label!r}")
+    if kind == "data":
+        loc = exe.data_layout.get(label)
+        if loc is None:
+            raise LinkError(f"unresolved data symbol {label!r}")
+        return (imm or 0) + loc[0]
+    raise LinkError(f"relocation on unexpected opcode {op.value}")

@@ -52,6 +52,28 @@ def test_cold_then_warm_accounting():
     assert session.stats.records[-1].invalidated == 0
 
 
+def test_warm_result_is_a_fresh_image():
+    session = Compiler(O3_SW)
+    cold = compile_once(session)
+    cold_fp = cold.executable.fingerprint()
+    # sabotage one instruction of the first result, as the contract
+    # checker's tests do; no cache may hand the change to a later compile
+    victim = next(
+        ins for ins in cold.executable.instrs[2:] if ins.label is None
+    )
+    victim.imm = (victim.imm or 0) + 1
+
+    warm = compile_once(session)
+    assert stage(session, "frontend").misses == 0
+    assert stage(session, "plan").misses == 0
+    assert stage(session, "codegen").misses == 0
+    assert warm.executable is not cold.executable
+    assert not any(
+        a is b for a, b in zip(warm.executable.instrs, cold.executable.instrs)
+    )
+    assert warm.executable.fingerprint() == cold_fp
+
+
 def test_single_edit_invalidates_only_ancestor_chain():
     session = Compiler(O3_SW)
     compile_once(session, leaf_body="1")

@@ -37,6 +37,22 @@ def test_compile_error_is_one_line(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_missing_input_is_one_line(capsys, tmp_path):
+    missing = tmp_path / "missing.mc"
+    assert main(["run", str(missing)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"repro: cannot read {missing}: No such file or directory\n"
+
+
+def test_undecodable_input_is_one_line(capsys, tmp_path):
+    bad = tmp_path / "bad.mc"
+    bad.write_bytes(b"func main() { print 1; } \xff\xfe")
+    assert main(["run", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro: cannot read {bad}: ")
+    assert err.count("\n") == 1
+
+
 def test_machine_trap_is_one_line(capsys, tmp_path):
     bad = tmp_path / "trap.mc"
     bad.write_text(

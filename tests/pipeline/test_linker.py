@@ -11,9 +11,12 @@ from repro.pipeline import (
     link_executable,
     link_ir_modules,
     link_modules,
+    ObjectCode,
     O2,
 )
 from repro.sim import run_program
+from repro.target.isa import AsmFunction, Instr, Opcode
+from repro.target.registers import RA, SP, V0
 
 
 def test_ir_link_merges_symbols():
@@ -144,3 +147,71 @@ def test_cross_module_globals_and_arrays():
     """)
     exe = link_modules([compile_module(m1_ok, O2), compile_module(m2_ok, O2)])
     assert run_program(exe).output == [77]
+
+
+# -- executable-level link errors, on hand-built object code ----------------
+
+def asm(name, *instrs, labels=None):
+    """A hand-built procedure: ``instrs`` then a return."""
+    return AsmFunction(
+        name, [*instrs, Instr(Opcode.JR, rs=RA)], dict(labels or {})
+    )
+
+
+def obj(*functions, globals=None, arrays=None):
+    return ObjectCode(
+        functions={fn.name: fn for fn in functions},
+        globals=dict(globals or {}),
+        arrays=dict(arrays or {}),
+    )
+
+
+def test_hand_built_objects_link_and_relocate():
+    exe = link_executable([
+        obj(asm("main",
+                Instr(Opcode.JAL, label="f"),
+                Instr(Opcode.LA, rd=V0, label="g"),
+                Instr(Opcode.LW, rd=V0, rs=SP, imm=1, label="a"),
+                Instr(Opcode.B, label="main.done"),
+                labels={4: ["main.done"]}),
+            globals={"g": 5}, arrays={"a": 3}),
+        obj(asm("f")),
+    ])
+    assert exe.data_layout == {"g": (1, 1), "a": (2, 3)}
+    assert exe.data_init == {1: 5}
+    assert exe.func_entries == {"main": 2, "f": 7}
+    assert exe.labels["main.done"] == 6
+    assert [ins.imm for ins in exe.instrs[:6]] == [2, None, 7, 1, 3, 6]
+
+
+def test_duplicate_data_symbol_rejected():
+    with pytest.raises(LinkError, match="^duplicate data symbol 'g'$"):
+        link_executable([
+            obj(asm("main"), globals={"g": 1}),
+            obj(asm("f"), arrays={"g": 4}),
+        ])
+
+
+def test_duplicate_label_rejected():
+    with pytest.raises(LinkError, match="^duplicate label 'x'$"):
+        link_executable([
+            obj(asm("main", Instr(Opcode.B, label="x"), labels={0: ["x"]})),
+            obj(asm("f", labels={0: ["x"]})),
+        ])
+
+
+@pytest.mark.parametrize("instr, message", [
+    (Instr(Opcode.B, label="nowhere"), "unresolved code symbol 'nowhere'"),
+    (Instr(Opcode.LA, rd=V0, label="nowhere"), "unresolved symbol 'nowhere'"),
+    (Instr(Opcode.LW, rd=V0, rs=SP, label="nowhere"),
+     "unresolved data symbol 'nowhere'"),
+])
+def test_unresolved_symbols_rejected(instr, message):
+    with pytest.raises(LinkError, match=f"^{message}$"):
+        link_executable([obj(asm("main", instr))])
+
+
+def test_missing_entry_wins_over_unresolved_symbol():
+    # the entry point is checked before any relocation is attempted
+    with pytest.raises(LinkError, match="^entry point 'main' not defined$"):
+        link_executable([obj(asm("f", Instr(Opcode.B, label="nowhere")))])
