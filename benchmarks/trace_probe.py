@@ -14,10 +14,11 @@ Printed for the pass:
 ``--hash`` also runs ``block_profile_of`` and ``sim_tier="jit3"`` per
 cell and prints sha256 digests, each over its items followed by a NUL
 byte: per translation kind (``jit`` for tier 2, ``profiling`` for the
-profiling translation, ``jit3`` for tier 3, told apart by the class of
-the translation), every source passed to ``JitProgram._exec`` in call
-order; and ``AsmFunction.render()`` of every ``generate_function``
-result.  It also prints the transitions each kind's runs make.
+profiling translation, a ``JitProgram`` given ``block_counts``, and
+``jit3`` for tier 3, a ``Jit3Program``), every source passed to
+``JitProgram._exec`` in call order; and ``AsmFunction.render()`` of
+every ``generate_function`` result.  It also prints the transitions
+each kind's runs make.
 
     PYTHONPATH=src python benchmarks/trace_probe.py [--hash]
 """
@@ -32,12 +33,19 @@ from repro import Compiler, PAPER_CONFIGS
 from repro.benchsuite.registry import load_benchmarks
 from repro.engine import core
 from repro.pipeline.profile import block_profile_of
-from repro.sim.jit import Jit3Program, JitProgram, _ProfilingProgram
+from repro.sim.jit import Jit3Program, JitProgram
 
 CONFIGS = ("base", "A", "B", "C", "D", "E")
 
-#: translation class -> kind name, in print order
-KINDS = {JitProgram: "jit", _ProfilingProgram: "profiling", Jit3Program: "jit3"}
+#: translation kind names, in print order
+KINDS = ("jit", "profiling", "jit3")
+
+
+def kind_of(prog: JitProgram) -> str:
+    """The translation kind of ``prog``."""
+    if isinstance(prog, Jit3Program):
+        return "jit3"
+    return "jit" if prog._block_counts is None else "profiling"
 
 
 class Probe:
@@ -47,10 +55,9 @@ class Probe:
         self.transitions = 0
         self.bytes = self.lines = 0
         self.compile_s = 0.0
-        kinds = KINDS.values()
-        self.kind_transitions = dict.fromkeys(kinds, 0)
-        self.sources = {kind: hashlib.sha256() for kind in kinds}
-        self.nsources = dict.fromkeys(kinds, 0)
+        self.kind_transitions = dict.fromkeys(KINDS, 0)
+        self.sources = {kind: hashlib.sha256() for kind in KINDS}
+        self.nsources = dict.fromkeys(KINDS, 0)
         self.listings = hashlib.sha256()
         self.nlistings = 0
 
@@ -58,7 +65,7 @@ class Probe:
         digest.update(text.encode("utf-8") + b"\0")
 
     def _source(self, prog, source: str) -> None:
-        kind = KINDS[type(prog)]
+        kind = kind_of(prog)
         self._item(self.sources[kind], source)
         self.nsources[kind] += 1
 
@@ -91,7 +98,7 @@ class Probe:
                 return execute(self)
             finally:
                 sys.setprofile(None)
-                probe.kind_transitions[KINDS[type(self)]] += (
+                probe.kind_transitions[kind_of(self)] += (
                     probe.transitions - before
                 )
 

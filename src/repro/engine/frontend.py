@@ -170,8 +170,6 @@ class FrontendCache:
         #: (symtab sha, chunk sha, optimise) -> lowered function
         self._functions: Dict[Tuple[str, str, bool], _FnEntry] = {}
         self._store = store
-        self.hits = 0
-        self.misses = 0
         self.fn_hits = 0
         self.fn_misses = 0
 
@@ -184,10 +182,8 @@ class FrontendCache:
         key = (name, text_digest(text), optimize)
         module = self._modules.get(key)
         if module is not None:
-            self.hits += 1
             self.fn_hits += len(module.functions)
             return module
-        self.misses += 1
         split = split_chunks(text)
         if split is None:
             module = self._full_front(name, text, optimize)

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Set
 
 from repro.ir.function import IRModule
-from repro.ir.instructions import Call
 
 
 @dataclass
@@ -108,9 +107,7 @@ def build_call_graph(
     cg = CallGraph(module=module, entry=entry)
     names = list(module.functions)
     for name, fn in module.functions.items():
-        callees = {
-            ins.func for ins in fn.instructions() if isinstance(ins, Call)
-        }
+        callees = fn.direct_callees()
         cg.edges[name] = callees
         cg.redges.setdefault(name, set())
         for c in callees:

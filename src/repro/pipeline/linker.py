@@ -42,9 +42,8 @@ class Executable:
 
     def fingerprint(self) -> str:
         """Stable content digest of the linked image (instructions,
-        entry, data image, preservation contracts) -- the executable
-        half of a tier-3 translation store key.  Cached: the image is
-        immutable once linked."""
+        entry, data image, preservation contracts).  Cached: the image
+        is immutable once linked."""
         cached = getattr(self, "_fingerprint", None)
         if cached is None:
             parts = [repr(i) for i in self.instrs]
@@ -155,13 +154,11 @@ def link_executable(
             exe.func_at_pc[pc] = fname
             size = len(fn.instrs)
             for i in sorted(fn.labels):
-                if 0 <= i < size:
+                if 0 <= i <= size:
                     for lab in fn.labels[i]:
                         if lab in labels:
                             raise LinkError(f"duplicate label {lab!r}")
                         labels[lab] = pc + i
-            for lab in fn.labels.get(size, ()):
-                labels[lab] = pc + size
             pc += size
         exe.preserved_masks.update(obj.preserved_masks)
     labels.update(func_entries)

@@ -10,8 +10,9 @@ profile-guided branch following and inlining.  All
 tiers produce bit-identical :class:`RunStats`; the interpreter
 additionally supports contract checking, to which ``auto`` falls
 back.  Block profiles are collected
-by one run of a profiling translation (:func:`repro.sim.jit.run_profiling`),
-with the interpreter's profiling hooks kept as its test oracle.
+by one run of a profiling translation (:func:`repro.sim.jit.run_profiling`,
+a :class:`JitProgram` given ``block_counts``), with the interpreter's
+profiling hooks kept as its test oracle.
 ``auto`` runs the translator (with the executable's block profile when
 one is attached) and falls back to the interpreter on a translation
 failure.

@@ -75,6 +75,16 @@ per-instance lock, and each new exit's counter slot is added to every
 run in progress before code can bump it.  An interpreter tail uses only
 its own run's state.
 
+Each trace-selection decision is one piece of code: the transfer rule
+(``goto`` in :meth:`JitProgram._translate_superblock`) for every
+transfer a trace may continue through -- B, a constant-folded branch,
+the followed arm of a conditional branch and every fall-through --
+links a jump to a loop-mode trace's own start, continues to a forward
+target inside the code while under ``TRACE_CAP``, and otherwise
+exits; the direction policy (:meth:`JitProgram._follows`) picks the
+arm a conditional branch follows; the call policy
+(``inline_decision``) decides which calls are inlined.
+
 Trace shaping without a profile
 -------------------------------
 
@@ -146,8 +156,9 @@ translation failure falls back to the interpreter.
 
 Block profiles are collected by this translator too, the way pixie
 counted basic blocks inside translated code: :func:`run_profiling`
-(what :func:`~repro.pipeline.profile.block_profile_of` runs) shapes
-its traces as tier ``"jit"`` does and counts blocks per trace exit.
+(what :func:`~repro.pipeline.profile.block_profile_of` runs) makes a
+one-run :class:`JitProgram` given ``block_counts``, which shapes its
+traces as tier ``"jit"`` does and counts blocks per trace exit.
 
 The interpreter remains the retained reference oracle: contract checking
 is an interpreter feature, and :func:`simulate` routes runs that need it
@@ -291,22 +302,22 @@ class JitProgram:
     copy is surfaced on :attr:`RunStats.jit3` after every run.  A run
     whose budget test trips finishes on the interpreter (see
     *budget-check hoisting* in the module docstring).
-    """
 
-    #: a profiling translation (:class:`_ProfilingProgram`) records the
-    #: visits of these pcs on every exit path, and its interpreter tail
-    #: counts them in this dict
-    _block_pcs: frozenset = frozenset()
-    _block_counts: Optional[Dict[int, int]] = None
+    A profiling translation (see :func:`run_profiling`) is given
+    ``block_counts``: every exit path records the visits of its pcs,
+    and an interpreter tail counts them there.
+    """
 
     def __init__(
         self,
         exe: Executable,
         stack_words: int = DEFAULT_STACK_WORDS,
         max_cycles: int = DEFAULT_MAX_CYCLES,
+        block_counts: Optional[Dict[int, int]] = None,
     ):
         faults.check(faults.SITE_JIT, "translate")
         self.exe = exe
+        self._block_counts = block_counts
         self.mem_size = exe.data_size + stack_words
         self.max_cycles = max_cycles
         self.code = decoded_stream(exe)
@@ -372,7 +383,25 @@ class JitProgram:
     def _exec(self, source: str) -> None:
         exec(compile(source, f"<jit:{id(self.exe):#x}>", "exec"), self.ns)
 
-    # -- trace shaping without a profile ------------------------------------
+    # -- trace shaping ------------------------------------------------------
+
+    def _follows(self, start: int, pc: int, target: int) -> bool:
+        """Whether the trace rooted at ``start`` follows the conditional
+        branch at ``pc`` to its forward ``target``, exiting on the
+        fall-through.  With a profile, when the taken arm carries the
+        majority of the flow through the trace head (the fall-through's
+        own count is usually unobservable -- it is rarely a block leader
+        -- so it is estimated as entry minus taken rather than read from
+        the profile, where a missing label would score 0 and invert
+        nearly every branch); without one, by the loop heuristic
+        (:meth:`_follows_taken`)."""
+        if not pc < target < self.ncode:
+            return False
+        hot = self._hot
+        if not hot:
+            return self._follows_taken(pc, target)
+        taken = hot.get(target, 0)
+        return taken * 2 > hot.get(start, 1) and taken > hot.get(pc + 1, 0)
 
     def _follows_taken(self, pc: int, target: int) -> bool:
         """The direction rule of a translation without a profile, Ball
@@ -469,7 +498,7 @@ class JitProgram:
         branches = 0
         loads: Dict[int, int] = {}
         stores: Dict[int, int] = {}
-        block_pcs = self._block_pcs
+        block_pcs = self._block_counts or ()  # its keys are pre-seeded
         visits: Dict[int, int] = {}    # tracked block-start pc -> passes
 
         def bail(reason: str) -> None:
@@ -575,16 +604,33 @@ class JitProgram:
             faults.check(faults.SITE_JIT, "inline")
             return True
 
-        def addr_expr(base: int, imm: int) -> None:
-            lines.append(f"{IND}a = {read(base)}{offset(imm)}")
+        def goto(target: int) -> bool:
+            """The one rule for a transfer the trace may continue
+            through (B, a folded or followed branch arm, a
+            fall-through): link a jump to the loop header's own start,
+            continue to a forward target inside the code while under
+            the cap (true), else exit to ``target``."""
+            if target == start and loop_mode:
+                emit_backedge(IND)
+                return False
+            if pc < target < ncode and ninstr < TRACE_CAP:
+                return True
+            exit_to(IND, target)
+            return False
 
-        def const_addr(base: int, imm: int) -> Optional[int]:
-            """An address known at translation time and inside memory,
-            which needs no runtime bounds test."""
+        def address(base: int, imm: int, what: str) -> str:
+            """The address operand of a load or store: the literal of a
+            translation-time constant address inside memory, which needs
+            no runtime bounds test, else ``a``, computed and tested."""
             b = const_of(base)
-            if b is None or not 1 <= b + imm < self.mem_size:
-                return None
-            return b + imm
+            if b is not None and 1 <= b + imm < self.mem_size:
+                return str(b + imm)
+            lines.append(f"{IND}a = {read(base)}{offset(imm)}")
+            lines.append(
+                f"{IND}if a < 1 or a >= {self.mem_size}: raise"
+                f" MachineTrap('bad {what} address %d at pc={pc}' % a)"
+            )
+            return "a"
 
         def emit_value(vop: _ValueOp, rd: int, rs: int, rt: int,
                        imm: int) -> None:
@@ -608,10 +654,11 @@ class JitProgram:
         while True:
             op, rd, rs, rt, imm, kind = code[pc]
             ninstr += 1
+            prefix += _LAT[op]
             if pc in block_pcs:
                 visits[pc] = visits.get(pc, 0) + 1
-            lat = _LAT[op]
             vop = _VALUE_OPS[op]
+            nxt = pc + 1
 
             if vop is not None:
                 # fold a trap-free opcode when every source is a
@@ -626,111 +673,42 @@ class JitProgram:
                     if w is not None:
                         lines.append(f"{IND}{w} = {val}")
             elif op == _LW:
-                addr = const_addr(rs, imm)
-                if addr is None:
-                    addr = "a"
-                    addr_expr(rs, imm)
-                    lines.append(
-                        f"{IND}if a < 1 or a >= {self.mem_size}: raise"
-                        f" MachineTrap('bad load address %d at pc={pc}' % a)"
-                    )
+                addr = address(rs, imm, "load")
                 w = write(rd)
                 if w is not None:
                     lines.append(f"{IND}{w} = m[{addr}]")
                 loads[kind] = loads.get(kind, 0) + 1
             elif op == _SW:
-                addr = const_addr(rt, imm)
-                if addr is None:
-                    addr = "a"
-                    addr_expr(rt, imm)
-                    lines.append(
-                        f"{IND}if a < 1 or a >= {self.mem_size}: raise"
-                        f" MachineTrap('bad store address %d at pc={pc}' % a)"
-                    )
+                addr = address(rt, imm, "store")
                 lines.append(f"{IND}m[{addr}] = {read(rs)}")
                 stores[kind] = stores.get(kind, 0) + 1
             elif op == _PRINT:
                 lines.append(f"{IND}o.append({read(rs)})")
             elif op == _BEQZ or op == _BNEZ:
                 branches += 1
-                prefix += lat
                 cv = const_of(rs)
                 if cv is not None:
-                    taken = (cv == 0) if op == _BEQZ else (cv != 0)
-                    if taken:
-                        if imm == start and loop_mode:
-                            emit_backedge(IND)
-                            break
-                        if pc < imm < ncode and ninstr < TRACE_CAP:
-                            pc = imm
-                            continue
-                        exit_to(IND, imm)
-                        break
-                    pc += 1
-                    if pc < ncode and ninstr < TRACE_CAP:
-                        continue
-                    exit_to(IND, pc)
-                    break
-                cond = read(rs)
-                backedge_ok = imm == start and loop_mode
-                # follow the taken direction on a linkable back-edge,
-                # or to a forward target the profile really favours:
-                # one carrying the majority of the flow through this
-                # trace's head (the fall-through's own count is usually
-                # unobservable -- it is rarely a block leader -- so it
-                # is estimated as entry minus taken rather than read
-                # from the profile, where a missing label would score 0
-                # and invert nearly every branch); without a profile,
-                # to a forward target the loop heuristic picks
-                if not pc < imm < ncode:
-                    follow = False
-                elif self._hot:
-                    taken_count = self._hot.get(imm, 0)
-                    follow = (
-                        taken_count * 2 > self._hot.get(start, 1)
-                        and taken_count > self._hot.get(pc + 1, 0)
-                    )
+                    if (cv == 0) == (op == _BEQZ):  # taken
+                        nxt = imm
                 else:
-                    follow = self._follows_taken(pc, imm)
-                if backedge_ok or follow:
-                    # the taken direction is the likely one: follow
-                    # it, exiting on the fall-through
-                    ntest = "!=" if op == _BEQZ else "=="
-                    lines.append(f"{IND}if {cond} {ntest} 0:")
-                    exit_to(IND + "    ", pc + 1)
-                    if backedge_ok:
-                        emit_backedge(IND)
-                        break
-                    pc = imm
-                    if ninstr < TRACE_CAP:
-                        continue
-                    exit_to(IND, pc)
-                    break
-                test = "==" if op == _BEQZ else "!="
-                lines.append(f"{IND}if {cond} {test} 0:")
-                arm = IND + "    "
-                if backedge_ok:
-                    emit_backedge(arm)
-                else:
-                    exit_to(arm, imm)
-                pc += 1
-                if pc < ncode and ninstr < TRACE_CAP:
-                    continue
-                exit_to(IND, pc)
-                break
+                    cond = read(rs)
+                    if (imm == start and loop_mode) or self._follows(
+                        start, pc, imm
+                    ):
+                        # follow a linkable back-edge or the direction
+                        # policy's pick, exiting on the fall-through
+                        ntest = "!=" if op == _BEQZ else "=="
+                        lines.append(f"{IND}if {cond} {ntest} 0:")
+                        exit_to(IND + "    ", pc + 1)
+                        nxt = imm
+                    else:
+                        test = "==" if op == _BEQZ else "!="
+                        lines.append(f"{IND}if {cond} {test} 0:")
+                        exit_to(IND + "    ", imm)
             elif op == _B:
-                prefix += lat
-                if imm == start and loop_mode:
-                    emit_backedge(IND)
-                    break
-                if pc < imm < ncode and ninstr < TRACE_CAP:
-                    pc = imm
-                    continue
-                exit_to(IND, imm)
-                break
+                nxt = imm
             elif op == _JAL:
                 calls += 1
-                prefix += lat
                 ret_pc = pc + 1
                 w = write(RA.index, const=ret_pc)
                 lines.append(f"{IND}{w} = {ret_pc}")
@@ -744,7 +722,6 @@ class JitProgram:
                 break
             elif op == _JALR:
                 calls += 1
-                prefix += lat
                 bail("indirect_call")
                 lines.append(f"{IND}t = {read(rs)}")
                 w = write(RA.index, const=pc + 1)
@@ -752,7 +729,6 @@ class JitProgram:
                 emit_exit(IND, "return _T.get(t) or _jump(t), y")
                 break
             elif op == _JR:
-                prefix += lat
                 if inline_stack:
                     expected = inline_stack[-1]
                     cv = const_of(rs)
@@ -781,17 +757,14 @@ class JitProgram:
                 emit_exit(IND, "return _T.get(t) or _jump(t), y")
                 break
             elif op == _HALT:
-                prefix += lat
                 emit_exit(IND, "return None, y")
                 break
             else:  # pragma: no cover - exhaustive over the opcode set
                 raise MachineTrap(f"unknown opcode number {op}")
 
-            prefix += lat
-            pc += 1
-            if pc >= ncode or ninstr >= TRACE_CAP:
-                exit_to(IND, pc)
+            if not goto(nxt):
                 break
+            pc = nxt
 
         st["traces"] += 1
         if ninstr > st["max_trace_len"]:
@@ -996,45 +969,6 @@ class Jit3Program(JitProgram):
         return super().run()
 
 
-class _ProfilingProgram(JitProgram):
-    """A one-run translation that collects a block profile, the way
-    pixie counted basic blocks inside translated code.
-
-    Every exit path records the visits of the pcs in ``block_counts``,
-    so a block's count is the sum over exits of the exit's counter
-    times the block's visits on its path: the run itself counts nothing
-    more than it already does.  Traces are shaped as tier ``"jit"``
-    shapes them, leaf inlining included; a block of an inlined callee
-    is counted on the caller's exit paths.
-    """
-
-    def __init__(
-        self,
-        exe: Executable,
-        stack_words: int,
-        max_cycles: int,
-        block_counts: Dict[int, int],
-    ):
-        super().__init__(exe, stack_words, max_cycles)
-        self._block_pcs = frozenset(block_counts)
-        self._block_counts = block_counts
-
-    def run(self) -> RunStats:
-        try:
-            counts, cycles, out, tail = self._execute()
-        finally:
-            # the translation serves one run: free its code now (stubs
-            # and ``_jump`` tie it into cycles a later collection finds)
-            self.ns.clear()
-            self.table.clear()
-        block_counts = self._block_counts
-        for n, path in zip(counts, self.exits):
-            if n and path.blocks:
-                for pc, visits in path.blocks.items():
-                    block_counts[pc] += n * visits
-        return self._stats(counts, cycles, out, tail)
-
-
 def run_profiling(
     exe: Executable,
     stack_words: int = DEFAULT_STACK_WORDS,
@@ -1042,17 +976,36 @@ def run_profiling(
     *,
     block_counts: Dict[int, int],
 ) -> RunStats:
-    """Run ``exe`` once on a profiling translation; the translator's
-    counterpart of the interpreter's profiling run
+    """Run ``exe`` once on a profiling translation, collecting a block
+    profile the way pixie counted basic blocks inside translated code;
+    the translator's counterpart of the interpreter's profiling run
     (``run_program(exe, block_counts=...)``).
 
     ``block_counts`` is pre-seeded with the pcs of interest, and each
-    entry gains that pc's visits.  A :class:`MachineTrap` propagates
-    with the interpreter's message, leaving the dict unspecified.  The
-    translation is not cached on the executable: it serves this one
-    run.
+    entry gains that pc's visits.  Every exit path records the visits
+    of those pcs, so a block's count is the sum over exits of the
+    exit's counter times the block's visits on its path: the run itself
+    counts nothing more than it already does.  Traces are shaped as
+    tier ``"jit"`` shapes them, leaf inlining included; a block of an
+    inlined callee is counted on the caller's exit paths.
+
+    A :class:`MachineTrap` propagates with the interpreter's message,
+    leaving the dict unspecified.  The translation is not cached on the
+    executable: it serves this one run and is freed on return.
     """
-    return _ProfilingProgram(exe, stack_words, max_cycles, block_counts).run()
+    prog = JitProgram(exe, stack_words, max_cycles, block_counts)
+    try:
+        counts, cycles, out, tail = prog._execute()
+    finally:
+        # free the code now: stubs and ``_jump`` tie the translation
+        # into cycles only a later collection would find
+        prog.ns.clear()
+        prog.table.clear()
+    for n, path in zip(counts, prog.exits):
+        if n and path.blocks:
+            for pc, visits in path.blocks.items():
+                block_counts[pc] += n * visits
+    return prog._stats(counts, cycles, out, tail)
 
 
 def _cached(exe: Executable, key: Tuple, make: Callable) -> JitProgram:

@@ -200,6 +200,16 @@ def test_duplicate_label_rejected():
         ])
 
 
+def test_duplicate_end_label_rejected():
+    # a label at index len(instrs) marks the end of the function; it
+    # must not silently overwrite an earlier label of the same name
+    with pytest.raises(LinkError, match="^duplicate label 'x'$"):
+        link_executable([
+            obj(asm("main", Instr(Opcode.B, label="x"),
+                    labels={0: ["x"], 2: ["x"]})),
+        ])
+
+
 @pytest.mark.parametrize("instr, message", [
     (Instr(Opcode.B, label="nowhere"), "unresolved code symbol 'nowhere'"),
     (Instr(Opcode.LA, rd=V0, label="nowhere"), "unresolved symbol 'nowhere'"),

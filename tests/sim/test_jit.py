@@ -5,9 +5,11 @@ value templates against the interpreter, the profile-less trace
 shaping rules (loop heuristic, leaf inlining) and unguarded constant
 addresses."""
 
+import gc
 import itertools
 import sys
 import threading
+import weakref
 
 import pytest
 
@@ -18,9 +20,9 @@ from repro.pipeline import compile_program, O2, O3_SW
 from repro.pipeline.linker import Executable
 from repro.pipeline.profile import block_profile_of
 from repro.sim import run_jit, run_program, simulate, SIM_TIERS
-from repro.sim.jit import Jit3Program, JitProgram, _ProfilingProgram
+from repro.sim.jit import Jit3Program, JitProgram, TRACE_CAP, run_profiling
 from repro.target.isa import Instr, MemKind, Opcode, OPS
-from repro.target.registers import ALL_REGISTERS, ZERO
+from repro.target.registers import ALL_REGISTERS, ALLOCATABLE_MASK, ZERO
 
 T0 = ALL_REGISTERS[9]
 T1 = ALL_REGISTERS[10]
@@ -307,6 +309,19 @@ def test_translation_cached_on_executable():
     assert len(exe._jit_cache) == 2
 
 
+def test_straight_line_code_is_cut_at_the_trace_cap():
+    exe = exe_of(
+        *[Instr(op=Opcode.ADDI, rd=T0, rs=T0, imm=1)] * (TRACE_CAP + 100),
+        Instr(op=Opcode.PRINT, rs=T0),
+        Instr(op=Opcode.HALT),
+    )
+    stats = both_tiers(exe)
+    assert stats.output == [TRACE_CAP + 100]
+    (prog,) = exe._jit_cache.values()
+    assert prog.jit3_stats["traces"] == 2
+    assert prog.jit3_stats["max_trace_len"] == TRACE_CAP
+
+
 def test_jr_into_mid_block_translates_on_demand():
     # pc 4 is no leader (only HALT fall-through pc 3 is); the dynamic
     # jump forces on-demand translation mid-run
@@ -494,17 +509,49 @@ def test_tier2_run_stats_report_its_decisions():
 def test_profiling_translation_inlines_leaves(monkeypatch):
     built = compile_program(LEAF_LOOP, O2)
     kept = []
-    run = _ProfilingProgram.run
+    execute = JitProgram._execute
 
     def keep(self):
         kept.append(self)
-        return run(self)
+        return execute(self)
 
-    monkeypatch.setattr(_ProfilingProgram, "run", keep)
+    monkeypatch.setattr(JitProgram, "_execute", keep)
     profile = block_profile_of(built, attach=False)
     (prog,) = kept
     assert prog.jit3_stats["inlined_calls"] >= 1
     assert profile.digest() == interpreter_profile(built).digest()
+
+
+@pytest.mark.parametrize("trap", [False, True])
+def test_profiling_translation_freed_on_return(monkeypatch, trap):
+    # the translation serves one run: it must not outlive it, even
+    # where only a full collection would find its reference cycles
+    exe = exe_of(
+        Instr(op=Opcode.LI, rd=T0, imm=-5 if trap else 1),
+        Instr(op=Opcode.LW, rd=T1, rs=T0, imm=0, kind=MemKind.SCALAR),
+        Instr(op=Opcode.PRINT, rs=T1),
+        Instr(op=Opcode.HALT),
+    )
+    refs = []
+    execute = JitProgram._execute
+
+    def keep(self):
+        refs.append(weakref.ref(self))
+        return execute(self)
+
+    monkeypatch.setattr(JitProgram, "_execute", keep)
+    gc.disable()
+    try:
+        try:
+            run_profiling(exe, block_counts={0: 0})
+        except MachineTrap:
+            assert trap
+        else:
+            assert not trap
+        (ref,) = refs
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_constant_addresses_need_no_bounds_test():
@@ -597,6 +644,39 @@ def test_tier2_budget_traps_are_identical_at_every_cycle_count():
         ) == outcome(
             lambda b: run_program(exe, max_cycles=b), budget
         ), budget
+
+
+def test_fall_through_onto_the_loop_header_links():
+    # an inlined leaf placed just before the caller's loop header falls
+    # through onto it: the trace links that as a back-edge, which must
+    # run (and trap at every budget) exactly as the interpreter does
+    exe = Executable(
+        instrs=[
+            Instr(op=Opcode.ADDI, rd=T1, rs=T1, imm=1),   # f
+            Instr(op=Opcode.ADDI, rd=T1, rs=T1, imm=2),
+            Instr(op=Opcode.ADDI, rd=T0, rs=T0, imm=1),   # main, header
+            Instr(op=Opcode.ADDI, rd=T2, rs=T0, imm=-3),
+            Instr(op=Opcode.BEQZ, rs=T2, imm=7),
+            Instr(op=Opcode.JAL, imm=0),
+            Instr(op=Opcode.B, imm=2),
+            Instr(op=Opcode.PRINT, rs=T1),
+            Instr(op=Opcode.HALT),
+        ],
+        entry_pc=2,
+        func_entries={"f": 0, "main": 2},
+        func_at_pc={0: "f", 2: "main"},
+        preserved_masks={"f": ALLOCATABLE_MASK},
+    )
+    full = both_tiers(exe)
+    assert full.output == [6]
+    (prog,) = exe._jit_cache.values()
+    assert prog.jit3_stats["inlined_calls"] == 1
+    assert prog.jit3_stats["linked_loops"] == 1
+    for budget in range(full.cycles + 2):
+        try:
+            assert both_tiers(exe, max_cycles=budget) == full
+        except MachineTrap:
+            both_tiers_trap(exe, max_cycles=budget)
 
 
 def test_profile_of_a_run_that_hands_off_and_halts(monkeypatch):
