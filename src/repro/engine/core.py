@@ -73,7 +73,6 @@ from repro.engine.invalidation import (
     count_changed,
     effective_summaries,
     plan_key,
-    sorted_callees,
 )
 from repro.engine.resilience import LADDER
 from repro.engine.stats import PIPELINE_STAGES, CompileRecord, EngineStats
@@ -186,8 +185,6 @@ class _PlanContext:
     popts: PlanOptions
     #: :func:`plan_options_fingerprint` of ``popts``
     popts_fp: Tuple
-    #: procedure -> its sorted direct callees
-    callees: Dict[str, Tuple[str, ...]]
     record: CompileRecord
     forced: Dict[str, int]
     no_store: Set[str]
@@ -376,13 +373,11 @@ class Engine:
         """
         forced: Dict[str, int] = {}
         no_store: Set[str] = set()
-        with self.stats.timer(record, "plan"):
-            callees = sorted_callees(program)
         bound = (len(LADDER) + 1) * len(program.functions) + 2
         for _ in range(bound):
             with self.stats.timer(record, "plan"):
                 plan, keys = self._plan(
-                    program, popts, callees, record, forced, no_store
+                    program, popts, record, forced, no_store
                 )
             try:
                 with self.stats.timer(record, "codegen"):
@@ -411,10 +406,9 @@ class Engine:
         then :func:`plan_function` (with the resilient demotion ladder
         around it)."""
         fn = ctx.program.functions[name]
-        callees = ctx.callees[name]
         is_open = ctx.cg.is_open(name) if ctx.cg is not None else True
         eff = effective_summaries(
-            fn, callees, ctx.program, ctx.cg, ctx.pos, ctx.closed,
+            fn, ctx.program, ctx.cg, ctx.pos, ctx.closed,
             demoted=ctx.demoted, convention=ctx.popts.convention,
         )
         level = ctx.forced.get(name)
@@ -423,7 +417,7 @@ class Engine:
             return (_DEMOTED, name, level), plan, False
         allowed = ctx.allowed_map.get(name)
         key = plan_key(
-            fn, callees, ctx.popts, ctx.popts_fp, ctx.arities, is_open, eff,
+            fn, ctx.popts, ctx.popts_fp, ctx.arities, is_open, eff,
             allowed,
         )
         plan = self._plans.get(key)
@@ -475,7 +469,6 @@ class Engine:
         self,
         program: IRModule,
         popts: PlanOptions,
-        callees: Dict[str, Tuple[str, ...]],
         record: CompileRecord,
         forced: Dict[str, int],
         no_store: Set[str],
@@ -484,12 +477,10 @@ class Engine:
         call graph, depth-first postorder, the mod/ref prepass, then one
         :meth:`_plan_one` per procedure in that order.
 
-        ``callees`` maps each procedure to its sorted direct callees
-        (:func:`sorted_callees`).  ``forced`` maps procedure name ->
-        demotion rung for procedures that must be planned open
-        regardless of faults (codegen-stage demotions being replanned);
-        ``no_store`` names procedures pinned to from-scratch plans after
-        a store pairing break.
+        ``forced`` maps procedure name -> demotion rung for procedures
+        that must be planned open regardless of faults (codegen-stage
+        demotions being replanned); ``no_store`` names procedures pinned
+        to from-scratch plans after a store pairing break.
         """
         result = ProgramPlan(module=program)
         arities = {
@@ -523,7 +514,6 @@ class Engine:
             program=program,
             popts=popts,
             popts_fp=plan_options_fingerprint(popts),
-            callees=callees,
             record=record,
             forced=forced,
             no_store=no_store,

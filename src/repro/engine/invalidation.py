@@ -25,7 +25,7 @@ cached by one compile serve any later compile with the same key.
 
 from __future__ import annotations
 
-from typing import Container, Dict, Optional, Sequence, Set, Tuple
+from typing import Container, Dict, Optional, Set, Tuple
 
 from repro.engine.fingerprint import (
     function_fingerprint,
@@ -33,26 +33,15 @@ from repro.engine.fingerprint import (
     weights_fingerprint,
 )
 from repro.interproc.allocator import PlanOptions
-from repro.interproc.callgraph import CallGraph
+from repro.interproc.callgraph import CallGraph, sorted_callees
 from repro.interproc.summaries import ProcSummary, default_summary
 from repro.ir.function import IRFunction, IRModule
 
 PlanKey = Tuple
 
 
-def sorted_callees(module: IRModule) -> Dict[str, Tuple[str, ...]]:
-    """Every procedure's direct callees, sorted: one scan of the
-    module's instructions, shared by :func:`effective_summaries` and
-    :func:`plan_key` for the whole compile."""
-    return {
-        name: tuple(sorted(fn.direct_callees()))
-        for name, fn in module.functions.items()
-    }
-
-
 def effective_summaries(
     fn: IRFunction,
-    callees: Sequence[str],
     module: IRModule,
     cg: Optional[CallGraph],
     pos: Dict[str, int],
@@ -61,8 +50,8 @@ def effective_summaries(
     convention=None,
 ) -> Dict[str, ProcSummary]:
     """The summaries ``plan_program`` would have accumulated by the time
-    it reaches ``fn``, restricted to ``fn``'s direct ``callees`` (the
-    only entries :func:`plan_function` ever reads).
+    it reaches ``fn``, restricted to ``fn``'s direct callees (the only
+    entries :func:`plan_function` ever reads).
 
     ``demoted`` names procedures a resilient compile has demoted to the
     open convention (see :mod:`repro.engine.resilience`): they publish
@@ -74,7 +63,7 @@ def effective_summaries(
     if cg is None:
         return eff
     my_pos = pos[fn.name]
-    for callee in callees:
+    for callee in sorted_callees(fn):
         target = module.functions.get(callee)
         if target is None or pos[callee] >= my_pos:
             continue  # extern, or not yet planned in sequential order
@@ -89,7 +78,6 @@ def effective_summaries(
 
 def plan_key(
     fn: IRFunction,
-    callees: Sequence[str],
     options: PlanOptions,
     options_fp: Tuple,
     arities: Dict[str, int],
@@ -99,10 +87,11 @@ def plan_key(
 ) -> PlanKey:
     """Complete input tuple of ``plan_function`` for ``fn``.
 
-    The caller computes ``fn``'s sorted direct ``callees`` once per
-    compile (:func:`sorted_callees`) and ``options_fp``, the
+    The caller computes ``options_fp``, the
     :func:`~repro.engine.fingerprint.plan_options_fingerprint` of
-    ``options``, once per planning pass."""
+    ``options``, once per planning pass; ``fn``'s sorted direct callees
+    come from its memo
+    (:func:`~repro.interproc.callgraph.sorted_callees`)."""
     return (
         function_fingerprint(fn),
         is_open,
@@ -114,7 +103,7 @@ def plan_key(
                 arities.get(callee, -1),
                 summary_signature(eff[callee]) if callee in eff else None,
             )
-            for callee in callees
+            for callee in sorted_callees(fn)
         ),
         None if allowed_globals is None else tuple(sorted(allowed_globals)),
     )

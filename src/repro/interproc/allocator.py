@@ -28,7 +28,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.dataflow.liveness import bits
-from repro.interproc.callgraph import CallGraph, build_call_graph, dfs_postorder
+from repro.interproc.callgraph import (
+    CallGraph,
+    build_call_graph,
+    dfs_postorder,
+    sorted_callees,
+)
 from repro.interproc.modref import cacheable_globals, subtree_global_refs
 from repro.interproc.summaries import (
     ParamSpec,
@@ -202,7 +207,7 @@ def plan_function(
     )
     subtree_mask = 0
     if options.ipra:
-        for callee in fn.direct_callees():
+        for callee in sorted_callees(fn):
             s = summaries.get(callee)
             if s is not None:
                 subtree_mask |= s.used_mask

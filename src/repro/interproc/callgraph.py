@@ -8,14 +8,35 @@ else is *closed*.
 
 Processing procedures in depth-first (post-) order of the call graph
 guarantees every closed procedure's callees are processed before it.
+
+A procedure's direct callees are scanned from its instructions once and
+memoised on the :class:`~repro.ir.function.IRFunction` itself
+(:func:`sorted_callees`), the way the engine memoises its content
+fingerprint: a function reaches planning only as final IR, so a warm
+compile of a cached function scans nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import Dict, List, Set, Tuple
 
-from repro.ir.function import IRModule
+from repro.ir.function import IRFunction, IRModule
+
+_CALLEES_ATTR = "_sorted_callees"
+
+
+def sorted_callees(fn: IRFunction) -> Tuple[str, ...]:
+    """``fn``'s direct callees, sorted (memoised on the object).
+
+    Call it only on final IR -- after optimisation, as planning sees it;
+    the memo is never refreshed.
+    """
+    cached = getattr(fn, _CALLEES_ATTR, None)
+    if cached is None:
+        cached = tuple(sorted(fn.direct_callees()))
+        setattr(fn, _CALLEES_ATTR, cached)
+    return cached
 
 
 @dataclass
@@ -107,8 +128,8 @@ def build_call_graph(
     cg = CallGraph(module=module, entry=entry)
     names = list(module.functions)
     for name, fn in module.functions.items():
-        callees = fn.direct_callees()
-        cg.edges[name] = callees
+        callees = sorted_callees(fn)
+        cg.edges[name] = set(callees)
         cg.redges.setdefault(name, set())
         for c in callees:
             cg.redges.setdefault(c, set()).add(name)

@@ -3,7 +3,7 @@
 Layout (``shards`` fixed at 256)::
 
     <root>/
-      store.json          # {"version": 1, "shards": 256}
+      store.json          # {"version": 2, "shards": 256}
       .lock               # advisory lock (gc/verify only)
       00/ .. ff/          # key-prefix shards, created lazily
         <digest>.blob     # one entry
@@ -13,7 +13,12 @@ nested tuple of primitives (content fingerprints, option fingerprints,
 summary signatures -- see :mod:`repro.engine.fingerprint`).  The key is
 reduced to a SHA-256 digest of a canonical recursive encoding, so two
 processes computing the same fingerprints address the same entry; the
-first two hex digits pick the shard.
+first two hex digits pick the shard.  The digest also covers
+:data:`STORE_VERSION`, the layout of the pickled artifacts: an entry
+written under another layout is never addressed, so it reads as a
+clean miss rather than as a payload that fails to unpickle (which
+would count as corruption), and LRU garbage collection reclaims it
+as it ages.
 
 An entry file is ``MAGIC + sha256(payload) + payload`` with the payload
 a pickle of the artifact.  Writes go to a temporary file in the shard
@@ -70,7 +75,9 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 from repro import faults
 
 MAGIC = b"repro-store:1\n"
-STORE_VERSION = 1
+#: artifact layout version, folded into every entry's address: bump it
+#: when a pickled artifact class changes shape (2: slotted ``Instr``)
+STORE_VERSION = 2
 SHARDS = 256
 #: corrupt blobs are moved here (evidence), never silently destroyed
 QUARANTINE_DIR = "quarantine"
@@ -141,9 +148,10 @@ def _encode_key(value, out: List[bytes]) -> None:
 
 
 def key_digest(namespace: str, key) -> str:
-    """SHA-256 hex digest addressing ``key`` within ``namespace``."""
+    """SHA-256 hex digest addressing ``key`` within ``namespace`` under
+    the current :data:`STORE_VERSION`."""
     out: List[bytes] = []
-    _encode_key((namespace, key), out)
+    _encode_key((STORE_VERSION, namespace, key), out)
     return hashlib.sha256(b"".join(out)).hexdigest()
 
 

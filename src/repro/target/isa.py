@@ -236,9 +236,15 @@ def offset(imm: int) -> str:
     return f" + {imm}" if imm > 0 else (f" - {-imm}" if imm < 0 else "")
 
 
-@dataclass
+@dataclass(slots=True)
 class Instr:
-    """One machine instruction.  Fields not used by ``op`` stay ``None``."""
+    """One machine instruction.  Fields not used by ``op`` stay ``None``.
+
+    Slotted: an instance has no ``__dict__``, so each of the instructions
+    the linker copies into every executable is a single allocation.
+    Pickles of the older dict-based layout do not load; the artifact
+    store's layout version keeps them out of reach.
+    """
 
     op: Opcode
     rd: Optional[Register] = None

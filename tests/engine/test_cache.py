@@ -7,6 +7,7 @@ import pytest
 from repro import Compiler, O2, O3_SW
 from repro.benchsuite import benchmark_names, load_benchmarks
 from repro.engine.frontend import split_chunks
+from repro.ir.function import IRFunction
 from repro.pipeline.driver import _reference_compile_program
 
 #: diamond call graph -- main -> {left, right}, left -> leaf, right -> leaf2
@@ -72,6 +73,27 @@ def test_warm_result_is_a_fresh_image():
         a is b for a, b in zip(warm.executable.instrs, cold.executable.instrs)
     )
     assert warm.executable.fingerprint() == cold_fp
+
+
+def test_warm_compile_scans_no_ir(monkeypatch):
+    session = Compiler(O3_SW)
+    compile_once(session)
+    scanned = []
+    direct_callees = IRFunction.direct_callees
+
+    def counting(fn):
+        scanned.append(fn.name)
+        return direct_callees(fn)
+
+    monkeypatch.setattr(IRFunction, "direct_callees", counting)
+    compile_once(session)
+    assert scanned == []
+    # an edit that adds a call rescans the edited procedure only
+    edited = compile_once(session, leaf_body="leaf2(x)")
+    assert scanned == ["leaf"]
+    assert stage(session, "frontend").misses == 1
+    assert edited.plan.call_graph.callees("leaf") == {"leaf2"}
+    assert "leaf" in edited.plan.call_graph.callers("leaf2")
 
 
 def test_single_edit_invalidates_only_ancestor_chain():

@@ -14,9 +14,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Compiler, PAPER_CONFIGS
+from repro.benchsuite.registry import load_benchmarks
+from repro.engine.core import Engine
 from repro.frontend.errors import LexError, ParseError, SemanticError
+from repro.interproc import callgraph
+from repro.interproc.callgraph import build_call_graph, dfs_postorder
+from repro.ir.instructions import Call
 from repro.pipeline import O2
-from repro.pipeline.driver import _reference_compile_program
+from repro.pipeline.driver import _plan_options, _reference_compile_program
 
 
 def exe_snapshot(exe):
@@ -195,3 +200,38 @@ def test_errors_equal_the_reference(body, kind, where, warm):
         session.add_source(text).compile()
     assert type(got.value) is type(ref.value)
     assert str(got.value) == str(ref.value)
+
+
+def _scan_callees(fn):
+    return tuple(sorted(
+        {ins.func for ins in fn.instructions() if isinstance(ins, Call)}
+    ))
+
+
+@pytest.mark.parametrize("config", ["base", "C"])
+def test_call_graph_equals_a_scan_of_the_ir(config, monkeypatch):
+    """The memoised callee lists a warm compile plans from give the call
+    graph, plan keys and order a fresh scan of the same IR gives."""
+    options = PAPER_CONFIGS[config]
+    popts = _plan_options(options)
+    where = dict(entry=popts.entry,
+                 externally_visible=popts.externally_visible)
+    for name, bench in load_benchmarks().items():
+        engine = Engine(options)
+        engine.compile(bench.source)
+        warm = engine.compile(bench.source)
+        graphs = [build_call_graph(warm.ir, **where)]
+        if popts.ipra:
+            graphs.append(warm.plan.call_graph)
+        else:
+            assert warm.plan.call_graph is None
+        with monkeypatch.context() as m:
+            m.setattr(callgraph, "sorted_callees", _scan_callees)
+            scanned = build_call_graph(warm.ir, **where)
+        for cg in graphs:
+            assert cg.edges == scanned.edges, name
+            assert cg.open_procs == scanned.open_procs, name
+            assert dfs_postorder(cg) == dfs_postorder(scanned), name
+        for fname, key in engine._last_keys.items():
+            callees = tuple(entry[0] for entry in key[4])
+            assert callees == _scan_callees(warm.ir.functions[fname])

@@ -1,7 +1,12 @@
 """Engine + persistent store integration: warm starts are bit-identical
 and every store failure mode is invisible in the output."""
 
+import copyreg
+import hashlib
+import io
+import pickle
 import time
+from dataclasses import fields
 
 import pytest
 
@@ -10,7 +15,10 @@ from repro.benchsuite.registry import load_benchmarks
 from repro.engine.core import Engine
 from repro.interproc.allocator import FnPlan
 from repro.pipeline.options import PAPER_CONFIGS, O2, O3_SW
+import repro.store.store as store_module
 from repro.store import StoredPlan
+from repro.store.store import MAGIC, NS_CODEGEN, ArtifactStore
+from repro.target.isa import Instr
 from repro.tools.warmstart import executable_digest
 
 SRC = """
@@ -74,6 +82,76 @@ def test_warm_start_identity_all_paper_configs(tmp_path, config):
         warm = Engine(options, store_path=tmp_path).compile(source)
         assert executable_digest(warm.executable) == \
             executable_digest(cold.executable), (name, config)
+
+
+def test_codegen_artifacts_come_back_equal(tmp_path):
+    engine = Engine(O3_SW, store_path=tmp_path)
+    engine.compile(SRC)
+    reader = ArtifactStore(tmp_path)
+    assert len(engine._codegen) == 3
+    for ckey, artifact in engine._codegen.items():
+        assert reader.get(NS_CODEGEN, ckey) == artifact
+    assert reader.stats.hits == 3
+
+
+class _DictLayoutPickler(pickle.Pickler):
+    """Pickles ``Instr`` the way store version 1 did, as an object whose
+    state is an attribute dict."""
+
+    def reducer_override(self, obj):
+        if type(obj) is Instr:
+            state = {f.name: getattr(obj, f.name) for f in fields(Instr)}
+            return copyreg.__newobj__, (Instr,), state
+        return NotImplemented
+
+
+def _rewrite_in_dict_layout(blob) -> bytes:
+    """Re-encode one entry's payload with version-1 ``Instr`` pickles."""
+    value = ArtifactStore._decode(blob.read_bytes())
+    buf = io.BytesIO()
+    _DictLayoutPickler(buf, protocol=pickle.HIGHEST_PROTOCOL).dump(value)
+    payload = buf.getvalue()
+    digest = hashlib.sha256(payload).hexdigest().encode("ascii")
+    blob.write_bytes(MAGIC + digest + b"\n" + payload)
+    return payload
+
+
+def test_version_1_entries_are_clean_misses(tmp_path, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(store_module, "STORE_VERSION", 1)
+        old = Engine(O3_SW, store_path=tmp_path)
+        p_old = old.compile(SRC)
+    old_blobs = sorted(_blobs(old.store))
+    payloads = [_rewrite_in_dict_layout(b) for b in old_blobs]
+    # addressed under version 2, the three codegen artifacts would fail
+    # to unpickle and count as corrupt
+    unreadable = 0
+    for payload in payloads:
+        try:
+            pickle.loads(payload)
+        except AttributeError:
+            unreadable += 1
+    assert unreadable == 3
+
+    new = Engine(O3_SW, store_path=tmp_path)
+    p_new = new.compile(SRC)
+    rec = new.stats.records[-1]
+    assert rec.stages["store"].hits == 0
+    assert rec.cache_corruptions == 0
+    assert new.store.stats.corruptions == 0
+    assert new.store.stats.quarantined == 0
+    assert new.store.quarantined_entries() == []
+    assert executable_digest(p_new.executable) == \
+        executable_digest(p_old.executable)
+    # the recompute wrote version-2 entries next to the old ones, and a
+    # fresh session warm-starts from them
+    assert set(old_blobs) < set(_blobs(new.store))
+    warm = Engine(O3_SW, store_path=tmp_path)
+    warm.compile(SRC)
+    rec = warm.stats.records[-1]
+    assert rec.stages["store"].misses == 0
+    assert rec.stages["codegen"].misses == 0
+    assert warm.store.stats.corruptions == 0
 
 
 def test_store_read_corruption_recomputes(tmp_path):
